@@ -1,12 +1,14 @@
 """Set matching between predicted and annotated crops, plus training.
 
 High-quality ground truths (MOS >= 4) are padded with empty targets to
-the prediction count and matched one-to-one by cost. Matched
-predictions get the full three-term loss (L1 + weighted GIoU deficit +
-weighted focal); unmatched predictions that still sit on an annotated
-crop (IoU >= tau) get a soft score target; the rest are pushed to zero
-score. One training step is forward -> assign -> loss -> backward ->
-SGD.
+the prediction count and matched one-to-one by cost. The solver works
+on the real targets only, as a rectangular problem against all
+predictions; the predictions none of them takes get the padding
+targets in ascending order. Matched predictions get the full three-term
+loss (L1 + weighted GIoU deficit + weighted focal); unmatched
+predictions that still sit on an annotated crop (IoU >= tau) get a soft
+score target; the rest are pushed to zero score. One training step is
+forward -> assign -> loss -> backward -> SGD.
 """
 from __future__ import annotations
 
@@ -142,22 +144,24 @@ def build_cost_matrix(preds: list[Prediction], good: list[ScoredCrop], w: LossWe
 # -- Hungarian solver -----------------------------------------------------------
 
 
-def _lap_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest-augmenting-path assignment on a square matrix.
+def _shortest_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest-augmenting-path assignment of every row of an (n, m) matrix, n <= m.
 
-    Returns (col_of_row, u, v) where u, v are the 1-indexed dual
-    potentials (index 0 is a virtual column/row).
+    Returns (col_of_row, u, v): the column of each row and the dual
+    potentials of the rows and columns. Reduced costs
+    cost[r, c] - u[r] - v[c] are nonnegative and zero on the assignment;
+    v is nonpositive, and zero on every column left unassigned.
     """
-    n = cost.shape[0]
+    n, m = cost.shape
     u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    assigned_row = np.zeros(n + 1, dtype=np.int64)  # per column, 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1)
+    assigned_row = np.zeros(m + 1, dtype=np.int64)  # per column, 0 = free
+    way = np.zeros(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         assigned_row[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = assigned_row[j0]
@@ -180,24 +184,25 @@ def _lap_solve(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             assigned_row[j0] = assigned_row[j1]
             j0 = j1
     col_of_row = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if assigned_row[j] > 0:
             col_of_row[assigned_row[j] - 1] = j - 1
-    return col_of_row, u, v
-
-
-def _selection_total(cost: np.ndarray, cols: np.ndarray) -> float:
-    return float(cost[np.arange(cost.shape[0]), cols].sum())
+    return col_of_row, u[1:], v[1:]
 
 
 def hungarian(costs: np.ndarray) -> np.ndarray:
     """Exact minimum-cost bijection rows -> columns.
 
-    Among equal-total optima the lexicographically smallest column
-    sequence (by row index) is returned; candidate ties are detected
-    through zero reduced cost under the solver's dual potentials and
-    verified by sub-solves, so the refinement costs nothing when the
-    optimum is unique.
+    The trailing block of columns equal to the last one is padding:
+    build_cost_matrix leaves N - g of them, and every square matrix has
+    at least one. Only the g real columns are solved, as a rectangular
+    problem against all rows on their cost over padding,
+    c[:, :g] - c[:, -1:]. Among equal-total optima the lexicographically
+    smallest column sequence (by row index) is returned: row by row,
+    smaller real columns with zero reduced cost are tried and verified
+    by sub-solves over the real columns left, so the refinement costs
+    nothing when the optimum is unique. The rows no real column takes
+    then get the padding columns g, g+1, ... in ascending row order.
     """
     arr = np.asarray(costs)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -206,29 +211,38 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
         raise NonFinite("cost matrix contains NaN or infinity")
     arr = arr.astype(np.float64, copy=False)
     n = arr.shape[0]
-    incumbent, u, v = _lap_solve(arr)
-    tol = 1e-7 * max(1.0, float(np.abs(arr).max()))
-    available = np.ones(n, dtype=bool)
-    for i in range(n):
-        # only zero-reduced-cost columns can belong to an optimal solution
-        reduced = arr[i] - u[i + 1] - v[1:]
-        cands = np.nonzero(available & (reduced <= tol))[0]
-        cands = cands[cands < incumbent[i]]
-        if cands.size:
-            inc_total = _selection_total(arr, incumbent)
-            for j in cands:
-                trial = incumbent.copy()
+    is_pad = np.all(arr == arr[:, -1:], axis=0)
+    g = n - int(np.argmin(np.append(is_pad[::-1], False)))
+    real = arr[:, :g] - arr[:, -1:]
+    match = np.full(n, -1, dtype=np.int64)  # real column of each row, -1 = padding
+    if g:
+        col_rows, u, v = _shortest_paths(real.T)
+        match[col_rows] = np.arange(g)
+        rows = np.arange(n)
+        # arr[i, -1] is the padding cost, so index -1 prices an unmatched row
+        total = float(arr[rows, match].sum())
+        tol = 1e-7 * max(1.0, float(np.abs(arr).max()))
+        available = np.ones(g, dtype=bool)
+        for i in range(n):
+            # only zero-reduced-cost columns can belong to an optimal solution
+            below = g if match[i] < 0 else match[i]
+            reduced = real[i, :below] - u[:below] - v[i]
+            for j in np.nonzero(available[:below] & (reduced <= tol))[0]:
+                rest = np.nonzero(available)[0]
+                rest = rest[rest != j]
+                trial = match.copy()
                 trial[i] = j
-                rest_cols = np.nonzero(available)[0]
-                rest_cols = rest_cols[rest_cols != j]
-                if i + 1 < n:
-                    sub_sel, _, _ = _lap_solve(arr[np.ix_(np.arange(i + 1, n), rest_cols)])
-                    trial[i + 1 :] = rest_cols[sub_sel]
-                if _selection_total(arr, trial) <= inc_total:
-                    incumbent = trial
+                trial[i + 1 :] = -1
+                sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
+                trial[i + 1 + sub_rows] = rest
+                trial_total = float(arr[rows, trial].sum())
+                if trial_total <= total:
+                    match, total = trial, trial_total
                     break
-        available[incumbent[i]] = False
-    return incumbent
+            if match[i] >= 0:
+                available[match[i]] = False
+    match[match < 0] = np.arange(g, n)
+    return match
 
 
 def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -273,7 +273,6 @@ def _jittered(rng: np.random.Generator, base: CropBox, sigma: float) -> CropBox:
 
 
 _JITTER_LEVELS = (0.005, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.18, 0.21, 0.25)
-_DECOY_PEAK = 0.0
 
 
 def make_scene(
@@ -348,21 +347,16 @@ def make_scene(
             fill = rng.uniform(0.70, 1.0, size=(image_h, image_w))
         image[c] = np.where(mask, fill, image[c])
 
-    # saliency bumps: the subject peak split into two half-maps plus
-    # weaker whole bumps over every decoy, present in both leading maps
+    # saliency bump over the subject, split into two half-maps
     cy_grid = (np.arange(cam_h)[:, None] + 0.5) / cam_h
     cx_grid = (np.arange(cam_w)[None, :] + 0.5) / cam_w
 
-    def _bump(box: CropBox) -> np.ndarray:
-        return np.exp(
-            -(
-                ((cx_grid - box.cx) ** 2) / (2.0 * (1.8 * box.w) ** 2)
-                + ((cy_grid - box.cy) ** 2) / (2.0 * (1.8 * box.h) ** 2)
-            )
+    bump = np.exp(
+        -(
+            ((cx_grid - planted.cx) ** 2) / (2.0 * (1.8 * planted.w) ** 2)
+            + ((cy_grid - planted.cy) ** 2) / (2.0 * (1.8 * planted.h) ** 2)
         )
-
-    bump = _bump(planted)
-    decoy_bumps = _DECOY_PEAK * sum((_bump(d) for d in decoys), np.zeros_like(bump))
+    )
     left = 1.0 / (1.0 + np.exp((cx_grid - planted.cx) / 0.02))
     left = np.broadcast_to(left, bump.shape)
     if rng.random() < 0.5:
@@ -371,9 +365,9 @@ def make_scene(
     cams: list[ActivationMap] = []
     for k in range(N_CLASSES):
         if k == dominant:
-            vals = bump * left + decoy_bumps + 0.02 * rng.uniform(size=bump.shape)
+            vals = bump * left + 0.02 * rng.uniform(size=bump.shape)
         elif k == runner_up:
-            vals = bump * (1.0 - left) + decoy_bumps + 0.02 * rng.uniform(size=bump.shape)
+            vals = bump * (1.0 - left) + 0.02 * rng.uniform(size=bump.shape)
         else:
             vals = rng.uniform(size=bump.shape) * 0.5
         cams.append(ActivationMap(values=normalize01(vals)))
@@ -505,8 +499,13 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
             raise ParseError(f"manifest missing field {key!r}", field=key)
     if manifest["format"] != 1:
         raise BadVersion(f"checkpoint format {manifest['format']}, expected 1")
-    config = ModelConfig(**manifest["model"])
+    if manifest["dtype"] not in ("f32", "f64"):
+        raise ParseError(f"dtype {manifest['dtype']!r} not one of f32/f64", field="dtype")
     dtype = np.float32 if manifest["dtype"] == "f32" else np.float64
+    model = manifest["model"]
+    if not isinstance(model, dict) or set(model) != {f.name for f in fields(ModelConfig)}:
+        raise ParseError("manifest model keys do not match the model config", field="model")
+    config = ModelConfig(**model)
     state = init_state(config, seed=0, dtype=dtype)
     if set(manifest["params"]) != set(state.param_names()):
         raise ParseError("manifest parameter list does not match the configured model", field="params")

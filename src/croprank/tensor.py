@@ -46,10 +46,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy array plus optional gradient and autodiff bookkeeping.
 
@@ -429,10 +425,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full_like(x.data, float(g.reshape(-1)[0])),)
 
     return Tensor._from_op(out, (x,), vjp, "sum_all")
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.numel)
 
 
 def sum_cols(x: Tensor) -> Tensor:

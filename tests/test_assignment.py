@@ -188,12 +188,27 @@ class TestHungarian:
 
     def test_optimal_and_lexicographic_vs_brute_force(self):
         rng = np.random.default_rng(4)
+        cases = []
         for trial in range(120):
             n = int(rng.integers(1, 8))
             if trial % 3 == 0:
-                cost = rng.integers(0, 4, size=(n, n)).astype(np.float64)  # many ties
+                cases.append(rng.integers(0, 4, size=(n, n)).astype(np.float64))  # many ties
             else:
-                cost = rng.uniform(size=(n, n))
+                cases.append(rng.uniform(size=(n, n)))
+        # the last k columns identical, as the padding of build_cost_matrix
+        draws = (
+            lambda size: rng.integers(0, 4, size=size).astype(np.float64),  # integer ties
+            lambda size: rng.uniform(size=size),
+            np.zeros,
+        )
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                for draw in draws:
+                    cost = draw((n, n))
+                    cost[:, n - k :] = draw((n, 1))
+                    cases.append(cost)
+        for cost in cases:
+            n = cost.shape[0]
             perm = hungarian(cost)
             best, winners = _brute_force_perms(cost)
             assert sum(cost[i, perm[i]] for i in range(n)) == pytest.approx(best, abs=1e-9)

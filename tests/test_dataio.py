@@ -337,6 +337,28 @@ class TestCheckpoints:
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path / "ck")
 
+    def test_unknown_dtype(self, tmp_path):
+        state = self._trained_state()
+        save_checkpoint(tmp_path / "ck", state)
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        manifest["dtype"] = "f16"
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert err.value.field == "dtype"
+
+    def test_model_keys_must_match_the_config(self, tmp_path):
+        state = self._trained_state()
+        save_checkpoint(tmp_path / "ck", state)
+        saved = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        unknown = {**saved["model"], "n_experts": 2}
+        missing = {k: v for k, v in saved["model"].items() if k != "n_heads"}
+        for model in (unknown, missing, [1, 2]):
+            (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**saved, "model": model}))
+            with pytest.raises(ParseError) as err:
+                load_checkpoint(tmp_path / "ck")
+            assert err.value.field == "model"
+
     def test_parameter_list_mismatch(self, tmp_path):
         state = self._trained_state()
         save_checkpoint(tmp_path / "ck", state)
