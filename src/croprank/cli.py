@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,25 +46,8 @@ MCAB_MODES = ("average", "max", "off")
 # -- configuration ----------------------------------------------------------------
 
 DESK_CONFIG = {
-    "model": {
-        "n_queries": 16,
-        "n_layers": 2,
-        "model_dim": 32,
-        "n_heads": 4,
-        "ffn_dim": 128,
-        "grid_h": 8,
-        "grid_w": 8,
-        "epsilon_b": 1e-6,
-        "in_channels": 3,
-        "image_h": 64,
-        "image_w": 64,
-    },
-    "loss": {
-        "giou_weight": 0.4,
-        "focal_weight": 0.4,
-        "focal_gamma": 2.0,
-        "soft_iou_threshold": 0.85,
-    },
+    "model": asdict(ModelConfig()),
+    "loss": asdict(LossWeights()),
     "train": {
         "epochs": 20,
         "batch_size": 16,
@@ -298,32 +281,17 @@ def random_ranking_baseline(examples, seed: int) -> list[EvalExample]:
 def cmd_gen(cfg: RunConfig, out_dir: str) -> dict:
     data = cfg["data"]
     model = cfg.model
-    common = dict(
-        image_h=model.image_h,
-        image_w=model.image_w,
-        in_channels=model.in_channels,
-        cam_h=int(data["cam_h"]),
-        cam_w=int(data["cam_w"]),
-        n_candidates=int(data["n_candidates"]),
-    )
-    train_dir = Path(out_dir) / "train"
-    val_dir = Path(out_dir) / "val"
-    train_records = generate_synthetic(
-        int(data["seed"]), int(data["n_train"]), train_dir,
-        image_h=common["image_h"], image_w=common["image_w"], channels=common["in_channels"],
-        cam_h=common["cam_h"], cam_w=common["cam_w"], n_candidates=common["n_candidates"],
-    )
-    val_records = generate_synthetic(
-        int(data["seed"]) + 1, int(data["n_val"]), val_dir,
-        image_h=common["image_h"], image_w=common["image_w"], channels=common["in_channels"],
-        cam_h=common["cam_h"], cam_w=common["cam_w"], n_candidates=common["n_candidates"],
-    )
-    return {
-        "train": str(train_dir / "data.jsonl"),
-        "val": str(val_dir / "data.jsonl"),
-        "n_train": len(train_records),
-        "n_val": len(val_records),
-    }
+    paths, counts = {}, {}
+    for offset, split in enumerate(("train", "val")):
+        split_dir = Path(out_dir) / split
+        records = generate_synthetic(
+            int(data["seed"]) + offset, int(data[f"n_{split}"]), split_dir,
+            image_h=model.image_h, image_w=model.image_w, channels=model.in_channels,
+            cam_h=int(data["cam_h"]), cam_w=int(data["cam_w"]), n_candidates=int(data["n_candidates"]),
+        )
+        paths[split] = str(split_dir / "data.jsonl")
+        counts[f"n_{split}"] = len(records)
+    return {**paths, **counts}
 
 
 def cmd_train(cfg: RunConfig, data_path: str, out_dir: str, quiet: bool = False) -> dict:

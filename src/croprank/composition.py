@@ -4,7 +4,9 @@ Per-category activation maps are fused under the classifier's
 probability vector, pooled down to the decoder's key grid, floored,
 and log-transformed. The resulting additive bias steers cross
 attention toward salient cells without touching the learned weights:
-softmax(QK^T / sqrt(d) + log B) V.
+each head computes softmax(Q_h K_h^T / sqrt(d_h) + log B) V_h, and the
+fused ``tensor.attention`` op adds the one log B row to every head's
+logits.
 """
 from __future__ import annotations
 
@@ -211,27 +213,19 @@ def biased_cross_attention(
     v: Tensor,
     prior: CompositionPrior | None = None,
     weights_out: list | None = None,
+    n_heads: int = 1,
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d) + log B) v, with B = 1 when prior is None.
+    """Per head softmax(q_h k_h^T / sqrt(d_h) + log B) v_h, with B = 1 when prior is None.
 
-    The bias row is shared across all queries (and, at the caller's
-    level, across heads and layers). Pass a list as ``weights_out`` to
-    capture a detached copy of the attention weights.
+    The bias row is shared by all queries and heads (and, at the
+    caller's level, by all layers); ``tensor.attention`` does the work.
+    Pass a list as ``weights_out`` to capture one detached (m, n_keys)
+    array of attention weights per head, in head order.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimMismatch("attention operands must be rank-2")
-    if q.dims[1] != k.dims[1]:
-        raise DimMismatch(f"query dim {q.dims[1]} != key dim {k.dims[1]}")
-    if k.dims[0] != v.dims[0]:
-        raise DimMismatch(f"key count {k.dims[0]} != value count {v.dims[0]}")
-    logits = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.dims[1]))
+    log_bias = None
     if prior is not None:
         n_cells = prior.grid_h * prior.grid_w
-        if n_cells != k.dims[0]:
-            raise DimMismatch(f"prior has {n_cells} cells but there are {k.dims[0]} keys")
-        row = T.constant(prior.flat_log_bias(q.data.dtype))
-        logits = T.add(logits, T.tile_rows(row, q.dims[0]))
-    attn = T.softmax_rows(logits)
-    if weights_out is not None:
-        weights_out.append(attn.data.copy())
-    return T.matmul(attn, v)
+        if k.dims[:1] != (n_cells,):
+            raise DimMismatch(f"prior has {n_cells} cells but the keys are {k.dims}")
+        log_bias = prior.flat_log_bias(q.data.dtype)
+    return T.attention(q, k, v, n_heads, log_bias, weights_out)

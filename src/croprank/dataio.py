@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,6 @@ class DatasetRecord:
     height: int
     width: int
     image_path: str | None
-    embedding_path: str | None
     class_probs: ClassProbabilities
     cam_paths: tuple[str, ...] | None
     cams_inline: tuple | None
@@ -183,7 +182,6 @@ def load_dataset(path) -> list[DatasetRecord]:
             raise ParseError("record has no crops", line=line_no, field="crops")
         crops = tuple(_parse_crop(c, rec_id, line_no) for c in crops_raw)
         image_path = obj.get("image")
-        embedding_path = obj.get("embedding")
         cam_paths = obj.get("cams")
         cams_inline = obj.get("cams_inline")
         if cam_paths is not None and cams_inline is not None:
@@ -196,7 +194,7 @@ def load_dataset(path) -> list[DatasetRecord]:
             if not isinstance(cams_inline, list) or len(cams_inline) != N_CLASSES:
                 raise ParseError(f"cams_inline must list {N_CLASSES} maps", line=line_no, field="cams_inline")
             cams_inline = tuple(cams_inline)
-        for rel in filter(None, [image_path, embedding_path, *(cam_paths or ())]):
+        for rel in filter(None, [image_path, *(cam_paths or ())]):
             if not (Path(base_dir) / rel).exists():
                 raise MissingFile(f"record {rec_id!r} references missing file {rel}")
         records.append(
@@ -206,7 +204,6 @@ def load_dataset(path) -> list[DatasetRecord]:
                 height=height,
                 width=width,
                 image_path=image_path,
-                embedding_path=embedding_path,
                 class_probs=probs,
                 cam_paths=cam_paths,
                 cams_inline=cams_inline,
@@ -227,7 +224,6 @@ def save_dataset(records, path) -> None:
             "height": r.height,
             "width": r.width,
             "image": r.image_path,
-            "embedding": r.embedding_path,
             "class_probs": list(r.class_probs.values),
             "cams": list(r.cam_paths) if r.cam_paths is not None else None,
             "crops": [{"cx": c.box.cx, "cy": c.box.cy, "w": c.box.w, "h": c.box.h, "mos": c.mos} for c in r.crops],
@@ -452,7 +448,6 @@ def generate_synthetic(
                 height=image_h,
                 width=image_w,
                 image_path=image_rel,
-                embedding_path=None,
                 class_probs=scene.class_probs,
                 cam_paths=tuple(cam_rels),
                 cams_inline=None,
@@ -474,7 +469,7 @@ def save_checkpoint(out_dir, state: ModelState, extra: dict | None = None) -> No
     names = state.param_names()
     manifest = {
         "format": 1,
-        "model": state.config.to_dict(),
+        "model": asdict(state.config),
         "dtype": "f32" if state.dtype == np.float32 else "f64",
         "params": names,
         "extra": extra or {},

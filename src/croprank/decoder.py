@@ -5,20 +5,22 @@ are flattened, linearly projected, and given a fixed 2-D sinusoidal
 position encoding (position enters through the keys only; queries are
 position-free learnable anchors). The decoder runs M pre-norm blocks
 of query self-attention, bias-modulated cross-attention onto the
-patch grid, and a feed-forward layer. Two heads turn the final query
+patch grid, and a feed-forward layer. Both attentions are multi-head:
+each projects queries, keys and values once at full width and makes
+one ``biased_cross_attention`` call, which splits the heads inside the
+fused ``tensor.attention`` op. Two heads turn the final query
 embeddings into (cx, cy, w, h) boxes and quality scores, both through
 sigmoids.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .composition import CompositionPrior, biased_cross_attention
-from .errors import BadShape, Degenerate, DimMismatch
+from .errors import BadShape, Degenerate, DimMismatch, ParseError
 from .geometry import CropBox
 from .tensor import Tensor
 
@@ -42,6 +44,12 @@ class ModelConfig:
     image_w: int = 64
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = (int, float) if f.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "a real number" if f.type == "float" else "an integer"
+                raise ParseError(f"{f.name} must be {noun}, got {value!r}", field="model")
         if self.n_queries < 1:
             raise DimMismatch(f"n_queries must be >= 1, got {self.n_queries}")
         # n_layers == 0 is a degenerate configuration allowed for tests;
@@ -80,21 +88,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.n_heads
-
-    def to_dict(self) -> dict:
-        return {
-            "n_queries": self.n_queries,
-            "n_layers": self.n_layers,
-            "model_dim": self.model_dim,
-            "n_heads": self.n_heads,
-            "ffn_dim": self.ffn_dim,
-            "grid_h": self.grid_h,
-            "grid_w": self.grid_w,
-            "epsilon_b": self.epsilon_b,
-            "in_channels": self.in_channels,
-            "image_h": self.image_h,
-            "image_w": self.image_w,
-        }
 
 
 @dataclass(frozen=True)
@@ -244,27 +237,13 @@ def _multi_head_attention(
     prior: CompositionPrior | None,
     weights_out: list | None,
 ) -> Tensor:
-    cfg = state.config
     q = _affine(queries, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
     k = _affine(memory, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
     v = _affine(memory, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
-    dh = cfg.head_dim
-    heads = []
-    per_head_weights: list | None = [] if weights_out is not None else None
-    for i in range(cfg.n_heads):
-        lo, hi = i * dh, (i + 1) * dh
-        heads.append(
-            biased_cross_attention(
-                T.slice_cols(q, lo, hi),
-                T.slice_cols(k, lo, hi),
-                T.slice_cols(v, lo, hi),
-                prior,
-                weights_out=per_head_weights,
-            )
-        )
+    per_head: list | None = [] if weights_out is not None else None
+    merged = biased_cross_attention(q, k, v, prior, weights_out=per_head, n_heads=state.config.n_heads)
     if weights_out is not None:
-        weights_out.append(np.stack(per_head_weights))
-    merged = heads[0] if len(heads) == 1 else T.concat_cols(heads)
+        weights_out.append(np.stack(per_head))
     return _affine(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
 
 

@@ -153,19 +153,6 @@ def _corners_t(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     return x1, y1, x2, y2
 
 
-def iou_pairs(a: Tensor, b: Tensor) -> Tensor:
-    """Row-aligned IoU: (m, 4) x (m, 4) -> (m, 1), differentiable."""
-    ax1, ay1, ax2, ay2 = _corners_t(a)
-    bx1, by1, bx2, by2 = _corners_t(b)
-    iw = T.relu(T.sub(T.minimum(ax2, bx2), T.maximum(ax1, bx1)))
-    ih = T.relu(T.sub(T.minimum(ay2, by2), T.maximum(ay1, by1)))
-    inter = T.mul(iw, ih)
-    area_a = T.mul(T.sub(ax2, ax1), T.sub(ay2, ay1))
-    area_b = T.mul(T.sub(bx2, bx1), T.sub(by2, by1))
-    union = T.sub(T.add(area_a, area_b), inter)
-    return T.div(inter, union)
-
-
 def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Row-aligned generalized IoU: (m, 4) x (m, 4) -> (m, 1), differentiable."""
     ax1, ay1, ax2, ay2 = _corners_t(a)

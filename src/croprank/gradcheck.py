@@ -22,7 +22,7 @@ from . import tensor as T
 from .assignment import LossWeights, assign, focal_terms, training_loss
 from .composition import CompositionPrior, biased_cross_attention
 from .decoder import ModelConfig, forward_train, init_state
-from .geometry import ScoredCrop, CropBox, giou_pairs, iou_pairs, l1_pairs
+from .geometry import ScoredCrop, CropBox, giou_pairs, l1_pairs
 from .tensor import Tensor
 
 DEFAULT_STEP = 1e-5
@@ -184,19 +184,19 @@ def _scn_attention_bias(rng):
     v = _leaf(rng, (4, 4))
     bias = np.maximum(rng.uniform(size=(2, 2)), 1e-6)
     prior = CompositionPrior(bias=bias)
-    return [q, k, v], lambda: _weigh(biased_cross_attention(q, k, v, prior), 43)
+
+    def fn():
+        two_heads = _weigh(biased_cross_attention(q, k, v, prior, n_heads=2), 43)
+        return T.add(two_heads, _weigh(biased_cross_attention(q, k, v), 37))
+
+    return [q, k, v], fn
 
 
 def _scn_iou_giou(rng):
     a = _leaf(rng, (3, 4))
     b = _leaf(rng, (3, 4))
 
-    def fn():
-        boxes_a = _mid_boxes(a)
-        boxes_b = _mid_boxes(b)
-        return T.add(_weigh(giou_pairs(boxes_a, boxes_b), 47), _weigh(iou_pairs(boxes_a, boxes_b), 53))
-
-    return [a, b], fn
+    return [a, b], lambda: _weigh(giou_pairs(_mid_boxes(a), _mid_boxes(b)), 47)
 
 
 def _scn_l1_pairs(rng):

@@ -14,7 +14,7 @@ DimMismatch instead of silently broadcasting.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -405,6 +405,75 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return Tensor._from_op(out, (x, gain, bias), vjp, "layer_norm")
 
 
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    log_bias: Array | None = None,
+    weights_out: list | None = None,
+) -> Tensor:
+    """Multi-head softmax(q_h k_h^T / sqrt(d_h) + log_bias) v_h, heads side by side.
+
+    q is (m, d), k is (n, d) and v is (n, d_v); each splits into
+    ``n_heads`` equal column blocks, one per head. ``log_bias`` is a
+    constant (1, n) row added to every head's scaled logits. Pass a
+    list as ``weights_out`` to capture one detached (m, n) weight array
+    per head, in head order.
+
+    The op is fused so the backward pass is closed form per head:
+    gV = A^T g, gA = g V^T, gS = c A (gA - rowsum(gA A)), gQ = gS K and
+    gK = gS^T Q, with c = 1/sqrt(d_h). Each head keeps the operand
+    order and memory layout of the unfused slice/transpose/matmul/
+    softmax chain, so its values match that chain bit for bit.
+    """
+    for t in (q, k, v):
+        _need_2d(t, "attention")
+    d, n = q.dims[1], k.dims[0]
+    if k.dims[1] != d:
+        raise DimMismatch(f"attention: query dim {d} != key dim {k.dims[1]}")
+    if v.dims[0] != n:
+        raise DimMismatch(f"attention: key count {n} != value count {v.dims[0]}")
+    if n_heads < 1 or d % n_heads or v.dims[1] % n_heads:
+        raise DimMismatch(f"attention: widths {d} and {v.dims[1]} do not split into {n_heads} heads")
+    if k.data.dtype != q.data.dtype or v.data.dtype != q.data.dtype:
+        raise DimMismatch(f"attention: dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype} differ")
+    if log_bias is not None and (log_bias.shape != (1, n) or log_bias.dtype != q.data.dtype):
+        raise DimMismatch(f"attention: log_bias must be a (1, {n}) {q.data.dtype} row, got {log_bias.shape}")
+    dh, dv = d // n_heads, v.dims[1] // n_heads
+    # a Python float: a numpy scalar would promote f32 logits to f64
+    c = 1.0 / math.sqrt(dh)
+    heads = []
+    for i in range(n_heads):
+        qh = q.data[:, i * dh : (i + 1) * dh].copy()
+        kt = k.data[:, i * dh : (i + 1) * dh].T.copy()
+        vh = v.data[:, i * dv : (i + 1) * dv].copy()
+        logits = (qh @ kt) * c
+        if log_bias is not None:
+            logits = logits + log_bias
+        if not np.all(np.isfinite(logits)):
+            raise NonFinite("attention: logits contain NaN or infinity")
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        a = e / e.sum(axis=1, keepdims=True)
+        if weights_out is not None:
+            weights_out.append(a.copy())
+        heads.append((qh, kt, vh, a))
+    out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=1)
+
+    def vjp(g: Array):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for i, (qh, kt, vh, a) in enumerate(heads):
+            gh = g[:, i * dv : (i + 1) * dv].copy()
+            ga = gh @ vh.T
+            gs = (ga - (ga * a).sum(axis=1, keepdims=True)) * a * c
+            gq[:, i * dh : (i + 1) * dh] = gs @ kt.T
+            gk[:, i * dh : (i + 1) * dh] = (qh.T @ gs).T
+            gv[:, i * dv : (i + 1) * dv] = a.T @ gh
+        return gq, gk, gv
+
+    return Tensor._from_op(out, (q, k, v), vjp, "attention")
+
+
 def tile_rows(v: Tensor, m: int) -> Tensor:
     """Repeat a (1, n) row m times into an (m, n) tensor."""
     if v.data.ndim != 2 or v.dims[0] != 1:
@@ -494,32 +563,6 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
 
 
 # -- graph and backward ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpRecord:
-    op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-
-
-class Graph:
-    """Topologically ordered trace of the ops behind a tensor.
-
-    records[i].inputs always appear as outputs of earlier records or
-    as leaves, so a reverse walk visits consumers before producers.
-    """
-
-    def __init__(self, records: list[OpRecord]):
-        self.records = records
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        order = _topo_order(root)
-        return cls([OpRecord(t._op, t._parents, t) for t in order if t._parents])
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -260,3 +260,12 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "out_of_range"
+
+    def test_mistyped_model_field_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"model": {"n_queries": "4"}}))
+        code = main(["gen", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "parse_error"
+        assert "n_queries" in err["message"]

@@ -255,7 +255,47 @@ def _qkv(rng, n_q=3, n_k=4, d=5):
     return q, k, v
 
 
+def _per_head_reference(q, k, v, prior, n_heads):
+    """The unfused chain: slice each head, softmax its biased logits, concatenate."""
+    dh = q.dims[1] // n_heads
+    heads, weights = [], []
+    for i in range(n_heads):
+        qh, kh, vh = (T.slice_cols(t, i * dh, (i + 1) * dh) for t in (q, k, v))
+        logits = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+        if prior is not None:
+            row = T.constant(prior.flat_log_bias(q.data.dtype))
+            logits = T.add(logits, T.tile_rows(row, q.dims[0]))
+        attn = T.softmax_rows(logits)
+        weights.append(attn.data.copy())
+        heads.append(T.matmul(attn, vh))
+    return T.concat_cols(heads), weights
+
+
 class TestBiasedAttention:
+    def test_matches_the_unfused_per_head_chain_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        prior = make_prior(ActivationMap(values=rng.uniform(size=(2, 3))))
+        for dtype in (np.float64, np.float32):
+            for n_heads in (1, 2, 4):
+                for p in (None, prior):
+                    q, k, v = (Tensor(rng.normal(size=shape), dtype=dtype, requires_grad=True)
+                               for shape in ((5, 8), (6, 8), (6, 8)))
+                    upstream = T.constant(rng.normal(size=(5, 8)).astype(dtype))
+                    weights: list = []
+                    out = biased_cross_attention(q, k, v, p, weights_out=weights, n_heads=n_heads)
+                    T.backward(T.sum_all(T.mul(out, upstream)))
+                    ref_q, ref_k, ref_v = (Tensor(t.data, dtype=dtype, requires_grad=True) for t in (q, k, v))
+                    ref, ref_weights = _per_head_reference(ref_q, ref_k, ref_v, p, n_heads)
+                    T.backward(T.sum_all(T.mul(ref, upstream)))
+                    got = [out.data, *weights, q.grad, k.grad, v.grad]
+                    want = [ref.data, *ref_weights, ref_q.grad, ref_k.grad, ref_v.grad]
+                    assert len(got) == len(want) == n_heads + 4
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+        q, k, v = _qkv(rng, d=6)
+        with pytest.raises(DimMismatch):
+            biased_cross_attention(q, k, v, None, n_heads=4)
+
     def test_uniform_prior_matches_no_prior(self):
         rng = np.random.default_rng(11)
         q, k, v = _qkv(rng)

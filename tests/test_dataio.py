@@ -353,7 +353,9 @@ class TestCheckpoints:
         saved = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         unknown = {**saved["model"], "n_experts": 2}
         missing = {k: v for k, v in saved["model"].items() if k != "n_heads"}
-        for model in (unknown, missing, [1, 2]):
+        mistyped = [{**saved["model"], "n_queries": bad} for bad in ("4", 4.5, None, True)]
+        mistyped.append({**saved["model"], "epsilon_b": "1e-6"})
+        for model in (unknown, missing, [1, 2], *mistyped):
             (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**saved, "model": model}))
             with pytest.raises(ParseError) as err:
                 load_checkpoint(tmp_path / "ck")

@@ -1,5 +1,6 @@
 """Patch encoder, bias-aware decoder stack, and the prediction heads."""
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestModelConfig:
         assert ModelConfig(n_layers=0).n_layers == 0
 
     def test_to_dict_round_trip(self):
-        d = SMALL.to_dict()
+        d = asdict(SMALL)
         assert ModelConfig(**d) == SMALL
 
 

@@ -13,7 +13,7 @@ from croprank.errors import (
     NonFinite,
     NotScalar,
 )
-from croprank.tensor import Adam, Graph, Tensor
+from croprank.tensor import Adam, Tensor
 
 
 class TestConstruction:
@@ -242,20 +242,6 @@ class TestBackward:
         assert not y.requires_grad
         with pytest.raises(DisconnectedGraph):
             T.backward(T.sum_all(y))
-
-
-class TestGraph:
-    def test_trace_is_topologically_ordered(self):
-        w = Tensor([[1.0, 2.0]], requires_grad=True)
-        loss = T.sum_all(T.mul(T.sigmoid(w), T.relu(w)))
-        graph = Graph.trace(loss)
-        assert len(graph) > 0
-        produced = set()
-        for rec in graph.records:
-            for parent in rec.inputs:
-                if parent._parents:
-                    assert id(parent) in produced
-            produced.add(id(rec.output))
 
 
 class TestOptimizers:
