@@ -500,16 +500,22 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
     model = manifest["model"]
     if not isinstance(model, dict) or set(model) != {f.name for f in fields(ModelConfig)}:
         raise ParseError("manifest model keys do not match the model config", field="model")
+    params = manifest["params"]
+    if not isinstance(params, list) or not all(isinstance(name, str) for name in params):
+        raise ParseError("manifest params must be a list of parameter names", field="params")
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ParseError("manifest extra must be an object", field="extra")
     config = ModelConfig(**model)
     state = init_state(config, seed=0, dtype=dtype)
-    if set(manifest["params"]) != set(state.param_names()):
+    if set(params) != set(state.param_names()):
         raise ParseError("manifest parameter list does not match the configured model", field="params")
-    for name in manifest["params"]:
+    for name in params:
         loaded = read_tensor(ckpt / f"{name}.aesc")
         if loaded.dims != state.params[name].dims:
             raise BadShape(f"parameter {name}: stored {loaded.dims} != expected {state.params[name].dims}")
         state.params[name].data[...] = loaded.data.astype(dtype)
-    return state, manifest.get("extra", {})
+    return state, extra
 
 
 def write_pgm(path, amap: ActivationMap) -> None:

@@ -202,7 +202,7 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float64) -> ModelSta
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), T.tile_rows(b, x.dims[0]))
+    return T.add(T.matmul(x, w), T.tile_rows(b, x.dims[-2]))
 
 
 def patch_matrix(image: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -262,7 +262,7 @@ def decode(
     layer of cross-attention weights.
     """
     cfg = state.config
-    if memory.dims != (cfg.n_cells, cfg.model_dim):
+    if memory.dims[-2:] != (cfg.n_cells, cfg.model_dim):
         raise DimMismatch(f"memory {memory.dims} != ({cfg.n_cells}, {cfg.model_dim})")
     if prior is not None and (prior.grid_h, prior.grid_w) != (cfg.grid_h, cfg.grid_w):
         raise DimMismatch(

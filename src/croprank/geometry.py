@@ -88,33 +88,29 @@ def _corners_np(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return x1, y1, x2, y2
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n)."""
+def _overlap_np(a: np.ndarray, b: np.ndarray, op: str):
+    """Pairwise intersection and union of (m, 4) vs (n, 4) cxcywh arrays, plus both corner sets."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4:
-        raise DimMismatch(f"iou_matrix expects (m, 4) and (n, 4), got {a.shape} and {b.shape}")
-    ax1, ay1, ax2, ay2 = _corners_np(a)
-    bx1, by1, bx2, by2 = _corners_np(b)
+        raise DimMismatch(f"{op} expects (m, 4) and (n, 4), got {a.shape} and {b.shape}")
+    ax1, ay1, ax2, ay2 = ca = _corners_np(a)
+    bx1, by1, bx2, by2 = cb = _corners_np(b)
     iw = np.maximum(0.0, np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :]))
     ih = np.maximum(0.0, np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :]))
     inter = iw * ih
     area_a = ((ax2 - ax1) * (ay2 - ay1))[:, None]
     area_b = ((bx2 - bx1) * (by2 - by1))[None, :]
-    union = area_a + area_b - inter
+    return inter, area_a + area_b - inter, ca, cb
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n)."""
+    inter, union, _, _ = _overlap_np(a, b, "iou_matrix")
     return inter / union
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n)."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4:
-        raise DimMismatch(f"giou_matrix expects (m, 4) and (n, 4), got {a.shape} and {b.shape}")
-    ax1, ay1, ax2, ay2 = _corners_np(a)
-    bx1, by1, bx2, by2 = _corners_np(b)
-    iw = np.maximum(0.0, np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :]))
-    ih = np.maximum(0.0, np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :]))
-    inter = iw * ih
-    area_a = ((ax2 - ax1) * (ay2 - ay1))[:, None]
-    area_b = ((bx2 - bx1) * (by2 - by1))[None, :]
-    union = area_a + area_b - inter
+    inter, union, (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _overlap_np(a, b, "giou_matrix")
     ew = np.maximum(ax2[:, None], bx2[None, :]) - np.minimum(ax1[:, None], bx1[None, :])
     eh = np.maximum(ay2[:, None], by2[None, :]) - np.minimum(ay1[:, None], by1[None, :])
     enclose = ew * eh
@@ -138,7 +134,7 @@ def l1_box(a: CropBox, b: CropBox) -> float:
 
 
 def _corners_t(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    if boxes.data.ndim != 2 or boxes.dims[1] != 4:
+    if boxes.data.ndim not in (2, 3) or boxes.dims[-1] != 4:
         raise DimMismatch(f"expected (m, 4) box tensor, got {boxes.dims}")
     cx = T.slice_cols(boxes, 0, 1)
     cy = T.slice_cols(boxes, 1, 2)
@@ -171,6 +167,6 @@ def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
 
 def l1_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Row-aligned L1 on raw (cx, cy, w, h): (m, 4) x (m, 4) -> (m, 1)."""
-    if a.dims != b.dims or a.dims[1] != 4:
+    if a.dims[-2:] != b.dims[-2:] or a.dims[-1] != 4:
         raise DimMismatch(f"l1_pairs expects matching (m, 4) tensors, got {a.dims} and {b.dims}")
     return T.sum_cols(T.absolute(T.sub(a, b)))

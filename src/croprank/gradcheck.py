@@ -6,6 +6,13 @@ against central differences (f64, step 1e-5 by default). Relative
 error uses a 1e-3 denominator floor so negligible gradients cannot
 manufacture huge ratios out of finite-difference noise.
 
+The probe is batched: all 2k perturbed copies of a k-entry parameter
+are stacked along a leading axis and evaluated in one no-grad forward
+(ops accept that axis while recording is off), so a parameter costs
+one ``loss_fn`` call instead of 2k. Each row holds the values a
+per-entry loop would set, and the batched ops reproduce each row's
+rank-2 result, so the differences match that loop's.
+
 Scenario inputs are drawn away from the kinks of relu/abs/clamp/min/
 max where feasible, since a kink inside the difference stencil is a
 property of the probe, not of the gradient.
@@ -22,28 +29,47 @@ from . import tensor as T
 from .assignment import LossWeights, assign, focal_terms, training_loss
 from .composition import CompositionPrior, biased_cross_attention
 from .decoder import ModelConfig, forward_train, init_state
+from .errors import NotScalar
 from .geometry import ScoredCrop, CropBox, giou_pairs, l1_pairs
 from .tensor import Tensor
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 REL_FLOOR = 1e-3
+# perturbed copies evaluated per loss_fn call; bounds the batch's memory
+_MAX_ROWS = 256
 
 
 def numeric_gradient(loss_fn: Callable[[], Tensor], param: Tensor, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of the scalar loss w.r.t. every param entry."""
-    flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    with T.no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn().item()
-            flat[i] = orig - step
-            down = loss_fn().item()
-            flat[i] = orig
-            grad[i] = (up - down) / (2.0 * step)
-    return grad.reshape(param.data.shape)
+    """Central differences of the scalar loss w.r.t. every param entry.
+
+    Row 2i of the probe stack holds ``param`` with entry i raised by
+    ``step`` and row 2i+1 with it lowered; ``loss_fn`` sees the stack
+    as ``param.data`` under ``no_grad`` and returns one loss per row,
+    (rows, 1, 1), or one (1, 1) loss when ``param`` does not reach it.
+    ``param.data`` is the original array again afterwards, also when
+    ``loss_fn`` raises.
+    """
+    orig = param.data
+    k = orig.size
+    flat = orig.reshape(-1)
+    stack = np.repeat(flat[None, :], 2 * k, axis=0)
+    entry = np.arange(k)
+    stack[2 * entry, entry] = flat + step
+    stack[2 * entry + 1, entry] = flat - step
+    losses = np.empty(2 * k)
+    try:
+        with T.no_grad():
+            for start in range(0, 2 * k, _MAX_ROWS):
+                rows = stack[start : start + _MAX_ROWS]
+                param.data = rows.reshape(rows.shape[:1] + orig.shape)
+                out = loss_fn().data
+                if out.shape[-2:] != (1, 1) or out.size not in (1, len(rows)):
+                    raise NotScalar(f"loss_fn must give one scalar per probe row, got shape {out.shape}")
+                losses[start : start + len(rows)] = out.reshape(-1)
+    finally:
+        param.data = orig
+    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).astype(orig.dtype).reshape(orig.shape)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
@@ -76,7 +102,8 @@ def _weigh(x: Tensor, seed: int) -> Tensor:
     A fresh generator per call keeps the loss function identical
     across the repeated evaluations finite differencing needs.
     """
-    r = T.constant(np.random.default_rng(seed).uniform(-1.0, 1.0, size=x.dims))
+    # trailing dims only: a probe batch must be weighed like each of its entries
+    r = T.constant(np.random.default_rng(seed).uniform(-1.0, 1.0, size=x.dims[-2:]))
     return T.sum_all(T.mul(x, r))
 
 

@@ -10,6 +10,15 @@ Broadcasting is restricted on purpose: elementwise ops demand equal
 shapes, and scalars enter through ``scale``/``add_const`` (or a bare
 Python float on the operator sugar). Anything fancier raises
 DimMismatch instead of silently broadcasting.
+
+One exception, for forward values only: while ``no_grad`` is active,
+every op also accepts a leading batch axis, so a (B, m, n) operand
+stands for B separate (m, n) matrices and may meet an unbatched
+(m, n) one, which counts for all B. Trailing dims must still match
+exactly, and no op batches over more than one leading axis.
+``gradcheck.numeric_gradient`` uses this to evaluate every
+perturbation of a parameter in one forward. With recording on, all
+ops stay rank-2 and the graph never sees a batch axis.
 """
 from __future__ import annotations
 
@@ -51,7 +60,9 @@ class Tensor:
 
     Invariants: ``grad`` is allocated (zeros, same shape/dtype as
     ``data``) exactly when ``requires_grad`` is true, and is None
-    otherwise.
+    otherwise. The one exception is the finite-difference probe, which
+    swaps a (B, *shape) stack into ``data`` under ``no_grad`` and puts
+    the original array back afterwards.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -171,12 +182,16 @@ def full(shape: Sequence[int], value: float, dtype=np.float64) -> Tensor:
 
 
 def _need_2d(t: Tensor, op: str) -> None:
-    if t.data.ndim != 2:
+    """Rank 2, or rank 3 (a leading batch axis) while recording is off."""
+    if t.data.ndim != 2 and (t.data.ndim != 3 or _GRAD_ENABLED):
         raise DimMismatch(f"{op} requires a rank-2 tensor, got shape {t.dims}")
 
 
 def _need_same(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
+    """Equal shapes, or while recording is off an (m, n) operand against a (B, m, n) one."""
+    if a.data.shape != b.data.shape and (
+        _GRAD_ENABLED or sorted((a.data.ndim, b.data.ndim)) != [2, 3] or a.dims[-2:] != b.dims[-2:]
+    ):
         raise DimMismatch(f"{op}: shapes {a.dims} and {b.dims} differ")
     if a.data.dtype != b.data.dtype:
         raise DimMismatch(f"{op}: dtypes {a.data.dtype} and {b.data.dtype} differ")
@@ -188,7 +203,7 @@ def _need_same(a: Tensor, b: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _need_2d(a, "matmul")
     _need_2d(b, "matmul")
-    if a.dims[1] != b.dims[0]:
+    if a.dims[-1] != b.dims[-2]:
         raise DimMismatch(f"matmul: inner dims {a.dims} x {b.dims}")
     if a.data.dtype != b.data.dtype:
         raise DimMismatch(f"matmul: dtypes {a.data.dtype} and {b.data.dtype} differ")
@@ -206,7 +221,7 @@ def transpose(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g.T.copy(),)
 
-    return Tensor._from_op(x.data.T.copy(), (x,), vjp, "transpose")
+    return Tensor._from_op(x.data.swapaxes(-1, -2).copy(), (x,), vjp, "transpose")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -364,9 +379,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     _need_2d(x, "softmax_rows")
     if not np.all(np.isfinite(x.data)):
         raise NonFinite("softmax_rows: logits contain NaN or infinity")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
         dot = (g * out).sum(axis=1, keepdims=True)
@@ -381,13 +396,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gain and bias are (1, n) tensors applied to every row; the op is
     fused so the backward pass is a single closed-form expression.
     """
-    _need_2d(x, "layer_norm")
-    n = x.dims[1]
-    if gain.dims != (1, n) or bias.dims != (1, n):
+    for t in (x, gain, bias):
+        _need_2d(t, "layer_norm")
+    n = x.dims[-1]
+    if gain.dims[-2:] != (1, n) or bias.dims[-2:] != (1, n):
         raise DimMismatch(f"layer_norm: affine params must be (1, {n}), got {gain.dims} and {bias.dims}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -429,36 +445,36 @@ def attention(
     """
     for t in (q, k, v):
         _need_2d(t, "attention")
-    d, n = q.dims[1], k.dims[0]
-    if k.dims[1] != d:
-        raise DimMismatch(f"attention: query dim {d} != key dim {k.dims[1]}")
-    if v.dims[0] != n:
-        raise DimMismatch(f"attention: key count {n} != value count {v.dims[0]}")
-    if n_heads < 1 or d % n_heads or v.dims[1] % n_heads:
-        raise DimMismatch(f"attention: widths {d} and {v.dims[1]} do not split into {n_heads} heads")
+    d, n = q.dims[-1], k.dims[-2]
+    if k.dims[-1] != d:
+        raise DimMismatch(f"attention: query dim {d} != key dim {k.dims[-1]}")
+    if v.dims[-2] != n:
+        raise DimMismatch(f"attention: key count {n} != value count {v.dims[-2]}")
+    if n_heads < 1 or d % n_heads or v.dims[-1] % n_heads:
+        raise DimMismatch(f"attention: widths {d} and {v.dims[-1]} do not split into {n_heads} heads")
     if k.data.dtype != q.data.dtype or v.data.dtype != q.data.dtype:
         raise DimMismatch(f"attention: dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype} differ")
     if log_bias is not None and (log_bias.shape != (1, n) or log_bias.dtype != q.data.dtype):
         raise DimMismatch(f"attention: log_bias must be a (1, {n}) {q.data.dtype} row, got {log_bias.shape}")
-    dh, dv = d // n_heads, v.dims[1] // n_heads
+    dh, dv = d // n_heads, v.dims[-1] // n_heads
     # a Python float: a numpy scalar would promote f32 logits to f64
     c = 1.0 / math.sqrt(dh)
     heads = []
     for i in range(n_heads):
-        qh = q.data[:, i * dh : (i + 1) * dh].copy()
-        kt = k.data[:, i * dh : (i + 1) * dh].T.copy()
-        vh = v.data[:, i * dv : (i + 1) * dv].copy()
+        qh = q.data[..., i * dh : (i + 1) * dh].copy()
+        kt = k.data[..., i * dh : (i + 1) * dh].swapaxes(-1, -2).copy()
+        vh = v.data[..., i * dv : (i + 1) * dv].copy()
         logits = (qh @ kt) * c
         if log_bias is not None:
             logits = logits + log_bias
         if not np.all(np.isfinite(logits)):
             raise NonFinite("attention: logits contain NaN or infinity")
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        a = e / e.sum(axis=1, keepdims=True)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        a = e / e.sum(axis=-1, keepdims=True)
         if weights_out is not None:
             weights_out.append(a.copy())
         heads.append((qh, kt, vh, a))
-    out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=1)
+    out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=-1)
 
     def vjp(g: Array):
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
@@ -476,7 +492,8 @@ def attention(
 
 def tile_rows(v: Tensor, m: int) -> Tensor:
     """Repeat a (1, n) row m times into an (m, n) tensor."""
-    if v.data.ndim != 2 or v.dims[0] != 1:
+    _need_2d(v, "tile_rows")
+    if v.dims[-2] != 1:
         raise DimMismatch(f"tile_rows expects a (1, n) tensor, got {v.dims}")
     if m < 1:
         raise DimMismatch(f"tile_rows: m must be >= 1, got {m}")
@@ -484,11 +501,13 @@ def tile_rows(v: Tensor, m: int) -> Tensor:
     def vjp(g: Array):
         return (g.sum(axis=0, keepdims=True),)
 
-    return Tensor._from_op(np.repeat(v.data, m, axis=0), (v,), vjp, "tile_rows")
+    return Tensor._from_op(np.repeat(v.data, m, axis=-2), (v,), vjp, "tile_rows")
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = np.array([[x.data.sum()]], dtype=x.data.dtype)
+    """Sum of every entry as a (1, 1) tensor; (B, m, n) sums to (B, 1, 1)."""
+    _need_2d(x, "sum_all")
+    out = x.data.sum(axis=(-2, -1), keepdims=True)
 
     def vjp(g: Array):
         return (np.full_like(x.data, float(g.reshape(-1)[0])),)
@@ -499,7 +518,7 @@ def sum_all(x: Tensor) -> Tensor:
 def sum_cols(x: Tensor) -> Tensor:
     """Sum across columns: (m, n) -> (m, 1)."""
     _need_2d(x, "sum_cols")
-    out = x.data.sum(axis=1, keepdims=True)
+    out = x.data.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
         return (np.repeat(g, x.dims[1], axis=1),)
@@ -509,9 +528,9 @@ def sum_cols(x: Tensor) -> Tensor:
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     _need_2d(x, "slice_cols")
-    if not (0 <= start < stop <= x.dims[1]):
+    if not (0 <= start < stop <= x.dims[-1]):
         raise DimMismatch(f"slice_cols: [{start}, {stop}) out of bounds for {x.dims}")
-    out = x.data[:, start:stop].copy()
+    out = x.data[..., start:stop].copy()
 
     def vjp(g: Array):
         gx = np.zeros_like(x.data)
@@ -524,15 +543,20 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise DimMismatch("concat_cols: empty input")
-    rows = parts[0].dims[0]
+    rows = parts[0].dims[-2]
     for p in parts:
         _need_2d(p, "concat_cols")
-        if p.dims[0] != rows:
+        if p.dims[-2] != rows:
             raise DimMismatch("concat_cols: row counts differ")
         if p.data.dtype != parts[0].data.dtype:
             raise DimMismatch("concat_cols: dtypes differ")
-    widths = [p.dims[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
+    widths = [p.dims[-1] for p in parts]
+    lead = {p.dims[0] for p in parts if p.data.ndim == 3}
+    if len(lead) > 1:
+        raise DimMismatch(f"concat_cols: batch sizes {sorted(lead)} differ")
+    # an unbatched part counts for every batch entry: broadcast its leading axis only
+    blocks = [np.broadcast_to(p.data, (*lead, *p.dims[-2:])) for p in parts]
+    out = np.concatenate(blocks, axis=-1)
 
     def vjp(g: Array):
         grads = []
@@ -550,9 +574,9 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
     idx = np.asarray(list(index), dtype=np.int64)
     if idx.size == 0:
         raise DimMismatch("gather_rows: empty index")
-    if np.any(idx < 0) or np.any(idx >= x.dims[0]):
-        raise DimMismatch(f"gather_rows: index out of range for {x.dims[0]} rows")
-    out = x.data[idx].copy()
+    if np.any(idx < 0) or np.any(idx >= x.dims[-2]):
+        raise DimMismatch(f"gather_rows: index out of range for {x.dims[-2]} rows")
+    out = x.data[..., idx, :].copy()
 
     def vjp(g: Array):
         gx = np.zeros_like(x.data)

@@ -11,12 +11,15 @@ from croprank.cli import (
     RunConfig,
     _config_from,
     build_parser,
+    evaluate_model,
     main,
     random_ranking_baseline,
     resolve_config,
 )
-from croprank.dataio import read_tensor, write_tensor
+from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_checkpoint, write_tensor
+from croprank.decoder import init_state
 from croprank.errors import ParseError
+from croprank.gradcheck import toy_config
 from croprank.metrics import EvalExample
 
 from conftest import random_eval_example
@@ -186,6 +189,41 @@ class TestPipeline:
                 assert 0.0 <= v <= 1.0
         assert (report_dir / "report.txt").read_text().splitlines()[0].startswith("run")
 
+    def test_f32_train_checkpoint_eval(self, tmp_path, capsys):
+        data = _gen(tmp_path, "data")
+        run = tmp_path / "run"
+        code = main(
+            ["train", "--data", str(data / "train" / "data.jsonl"), "--out", str(run),
+             "--quiet", "--epochs", "2", "--train.batch_size", "3", "--dtype", "f32", *TINY_FLAGS]
+        )
+        assert code == 0
+        capsys.readouterr()
+        curve = json.loads((run / "loss_curve.json").read_text())
+        assert len(curve["step_losses"]) == 4
+        assert all(np.isfinite(curve["step_losses"] + curve["epoch_losses"]))
+        ckpt = run / "checkpoint"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert manifest["dtype"] == "f32"
+        # the files hold what training left in memory, before any cast on load
+        for name in manifest["params"]:
+            assert read_tensor(ckpt / f"{name}.aesc").data.dtype == np.float32, name
+        state, extra = load_checkpoint(ckpt)
+        assert state.dtype == np.float32
+        assert all(p.data.dtype == np.float32 for p in state.parameters())
+        examples = evaluate_model(state, load_dataset(data / "val" / "data.jsonl"), extra["mcab"], state.dtype)
+        assert len(examples) == 4
+        for ex in examples:
+            assert len(ex.predictions) == 12
+            for pred in ex.predictions:
+                assert 0.0 <= pred.score <= 1.0
+                assert 0.0 < pred.box.w <= 1.0 and 0.0 < pred.box.h <= 1.0
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data / "val" / "data.jsonl"),
+                     "--out", str(tmp_path / "report"), *TINY_FLAGS])
+        assert code == 0
+        payload = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert payload["examples"] == 4
+        assert all(0.0 <= v <= 1.0 for row in payload["acc"].values() for v in row.values())
+
     def test_train_is_deterministic(self, tmp_path, capsys):
         data = _gen(tmp_path, "data")
         outs = []
@@ -260,6 +298,17 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "out_of_range"
+
+    def test_non_object_checkpoint_extra_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, init_state(toy_config(), seed=1))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        (ckpt / "manifest.json").write_text(json.dumps({**manifest, "extra": [1]}))
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "val.jsonl")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "parse_error"
+        assert "extra" in err["message"]
 
     def test_mistyped_model_field_exits_2(self, tmp_path, capsys):
         config = tmp_path / "f.json"

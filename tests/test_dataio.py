@@ -365,10 +365,17 @@ class TestCheckpoints:
         state = self._trained_state()
         save_checkpoint(tmp_path / "ck", state)
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["params"] = manifest["params"][:-1]
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ParseError):
-            load_checkpoint(tmp_path / "ck")
+        names = manifest["params"]
+        for params in (names[:-1], 5, "enc.proj.w", [["a"]], [*names[:-1], 7], None):
+            (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**manifest, "params": params}))
+            with pytest.raises(ParseError) as err:
+                load_checkpoint(tmp_path / "ck")
+            assert err.value.field == "params"
+        for extra in ([1], "mcab", 3, None):
+            (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**manifest, "extra": extra}))
+            with pytest.raises(ParseError) as err:
+                load_checkpoint(tmp_path / "ck")
+            assert err.value.field == "extra"
 
     def test_shape_mismatch(self, tmp_path):
         state = self._trained_state()
