@@ -17,8 +17,12 @@ stands for B separate (m, n) matrices and may meet an unbatched
 (m, n) one, which counts for all B. Trailing dims must still match
 exactly, and no op batches over more than one leading axis.
 ``gradcheck.numeric_gradient`` uses this to evaluate every
-perturbation of a parameter in one forward. With recording on, all
-ops stay rank-2 and the graph never sees a batch axis.
+perturbation of a parameter in one forward. With recording on, the
+rank-checked ops (``matmul``, ``transpose``, ``softmax_rows``,
+``layer_norm``, ``attention``, ``tile_rows``, ``sum_all``, ``sum_cols``,
+``slice_cols``, ``concat_cols``, ``gather_rows``) accept rank 2 only and
+mixed-rank elementwise operands raise; elementwise ops on equal shapes
+do not check rank.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ Array = np.ndarray
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 _GRAD_ENABLED = True
+_BRANCHES: list | None = None
 
 
 @contextlib.contextmanager
@@ -53,6 +58,26 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+@contextlib.contextmanager
+def branches(out: list):
+    """Collect which branch each piecewise op takes, element by element.
+
+    Inside the block, every ``relu``, ``absolute``, ``clamp``,
+    ``minimum`` and ``maximum`` call appends to ``out`` the array that
+    selects its branch: relu's ``x > 0``, the sign for abs, clamp's
+    interior mask and min/max's choice of the first operand. A forward
+    crosses a kink exactly where these differ from another forward's.
+    The arrays are the op's own; treat them as read-only.
+    """
+    global _BRANCHES
+    prev = _BRANCHES
+    _BRANCHES = out
+    try:
+        yield out
+    finally:
+        _BRANCHES = prev
 
 
 class Tensor:
@@ -281,6 +306,8 @@ def add_const(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
+    if _BRANCHES is not None:
+        _BRANCHES.append(mask)
 
     def vjp(g: Array):
         return (g * mask,)
@@ -322,6 +349,8 @@ def log(x: Tensor) -> Tensor:
 
 def absolute(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
+    if _BRANCHES is not None:
+        _BRANCHES.append(sign)
 
     def vjp(g: Array):
         return (g * sign,)
@@ -347,6 +376,8 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
         raise DomainError(f"clamp: lo {lo} must be < hi {hi}")
     out = np.clip(x.data, lo, hi)
     interior = (x.data > lo) & (x.data < hi)
+    if _BRANCHES is not None:
+        _BRANCHES.append(interior)
 
     def vjp(g: Array):
         return (g * interior,)
@@ -357,6 +388,8 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     _need_same(a, b, "minimum")
     take_a = a.data <= b.data  # ties route gradient to the first operand
+    if _BRANCHES is not None:
+        _BRANCHES.append(take_a)
 
     def vjp(g: Array):
         return g * take_a, g * ~take_a
@@ -367,6 +400,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     _need_same(a, b, "maximum")
     take_a = a.data >= b.data
+    if _BRANCHES is not None:
+        _BRANCHES.append(take_a)
 
     def vjp(g: Array):
         return g * take_a, g * ~take_a

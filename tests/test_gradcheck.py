@@ -8,7 +8,8 @@ from croprank import tensor as T
 from croprank.composition import CompositionPrior
 from croprank.decoder import ModelConfig, forward_train, init_state
 from croprank.errors import DimMismatch
-from croprank.gradcheck import DEFAULT_STEP, SCENARIOS, numeric_gradient, toy_config
+from croprank import gradcheck
+from croprank.gradcheck import DEFAULT_STEP, DEFAULT_TOL, SCENARIOS, numeric_gradient, run_check, toy_config
 from croprank.tensor import Tensor
 
 
@@ -49,10 +50,15 @@ class TestNumericGradient:
         x = T.constant(rng.uniform(-1.0, 1.0, size=(5, 12)))
         weights = T.constant(rng.uniform(-1.0, 1.0, size=(5, 12)))
 
+        seen = []
+
         def fn():
+            seen.append(w.data.shape)
             return T.sum_all(T.mul(T.sigmoid(T.matmul(x, w)), weights))
 
-        np.testing.assert_allclose(numeric_gradient(fn, w), looped_gradient(fn, w), rtol=0, atol=1e-9)
+        batched = numeric_gradient(fn, w)
+        assert seen == [(256, 12, 12), (32, 12, 12)]
+        np.testing.assert_allclose(batched, looped_gradient(fn, w), rtol=0, atol=1e-9)
 
     def test_f32_parameter(self):
         rng = np.random.default_rng(4)
@@ -97,7 +103,7 @@ def _batched(shape, batch=3):
 
 
 class TestBatchAxis:
-    def test_recording_keeps_every_op_rank_2(self):
+    def test_recording_rejects_rank_3_in_rank_checked_ops(self):
         x = _batched((3, 4))
         with pytest.raises(DimMismatch):
             T.matmul(x, T.zeros((4, 2)))
@@ -185,3 +191,40 @@ class TestBatchAxis:
             for b, single in enumerate(singles):
                 assert boxes[b].tobytes() == single.boxes.data.tobytes(), name
                 assert scores[b].tobytes() == single.scores.data.tobytes(), name
+
+
+class TestKinks:
+    def test_branches_records_each_piecewise_op(self):
+        x = T.constant([[-0.5, 0.25]])
+        y = T.constant([[0.0, 1.0]])
+        taken = []
+        with T.branches(taken):
+            T.relu(x)
+            T.absolute(x)
+            T.clamp(x, -0.4, 0.3)
+            T.minimum(x, y)
+            T.maximum(x, y)
+        T.relu(x)  # outside the block: not collected
+        expected = [[False, True], [-1.0, 1.0], [False, True], [True, True], [False, False]]
+        assert [b.tolist() for b in taken] == [[row] for row in expected]
+
+    @pytest.mark.parametrize(
+        "name,seed", [("decoder_forward", 754), ("l1_pairs", 865), ("training_loss", 1220), ("training_loss", 3908)]
+    )
+    def test_a_draw_whose_stencil_crosses_a_kink_is_replaced(self, name, seed):
+        worst, crossed = gradcheck._compare(*_scenario(name, seed), DEFAULT_STEP)
+        assert crossed and worst > DEFAULT_TOL
+        assert run_check(name, seed).ok
+
+    def test_a_kink_that_never_moves_ends_the_redraws(self, monkeypatch):
+        draws = []
+
+        def on_the_kink(rng):
+            draws.append(rng)
+            a = Tensor(np.zeros((2, 2)), requires_grad=True)
+            return [a], lambda: T.sum_all(T.relu(a))
+
+        monkeypatch.setitem(SCENARIOS, "on_the_kink", on_the_kink)
+        result = run_check("on_the_kink", 0)
+        assert len(draws) == gradcheck._MAX_DRAWS
+        assert not result.ok
