@@ -288,46 +288,32 @@ def training_loss(head: HeadOutputs, assignment: Assignment, ground_truths: list
 
     Matched rows: L1 + lambda_giou (1 - giou) + lambda_focal focal
     against their target; soft rows: focal toward the soft score;
-    negative rows: focal toward zero. The assignment itself is taken
-    as given (no gradient flows through the matching).
+    negative rows: focal toward zero. The focal term is one call over
+    all N scores against one target column that holds each row's role
+    target. The assignment itself is taken as given (no gradient flows
+    through the matching).
     """
     n = head.scores.dims[-2]
     if len(assignment.roles) != n:
         raise CardinalityMismatch(f"assignment covers {len(assignment.roles)} rows, head has {n}")
-    matched = [i for i, r in enumerate(assignment.roles) if r.kind == "matched"]
-    softs = [i for i, r in enumerate(assignment.roles) if r.kind == "soft"]
-    negatives = [i for i, r in enumerate(assignment.roles) if r.kind == "negative"]
-    dtype = head.scores.data.dtype
-    terms: list[Tensor] = []
-    if matched:
-        tgt = boxes_array([ground_truths[assignment.roles[i].target].box for i in matched]).astype(dtype)
-        v = np.array(
-            [normalize_mos(ground_truths[assignment.roles[i].target].mos) for i in matched], dtype=dtype
-        ).reshape(-1, 1)
-        pb = T.gather_rows(head.boxes, matched)
-        terms.append(T.sum_all(l1_pairs(pb, T.constant(tgt))))
-        giou_deficit = T.add_const(T.scale(giou_pairs(pb, T.constant(tgt)), -1.0), 1.0)
-        terms.append(T.scale(T.sum_all(giou_deficit), w.giou_weight))
-        terms.append(
-            T.scale(T.sum_all(focal_terms(T.gather_rows(head.scores, matched), v, w.focal_gamma)), w.focal_weight)
-        )
-    if softs:
-        sv = np.array([assignment.roles[i].soft_score for i in softs], dtype=dtype).reshape(-1, 1)
-        terms.append(
-            T.scale(T.sum_all(focal_terms(T.gather_rows(head.scores, softs), sv, w.focal_gamma)), w.focal_weight)
-        )
-    if negatives:
-        zeros = np.zeros((len(negatives), 1), dtype=dtype)
-        terms.append(
-            T.scale(
-                T.sum_all(focal_terms(T.gather_rows(head.scores, negatives), zeros, w.focal_gamma)), w.focal_weight
-            )
-        )
-    if not terms:
+    if n == 0:
         raise DomainError("training_loss: empty assignment")
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
+    dtype = head.scores.data.dtype
+    targets = np.zeros((n, 1), dtype=dtype)
+    matched = []
+    for i, r in enumerate(assignment.roles):
+        if r.kind == "matched":
+            matched.append(i)
+            targets[i, 0] = normalize_mos(ground_truths[r.target].mos)
+        elif r.kind == "soft":
+            targets[i, 0] = r.soft_score
+    total = T.scale(T.sum_all(focal_terms(head.scores, targets, w.focal_gamma)), w.focal_weight)
+    if matched:
+        tgt = T.constant(boxes_array([ground_truths[assignment.roles[i].target].box for i in matched]).astype(dtype))
+        pb = T.gather_rows(head.boxes, matched)
+        giou_deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
+        box = T.add(T.sum_all(l1_pairs(pb, tgt)), T.scale(T.sum_all(giou_deficit), w.giou_weight))
+        total = T.add(box, total)
     return T.scale(total, 1.0 / n)
 
 

@@ -74,37 +74,7 @@ DESK_CONFIG = {
     "dtype": "f64",
 }
 
-# production-scale defaults; training one of these is outside the desk budget
-FULL_CONFIG = {
-    **DESK_CONFIG,
-    "model": {
-        **DESK_CONFIG["model"],
-        "n_queries": 90,
-        "n_layers": 6,
-        "model_dim": 256,
-        "n_heads": 8,
-        "ffn_dim": 1024,
-        "grid_h": 16,
-        "grid_w": 16,
-        "image_h": 512,
-        "image_w": 512,
-    },
-    "train": {
-        **DESK_CONFIG["train"],
-        "epochs": 50,
-        "lr": 1e-4,
-        "decay_epoch": 40,
-        "optimizer": "adam",
-    },
-    "data": {
-        **DESK_CONFIG["data"],
-        "n_candidates": 90,
-        "cam_h": 64,
-        "cam_w": 64,
-    },
-}
-
-PRESETS = {"desk": DESK_CONFIG, "full": FULL_CONFIG}
+PRESETS = {"desk": DESK_CONFIG}
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -174,6 +144,8 @@ class RunConfig:
 
 
 def resolve_config(preset: str, config_path: str | None, overrides: dict) -> RunConfig:
+    if preset not in PRESETS:
+        raise ParseError(f"preset {preset!r} not one of {sorted(PRESETS)}", field="preset")
     base = PRESETS[preset]
     merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
     for section in list(merged):
@@ -301,7 +273,9 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str, quiet: bool = False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint", state, extra={"mcab": cfg.mcab, "dtype": cfg.raw["dtype"]})
-    (out / "loss_curve.json").write_text(json.dumps(history, indent=2))
+    # the wall time stays out of the run directory, so one seed gives one set of bytes
+    curve = {k: history[k] for k in ("step_losses", "epoch_losses")}
+    (out / "loss_curve.json").write_text(json.dumps(curve, indent=2))
     (out / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True))
     return {"checkpoint": str(out / "checkpoint"), "final_loss": history["step_losses"][-1]}
 

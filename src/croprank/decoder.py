@@ -10,7 +10,8 @@ each projects queries, keys and values once at full width and makes
 one ``biased_cross_attention`` call, which splits the heads inside the
 fused ``tensor.attention`` op. Two heads turn the final query
 embeddings into (cx, cy, w, h) boxes and quality scores, both through
-sigmoids.
+sigmoids. Every affine layer (patch projection, attention projections,
+FFN and heads) is one ``tensor.linear`` op with a (1, n) bias row.
 """
 from __future__ import annotations
 
@@ -201,10 +202,6 @@ def init_state(config: ModelConfig, seed: int = 0, dtype=np.float64) -> ModelSta
     return ModelState(config, p, dtype)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.matmul(x, w), T.tile_rows(b, x.dims[-2]))
-
-
 def patch_matrix(image: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Flatten an image into its (n_cells, patch_dim) row-major patch matrix."""
     c, h, w = config.in_channels, config.image_h, config.image_w
@@ -223,7 +220,7 @@ def encode(image: np.ndarray, state: ModelState, add_position: bool = True) -> T
     by permutation probes); normal forward passes keep the default.
     """
     patches = patch_matrix(np.asarray(image, dtype=state.dtype), state.config)
-    content = _affine(T.constant(patches), state["enc.proj.w"], state["enc.proj.b"])
+    content = T.linear(T.constant(patches), state["enc.proj.w"], state["enc.proj.b"])
     if not add_position:
         return content
     return T.add(content, T.constant(state.position.data))
@@ -237,14 +234,14 @@ def _multi_head_attention(
     prior: CompositionPrior | None,
     weights_out: list | None,
 ) -> Tensor:
-    q = _affine(queries, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
-    k = _affine(memory, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
-    v = _affine(memory, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
+    q = T.linear(queries, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
+    k = T.linear(memory, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
+    v = T.linear(memory, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
     per_head: list | None = [] if weights_out is not None else None
     merged = biased_cross_attention(q, k, v, prior, weights_out=per_head, n_heads=state.config.n_heads)
     if weights_out is not None:
         weights_out.append(np.stack(per_head))
-    return _affine(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
+    return T.linear(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
 
 
 def decode(
@@ -275,8 +272,8 @@ def decode(
         normed = T.layer_norm(x, state[f"layer{i}.ln2.g"], state[f"layer{i}.ln2.b"])
         x = T.add(x, _multi_head_attention(state, f"layer{i}.cross", normed, memory, prior, attention_out))
         normed = T.layer_norm(x, state[f"layer{i}.ln3.g"], state[f"layer{i}.ln3.b"])
-        ffn = _affine(T.relu(_affine(normed, state[f"layer{i}.ffn.w1"], state[f"layer{i}.ffn.b1"])),
-                      state[f"layer{i}.ffn.w2"], state[f"layer{i}.ffn.b2"])
+        ffn = T.linear(T.relu(T.linear(normed, state[f"layer{i}.ffn.w1"], state[f"layer{i}.ffn.b1"])),
+                       state[f"layer{i}.ffn.w2"], state[f"layer{i}.ffn.b2"])
         x = T.add(x, ffn)
     if cfg.n_layers == 0:
         return x
@@ -285,10 +282,10 @@ def decode(
 
 def predict_heads(decoded: Tensor, state: ModelState) -> HeadOutputs:
     """Box head: 3-layer FFN + sigmoid; score head: linear + sigmoid."""
-    h = T.relu(_affine(decoded, state["box.w1"], state["box.b1"]))
-    h = T.relu(_affine(h, state["box.w2"], state["box.b2"]))
-    boxes = T.sigmoid(_affine(h, state["box.w3"], state["box.b3"]))
-    scores = T.sigmoid(_affine(decoded, state["score.w"], state["score.b"]))
+    h = T.relu(T.linear(decoded, state["box.w1"], state["box.b1"]))
+    h = T.relu(T.linear(h, state["box.w2"], state["box.b2"]))
+    boxes = T.sigmoid(T.linear(h, state["box.w3"], state["box.b3"]))
+    scores = T.sigmoid(T.linear(decoded, state["score.w"], state["score.b"]))
     return HeadOutputs(boxes=boxes, scores=scores)
 
 

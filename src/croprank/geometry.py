@@ -4,8 +4,9 @@ Boxes are carried as (cx, cy, w, h) with centers in [0, 1] and extents
 in (0, 1]; corner form is derived on demand and clamped to the unit
 square at conversion. Two parallel implementations exist on purpose:
 a plain-numpy path for costs and metrics, and a tensor path used
-inside differentiable losses (extents floored at 1e-6 there so
-gradients stay bounded).
+inside differentiable losses. Both derive corners by one rule: extents
+are clamped to [1e-6, 1] first (so gradients stay bounded), and the
+corners then to the unit square.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import tensor as T
 from .errors import Degenerate, DimMismatch, OutOfRange
 from .tensor import Tensor
 
-# floor applied to w/h inside differentiable ops only
+# floor applied to w/h before corners are derived, in both paths
 MIN_EXTENT = 1e-6
 
 
@@ -80,12 +81,11 @@ def boxes_array(boxes) -> np.ndarray:
 
 
 def _corners_np(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    cx, cy, w, h = boxes[..., 0], boxes[..., 1], boxes[..., 2], boxes[..., 3]
-    x1 = np.clip(cx - w / 2.0, 0.0, 1.0)
-    y1 = np.clip(cy - h / 2.0, 0.0, 1.0)
-    x2 = np.clip(cx + w / 2.0, 0.0, 1.0)
-    y2 = np.clip(cy + h / 2.0, 0.0, 1.0)
-    return x1, y1, x2, y2
+    center = boxes[..., :2]
+    half = np.clip(boxes[..., 2:], MIN_EXTENT, 1.0) / 2.0
+    lo = np.clip(center - half, 0.0, 1.0)
+    hi = np.clip(center + half, 0.0, 1.0)
+    return lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
 
 
 def _overlap_np(a: np.ndarray, b: np.ndarray, op: str):

@@ -165,13 +165,7 @@ def _scn_relu_abs_clamp_pow(rng):
 
 def _scn_sigmoid_exp_log(rng):
     a = _leaf(rng, (3, 4))
-
-    def fn():
-        x = T.log(T.add_const(T.sigmoid(a), 0.1))
-        y = T.exp(T.scale(a, 0.3))
-        return _weigh(T.add(x, y), 23)
-
-    return [a], fn
+    return [a], lambda: _weigh(T.log(T.add_const(T.sigmoid(a), 0.1)), 23)
 
 
 def _scn_softmax(rng):
@@ -187,19 +181,20 @@ def _scn_layer_norm(rng):
 
 
 def _scn_structural(rng):
-    a = _leaf(rng, (5, 6))
+    a = _leaf(rng, (5, 4))
+    w = _leaf(rng, (4, 6))
     v = _leaf(rng, (1, 6))
     col_weights = np.random.default_rng(41).uniform(-1, 1, (4, 1))
 
     def fn():
-        x = T.add(a, T.tile_rows(v, 5))
+        x = T.linear(a, w, v)
         left = T.slice_cols(x, 0, 3)
         right = T.slice_cols(x, 3, 6)
         x = T.concat_cols([right, left])
         x = T.gather_rows(x, [4, 0, 2, 2])  # repeated row exercises accumulation
         return T.sum_all(T.mul(T.sum_cols(x), T.constant(col_weights)))
 
-    return [a, v], fn
+    return [a, w, v], fn
 
 
 def _scn_attention_bias(rng):

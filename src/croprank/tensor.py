@@ -5,6 +5,8 @@ A deliberately small engine: tensors wrap row-major numpy arrays
 vector-Jacobian closure, and ``backward`` replays the recorded graph
 in reverse topological order. Differentiable ops work on rank-2
 arrays; storage itself may be any rank (images are rank 3 on disk).
+Affine layers (``linear``), layer norm and multi-head attention are
+each one op with a closed-form backward pass.
 
 Broadcasting is restricted on purpose: elementwise ops demand equal
 shapes, and scalars enter through ``scale``/``add_const`` (or a bare
@@ -18,9 +20,9 @@ stands for B separate (m, n) matrices and may meet an unbatched
 exactly, and no op batches over more than one leading axis.
 ``gradcheck.numeric_gradient`` uses this to evaluate every
 perturbation of a parameter in one forward. With recording on, the
-rank-checked ops (``matmul``, ``transpose``, ``softmax_rows``,
-``layer_norm``, ``attention``, ``tile_rows``, ``sum_all``, ``sum_cols``,
-``slice_cols``, ``concat_cols``, ``gather_rows``) accept rank 2 only and
+rank-checked ops (``matmul``, ``linear``, ``transpose``, ``softmax_rows``,
+``layer_norm``, ``attention``, ``sum_all``, ``sum_cols``, ``slice_cols``,
+``concat_cols``, ``gather_rows``) accept rank 2 only and
 mixed-rank elementwise operands raise; elementwise ops on equal shapes
 do not check rank.
 """
@@ -199,10 +201,6 @@ def ones(shape: Sequence[int], dtype=np.float64, requires_grad: bool = False) ->
     return Tensor(np.ones(shape), dtype=dtype, requires_grad=requires_grad)
 
 
-def full(shape: Sequence[int], value: float, dtype=np.float64) -> Tensor:
-    return Tensor(np.full(shape, value), dtype=dtype)
-
-
 # -- shape/dtype guards --------------------------------------------------------
 
 
@@ -238,6 +236,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return Tensor._from_op(out, (a, b), vjp, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b, with b a (1, n) row added to every row.
+
+    The backward pass is g w^T, x^T g and the column sum of g.
+    """
+    for t in (x, w, b):
+        _need_2d(t, "linear")
+    if x.dims[-1] != w.dims[-2]:
+        raise DimMismatch(f"linear: inner dims {x.dims} x {w.dims}")
+    if b.dims[-2:] != (1, w.dims[-1]):
+        raise DimMismatch(f"linear: bias must be (1, {w.dims[-1]}), got {b.dims}")
+    if w.data.dtype != x.data.dtype or b.data.dtype != x.data.dtype:
+        raise DimMismatch(f"linear: dtypes {x.data.dtype}, {w.data.dtype} and {b.data.dtype} differ")
+    out = x.data @ w.data + b.data
+
+    def vjp(g: Array):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
+
+    return Tensor._from_op(out, (x, w, b), vjp, "linear")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -325,15 +344,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return Tensor._from_op(out, (x,), vjp, "sigmoid")
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def vjp(g: Array):
-        return (g * out,)
-
-    return Tensor._from_op(out, (x,), vjp, "exp")
 
 
 def log(x: Tensor) -> Tensor:
@@ -523,20 +533,6 @@ def attention(
         return gq, gk, gv
 
     return Tensor._from_op(out, (q, k, v), vjp, "attention")
-
-
-def tile_rows(v: Tensor, m: int) -> Tensor:
-    """Repeat a (1, n) row m times into an (m, n) tensor."""
-    _need_2d(v, "tile_rows")
-    if v.dims[-2] != 1:
-        raise DimMismatch(f"tile_rows expects a (1, n) tensor, got {v.dims}")
-    if m < 1:
-        raise DimMismatch(f"tile_rows: m must be >= 1, got {m}")
-
-    def vjp(g: Array):
-        return (g.sum(axis=0, keepdims=True),)
-
-    return Tensor._from_op(np.repeat(v.data, m, axis=-2), (v,), vjp, "tile_rows")
 
 
 def sum_all(x: Tensor) -> Tensor:

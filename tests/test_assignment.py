@@ -24,10 +24,12 @@ from croprank.assignment import (
     train_step,
     training_loss,
 )
-from croprank.decoder import HeadOutputs, Prediction, forward_train, init_state
+from croprank.cli import build_prior
+from croprank.dataio import generate_synthetic
+from croprank.decoder import HeadOutputs, ModelConfig, Prediction, forward_train, init_state
 from croprank.errors import CardinalityMismatch, DomainError, NonFinite, NonSquare, OutOfRange
 from croprank.gradcheck import toy_config
-from croprank.geometry import CropBox, ScoredCrop, giou, iou, l1_box
+from croprank.geometry import CropBox, ScoredCrop, boxes_array, giou, giou_pairs, iou, l1_box, l1_pairs
 
 W = LossWeights()
 
@@ -346,21 +348,79 @@ class TestTrainingLoss:
         scores = rng.uniform(0.1, 0.9, size=(4, 1))
         head = HeadOutputs(boxes=T.constant(boxes), scores=T.constant(scores))
         crops = [_crop(0.5, 0.5, 0.3, 0.3, 4.6), _crop(0.42, 0.58, 0.25, 0.2, 2.5)]
+        fixtures = [(head, assign(head.to_predictions(), crops, W), crops), self._all_roles_fixture(np.float64)]
+        for head, a, crops in fixtures:
+            boxes, scores = head.boxes.data, head.scores.data
+            expected = 0.0
+            for i, r in enumerate(a.roles):
+                v_hat = float(scores[i, 0])
+                if r.kind == "matched":
+                    pb = CropBox(*boxes[i])
+                    tb = crops[r.target].box
+                    expected += l1_box(pb, tb) + W.giou_weight * (1.0 - giou(pb, tb))
+                    expected += W.focal_weight * focal(v_hat, normalize_mos(crops[r.target].mos))
+                elif r.kind == "soft":
+                    expected += W.focal_weight * focal(v_hat, r.soft_score)
+                else:
+                    expected += W.focal_weight * focal(v_hat, 0.0)
+            expected /= len(a.roles)
+            assert training_loss(head, a, crops, W).item() == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def _all_roles_fixture(dtype):
+        crops = [_crop(0.5, 0.5, 0.3, 0.3, 4.6), _crop(0.3, 0.7, 0.2, 0.2, 2.5)]
+        boxes = np.array([
+            [0.50, 0.50, 0.30, 0.30],  # matched to the good crop
+            [0.505, 0.50, 0.30, 0.30],  # near-duplicate of it: soft
+            [0.30, 0.70, 0.20, 0.19],  # on the mediocre crop: soft
+            [0.80, 0.20, 0.10, 0.10],  # negatives
+            [0.15, 0.20, 0.20, 0.10],
+        ])
+        scores = np.array([[0.8], [0.6], [0.3], [0.4], [0.1]])
+        head = HeadOutputs(boxes=T.tensor(boxes, dtype=dtype, requires_grad=True),
+                           scores=T.tensor(scores, dtype=dtype, requires_grad=True))
         a = assign(head.to_predictions(), crops, W)
-        expected = 0.0
-        for i, r in enumerate(a.roles):
-            v_hat = float(scores[i, 0])
-            if r.kind == "matched":
-                pb = CropBox(*boxes[i])
-                tb = crops[r.target].box
-                expected += l1_box(pb, tb) + W.giou_weight * (1.0 - giou(pb, tb))
-                expected += W.focal_weight * focal(v_hat, normalize_mos(crops[r.target].mos))
-            elif r.kind == "soft":
-                expected += W.focal_weight * focal(v_hat, r.soft_score)
-            else:
-                expected += W.focal_weight * focal(v_hat, 0.0)
-        expected /= 4
-        assert training_loss(head, a, crops, W).item() == pytest.approx(expected, abs=1e-12)
+        assert [r.kind for r in a.roles] == ["matched", "soft", "soft", "negative", "negative"]
+        return head, a, crops
+
+    @staticmethod
+    def _three_branch_loss(head, a, crops, w):
+        """Reference: one gather and focal call per role, the terms added in role order."""
+        dtype = head.scores.data.dtype
+        rows = {k: [i for i, r in enumerate(a.roles) if r.kind == k] for k in ("matched", "soft", "negative")}
+        matched = rows["matched"]
+        tgt = T.constant(boxes_array([crops[a.roles[i].target].box for i in matched]).astype(dtype))
+        pb = T.gather_rows(head.boxes, matched)
+        deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
+        terms = [T.sum_all(l1_pairs(pb, tgt)), T.scale(T.sum_all(deficit), w.giou_weight)]
+        targets = {
+            "matched": [normalize_mos(crops[a.roles[i].target].mos) for i in matched],
+            "soft": [a.roles[i].soft_score for i in rows["soft"]],
+            "negative": [0.0] * len(rows["negative"]),
+        }
+        for kind, idx in rows.items():
+            v = np.array(targets[kind], dtype=dtype).reshape(-1, 1)
+            focal_sum = T.sum_all(focal_terms(T.gather_rows(head.scores, idx), v, w.focal_gamma))
+            terms.append(T.scale(focal_sum, w.focal_weight))
+        total = terms[0]
+        for t in terms[1:]:
+            total = T.add(total, t)
+        return T.scale(total, 1.0 / len(a.roles))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_focal_call_equals_the_per_role_branches(self, dtype):
+        head, a, crops = self._all_roles_fixture(dtype)
+        loss = training_loss(head, a, crops, W)
+        T.backward(loss)
+        ref_head = HeadOutputs(boxes=T.tensor(head.boxes.data, dtype=dtype, requires_grad=True),
+                               scores=T.tensor(head.scores.data, dtype=dtype, requires_grad=True))
+        ref = self._three_branch_loss(ref_head, a, crops, W)
+        T.backward(ref)
+        # only the order of the focal sum differs
+        tol = 1e-12 if dtype == np.float64 else 4 * np.finfo(dtype).eps
+        assert loss.item() == pytest.approx(ref.item(), rel=tol)
+        assert head.boxes.grad.tobytes() == ref_head.boxes.grad.tobytes()
+        assert head.scores.grad.tobytes() == ref_head.scores.grad.tobytes()
 
     def test_finite_nonnegative_and_differentiable(self):
         rng = np.random.default_rng(9)
@@ -428,3 +488,34 @@ class TestTrainStep:
         losses = [train_step(state, [ex], W, lr=3e-3, optimizer=opt) for _ in range(200)]
         assert losses[-1] < 0.5 * losses[0]
         assert min(losses[100:]) < min(losses[:50])
+
+
+def _op_counts(loss) -> dict:
+    """Recorded op nodes behind ``loss`` by op name (leaves excluded)."""
+    counts: dict = {}
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._op != "leaf":
+            counts[node._op] = counts.get(node._op, 0) + 1
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return counts
+
+
+class TestGraphSize:
+    def test_one_desk_image_records_117_op_nodes(self, tmp_path):
+        config = ModelConfig()  # the desk preset's model
+        record = generate_synthetic(3, 1, tmp_path)[0]
+        state = init_state(config, seed=0)
+        head = forward_train(record.load_image(), build_prior(record, config, "average"), state)
+        with T.no_grad():
+            a = assign(head.to_predictions(), list(record.crops), W)
+        assert any(r.kind == "matched" for r in a.roles)
+        counts = _op_counts(training_loss(head, a, list(record.crops), W))
+        # every affine layer is one node, and the focal term is one call over all rows
+        assert counts["linear"] == 25 and "matmul" not in counts
+        assert counts["gather_rows"] == 1 and counts["pow_const"] == 1
+        assert sum(counts.values()) == 117

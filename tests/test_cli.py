@@ -6,8 +6,8 @@ import pytest
 
 from croprank.cli import (
     DESK_CONFIG,
-    FULL_CONFIG,
     MCAB_MODES,
+    PRESETS,
     RunConfig,
     _config_from,
     build_parser,
@@ -53,10 +53,14 @@ def _gen(tmp_path, name, seed="3"):
 class TestResolveConfig:
     def test_presets_differ_where_expected(self):
         desk = resolve_config("desk", None, {})
-        full = resolve_config("full", None, {})
         assert desk.model.n_queries == 16 and desk.model.n_layers == 2
-        assert full.model.n_queries == 90 and full.model.n_layers == 6
         assert desk["train"]["epochs"] == 20
+        assert list(PRESETS) == ["desk"]
+        with pytest.raises(ParseError) as err:
+            resolve_config("full", None, {})
+        assert err.value.field == "preset"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["gen", "--out", "x", "--preset", "full"])
 
     def test_override_applies(self):
         cfg = resolve_config("desk", None, {"train.epochs": 3, "model.n_layers": 1})
@@ -237,9 +241,11 @@ class TestPipeline:
             capsys.readouterr()
             outs.append(run)
         a, b = outs
-        assert (a / "checkpoint" / "manifest.json").read_bytes() == (b / "checkpoint" / "manifest.json").read_bytes()
-        for rel in ("query.embed.aesc", "enc.proj.w.aesc", "score.w.aesc"):
-            assert (a / "checkpoint" / rel).read_bytes() == (b / "checkpoint" / rel).read_bytes()
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert {"loss_curve.json", "config.json"} <= {str(f) for f in files}
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
     def test_fuse_writes_prior_and_pgm(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

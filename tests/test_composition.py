@@ -263,8 +263,8 @@ def _per_head_reference(q, k, v, prior, n_heads):
         qh, kh, vh = (T.slice_cols(t, i * dh, (i + 1) * dh) for t in (q, k, v))
         logits = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
         if prior is not None:
-            row = T.constant(prior.flat_log_bias(q.data.dtype))
-            logits = T.add(logits, T.tile_rows(row, q.dims[0]))
+            rows = np.repeat(prior.flat_log_bias(q.data.dtype), q.dims[0], axis=0)
+            logits = T.add(logits, T.constant(rows))
         attn = T.softmax_rows(logits)
         weights.append(attn.data.copy())
         heads.append(T.matmul(attn, vh))

@@ -203,6 +203,18 @@ class TestDifferentiablePairs:
             assert giou_t[k] == pytest.approx(giou(a[k], b[k]), abs=1e-12)
             assert l1_t[k] == pytest.approx(l1_box(a[k], b[k]), abs=1e-12)
 
+    def test_matrix_diagonal_matches_pairs_on_degenerate_boxes(self):
+        rng = np.random.default_rng(12)
+        # random interior, overhanging (corners clamped to the unit square) and sub-1e-6 extents
+        boxes = np.concatenate([
+            np.column_stack([rng.uniform(0.2, 0.8, (8, 2)), rng.uniform(0.05, 0.5, (8, 2))]),
+            np.column_stack([rng.uniform(0.0, 1.0, (8, 2)), rng.uniform(0.6, 1.0, (8, 2))]),
+            np.column_stack([rng.uniform(0.1, 0.9, (8, 2)), rng.choice([1e-12, 1e-9, 5e-7, 0.3], (8, 2))]),
+        ])
+        a, b = boxes, boxes[rng.permutation(len(boxes))]
+        pairs = giou_pairs(T.constant(a), T.constant(b)).data[:, 0]
+        np.testing.assert_allclose(np.diag(giou_matrix(a, b)), pairs, rtol=0, atol=1e-12)
+
     def test_tiny_extent_clamped_keeps_gradient_finite(self):
         a = Tensor(np.array([[0.5, 0.5, 1e-9, 0.3]]), requires_grad=True)
         b = T.constant(np.array([[0.5, 0.5, 0.3, 0.3]]))

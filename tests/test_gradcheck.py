@@ -113,9 +113,13 @@ class TestBatchAxis:
             T.layer_norm(x, T.ones((1, 4)), T.zeros((1, 4)))
         with pytest.raises(DimMismatch):
             T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2)
+        with pytest.raises(DimMismatch):
+            T.linear(x, T.zeros((4, 2)), T.zeros((1, 2)))
         w = Tensor(np.zeros((4, 2)), requires_grad=True)
         with pytest.raises(DimMismatch):
             T.matmul(x, w)
+        with pytest.raises(DimMismatch):
+            T.linear(T.zeros((3, 4)), w, _batched((1, 2)))
 
     def test_no_grad_still_checks_trailing_dims_and_rank(self):
         x = _batched((3, 4))
@@ -132,6 +136,10 @@ class TestBatchAxis:
             with pytest.raises(DimMismatch):
                 T.attention(x, T.zeros((5, 6)), T.zeros((5, 4)), 2)
             with pytest.raises(DimMismatch):
+                T.linear(x, T.zeros((5, 2)), T.zeros((1, 2)))
+            with pytest.raises(DimMismatch):
+                T.linear(x, T.zeros((4, 2)), _batched((1, 3)))
+            with pytest.raises(DimMismatch):
                 T.concat_cols([x, _batched((3, 2), batch=2)])
             with pytest.raises(DimMismatch):
                 T.matmul(rank4, T.zeros((4, 2)))
@@ -141,6 +149,8 @@ class TestBatchAxis:
                 T.layer_norm(rank4, T.ones((1, 4)), T.zeros((1, 4)))
             with pytest.raises(DimMismatch):
                 T.attention(rank4, T.zeros((5, 4)), T.zeros((5, 4)), 2)
+            with pytest.raises(DimMismatch):
+                T.linear(rank4, T.zeros((4, 2)), T.zeros((1, 2)))
             with pytest.raises(DimMismatch):
                 T.sum_all(rank4)
 
@@ -161,6 +171,19 @@ class TestBatchAxis:
             for batched, single in cases:
                 for b in range(3):
                     assert batched.data[b].tobytes() == single(T.constant(x.data[b])).data.tobytes()
+
+    def test_linear_acts_on_each_probe_entry(self):
+        rng = np.random.default_rng(3)
+        x, w, b = (rng.uniform(size=shape) for shape in ((3, 4), (4, 2), (1, 2)))
+        # batch one operand at a time, as the probe does with the parameter it perturbs
+        for at in range(3):
+            probe = [T.constant(a) for a in (x, w, b)]
+            probe[at] = _batched(probe[at].dims)
+            with T.no_grad():
+                batched = T.linear(*probe)
+                for e in range(3):
+                    single = [T.constant(p.data[e]) if i == at else p for i, p in enumerate(probe)]
+                    assert batched.data[e].tobytes() == T.linear(*single).data.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(

@@ -34,10 +34,9 @@ class TestConstruction:
         with pytest.raises(NotScalar):
             T.tensor([[1.0, 2.0]]).item()
 
-    def test_zeros_ones_full(self):
+    def test_zeros_and_ones(self):
         assert np.array_equal(T.zeros((2, 2)).data, np.zeros((2, 2)))
         assert np.array_equal(T.ones((1, 3)).data, np.ones((1, 3)))
-        assert np.array_equal(T.full((2, 1), 7.0).data, np.full((2, 1), 7.0))
 
 
 class TestMatmul:
@@ -64,6 +63,38 @@ class TestMatmul:
         ones = np.ones((3, 2))
         np.testing.assert_allclose(a.grad, ones @ b.data.T, rtol=0, atol=1e-14)
         np.testing.assert_allclose(b.grad, a.data.T @ ones, rtol=0, atol=1e-14)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_matmul_plus_repeated_bias_row(self, dtype):
+        rng = np.random.default_rng(2)
+        for m in (1, 3, 8):
+            x, w, b = (Tensor(rng.normal(size=shape), dtype=dtype, requires_grad=True)
+                       for shape in ((m, 4), (4, 3), (1, 3)))
+            upstream = T.constant(rng.normal(size=(m, 3)).astype(dtype))
+            out = T.linear(x, w, b)
+            T.backward(T.sum_all(T.mul(out, upstream)))
+            rx, rw, rb = (Tensor(t.data, dtype=dtype, requires_grad=True) for t in (x, w, b))
+            ref = T.add(T.matmul(rx, rw), T.matmul(T.ones((m, 1), dtype=dtype), rb))
+            T.backward(T.sum_all(T.mul(ref, upstream)))
+            assert out.data.dtype == b.grad.dtype == dtype
+            for got, want in ((out.data, ref.data), (x.grad, rx.grad), (w.grad, rw.grad)):
+                assert got.tobytes() == want.tobytes()
+            # the chain sums the bias gradient as ones^T g, in another order than the column sum
+            tol = 1e-12 if dtype == np.float64 else 2 * np.finfo(dtype).eps
+            np.testing.assert_allclose(b.grad, rb.grad, rtol=tol, atol=tol)
+
+    def test_shape_and_dtype_checks(self):
+        x = T.zeros((2, 4))
+        with pytest.raises(DimMismatch):
+            T.linear(x, T.zeros((3, 2)), T.zeros((1, 2)))
+        with pytest.raises(DimMismatch):
+            T.linear(x, T.zeros((4, 2)), T.zeros((2, 2)))
+        with pytest.raises(DimMismatch):
+            T.linear(x, T.zeros((4, 2)), T.zeros((1, 3)))
+        with pytest.raises(DimMismatch):
+            T.linear(x, T.zeros((4, 2), dtype=np.float32), T.zeros((1, 2)))
 
 
 class TestSoftmax:
@@ -127,7 +158,7 @@ class TestElementwise:
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0.1, 5.0, size=(3, 3))
-        out = T.exp(T.log(T.constant(x))).data
+        out = np.exp(T.log(T.constant(x)).data)
         np.testing.assert_allclose(out, x, rtol=1e-14)
 
     def test_div_rejects_zero_denominator(self):
@@ -161,12 +192,6 @@ class TestStructuralOps:
     def test_transpose(self):
         x = T.constant([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(T.transpose(x).data, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_tile_rows(self):
-        v = T.constant([[1.0, 2.0]])
-        assert np.array_equal(T.tile_rows(v, 3).data, np.repeat([[1.0, 2.0]], 3, axis=0))
-        with pytest.raises(DimMismatch):
-            T.tile_rows(T.zeros((2, 2)), 2)
 
     def test_slice_concat_round_trip(self):
         rng = np.random.default_rng(5)
