@@ -94,7 +94,7 @@ def focal(v_hat: float, v: float, gamma: float = 2.0) -> float:
 
 def focal_terms(v_hat: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
     """Differentiable focal penalties, one per row of v_hat (m, 1)."""
-    tv = np.asarray(targets, dtype=v_hat.data.dtype).reshape(v_hat.dims[-2:])
+    tv = np.asarray(targets, dtype=v_hat.data.dtype).reshape(T.matrix_dims(v_hat))
     vc = T.clamp(v_hat, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     one_minus = T.add_const(T.scale(vc, -1.0), 1.0)
     ce = T.scale(
@@ -293,7 +293,7 @@ def training_loss(head: HeadOutputs, assignment: Assignment, ground_truths: list
     target. The assignment itself is taken as given (no gradient flows
     through the matching).
     """
-    n = head.scores.dims[-2]
+    n = T.matrix_dims(head.scores)[0]
     if len(assignment.roles) != n:
         raise CardinalityMismatch(f"assignment covers {len(assignment.roles)} rows, head has {n}")
     if n == 0:

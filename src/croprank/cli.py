@@ -317,8 +317,14 @@ def cmd_fuse(cam_paths, probs_path: str, mode: str, grid_h: int, grid_w: int,
 
 
 def cmd_gradcheck(seeds: int, tol: float, scenarios=None) -> bool:
+    if seeds < 1:
+        raise ParseError(f"seeds must be at least 1, got {seeds}", field="seeds")
+    names = scenarios or list(gradcheck.SCENARIOS)
+    unknown = [name for name in names if name not in gradcheck.SCENARIOS]
+    if unknown:
+        raise ParseError(f"unknown scenarios {unknown}; known: {sorted(gradcheck.SCENARIOS)}", field="scenarios")
     all_ok = True
-    for name in scenarios or list(gradcheck.SCENARIOS):
+    for name in names:
         worst = 0.0
         ok = True
         for result in (gradcheck.run_check(name, s, tol=tol) for s in range(seeds)):
@@ -479,7 +485,11 @@ def main(argv=None) -> int:
             for m in modes:
                 if m not in MCAB_MODES:
                     raise DomainError(f"unknown mcab mode {m!r}")
-            depths = tuple(int(d) for d in args.depths.split(","))
+            try:
+                depths = tuple(int(d) for d in args.depths.split(","))
+            except ValueError as e:
+                raise ParseError(f"depths must be comma-separated integers, got {args.depths!r}",
+                                 field="depths") from e
             cmd_ablate(_config_from(args), args.train_data, args.val_data, args.out,
                        modes=modes, depths=depths, quiet=args.quiet)
         return 0

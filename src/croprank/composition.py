@@ -225,7 +225,7 @@ def biased_cross_attention(
     log_bias = None
     if prior is not None:
         n_cells = prior.grid_h * prior.grid_w
-        if k.dims[-2:-1] != (n_cells,):
+        if T.matrix_dims(k)[0] != n_cells:
             raise DimMismatch(f"prior has {n_cells} cells but the keys are {k.dims}")
         log_bias = prior.flat_log_bias(q.data.dtype)
     return T.attention(q, k, v, n_heads, log_bias, weights_out)

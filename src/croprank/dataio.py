@@ -489,6 +489,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {e.msg}") from e
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest is not a JSON object")
     for key in ("format", "model", "dtype", "params"):
         if key not in manifest:
             raise ParseError(f"manifest missing field {key!r}", field=key)

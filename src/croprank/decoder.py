@@ -259,7 +259,7 @@ def decode(
     layer of cross-attention weights.
     """
     cfg = state.config
-    if memory.dims[-2:] != (cfg.n_cells, cfg.model_dim):
+    if T.matrix_dims(memory) != (cfg.n_cells, cfg.model_dim):
         raise DimMismatch(f"memory {memory.dims} != ({cfg.n_cells}, {cfg.model_dim})")
     if prior is not None and (prior.grid_h, prior.grid_w) != (cfg.grid_h, cfg.grid_w):
         raise DimMismatch(

@@ -134,7 +134,7 @@ def l1_box(a: CropBox, b: CropBox) -> float:
 
 
 def _corners_t(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    if boxes.data.ndim not in (2, 3) or boxes.dims[-1] != 4:
+    if T.matrix_dims(boxes)[1] != 4:
         raise DimMismatch(f"expected (m, 4) box tensor, got {boxes.dims}")
     cx = T.slice_cols(boxes, 0, 1)
     cy = T.slice_cols(boxes, 1, 2)
@@ -167,6 +167,6 @@ def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
 
 def l1_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Row-aligned L1 on raw (cx, cy, w, h): (m, 4) x (m, 4) -> (m, 1)."""
-    if a.dims[-2:] != b.dims[-2:] or a.dims[-1] != 4:
+    if T.matrix_dims(a) != T.matrix_dims(b) or T.matrix_dims(a)[1] != 4:
         raise DimMismatch(f"l1_pairs expects matching (m, 4) tensors, got {a.dims} and {b.dims}")
     return T.sum_cols(T.absolute(T.sub(a, b)))

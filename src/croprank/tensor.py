@@ -19,12 +19,18 @@ stands for B separate (m, n) matrices and may meet an unbatched
 (m, n) one, which counts for all B. Trailing dims must still match
 exactly, and no op batches over more than one leading axis.
 ``gradcheck.numeric_gradient`` uses this to evaluate every
-perturbation of a parameter in one forward. With recording on, the
-rank-checked ops (``matmul``, ``linear``, ``transpose``, ``softmax_rows``,
-``layer_norm``, ``attention``, ``sum_all``, ``sum_cols``, ``slice_cols``,
-``concat_cols``, ``gather_rows``) accept rank 2 only and
-mixed-rank elementwise operands raise; elementwise ops on equal shapes
-do not check rank.
+perturbation of a parameter in one forward. ``matrix_dims`` is the one
+reader of that axis, here and in every other module: it returns a
+matrix's (rows, cols) and raises unless the rank is 2, or 3 under
+``no_grad``. So while recording, the ops that call it (``matmul``,
+``linear``, ``transpose``, ``softmax_rows``, ``layer_norm``,
+``attention``, ``sum_all``, ``sum_cols``, ``slice_cols``,
+``concat_cols``, ``gather_rows``) take rank 2 only and mixed-rank
+elementwise operands raise; elementwise ops on equal shapes do not
+check rank.
+
+Gradient buffers live on leaves only: ``backward`` keeps op outputs'
+adjoints in a local table and adds into ``.grad`` at the leaves.
 """
 from __future__ import annotations
 
@@ -45,7 +51,6 @@ from .errors import (
 
 Array = np.ndarray
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 _GRAD_ENABLED = True
 _BRANCHES: list | None = None
 
@@ -85,11 +90,13 @@ def branches(out: list):
 class Tensor:
     """A numpy array plus optional gradient and autodiff bookkeeping.
 
-    Invariants: ``grad`` is allocated (zeros, same shape/dtype as
-    ``data``) exactly when ``requires_grad`` is true, and is None
-    otherwise. The one exception is the finite-difference probe, which
+    Invariants: ``grad`` is a buffer (zeros, same shape/dtype as
+    ``data``) exactly on leaves made with ``requires_grad=True``, and
+    None otherwise; a recorded op output requires grad but holds no
+    buffer. The one exception is the finite-difference probe, which
     swaps a (B, *shape) stack into ``data`` under ``no_grad`` and puts
-    the original array back afterwards.
+    the original array back afterwards; ``matrix_dims`` reads past that
+    leading axis.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -113,7 +120,7 @@ class Tensor:
         t.data = data
         track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         t.requires_grad = track
-        t.grad = np.zeros_like(data) if track else None
+        t.grad = None
         t._parents = parents if track else ()
         t._vjp = vjp if track else None
         t._op = op if track else "leaf"
@@ -137,14 +144,6 @@ class Tensor:
         if self.data.size != 1:
             raise NotScalar(f"item() on tensor of shape {self.dims}")
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> Array:
-        """Copy of the underlying values (detached)."""
-        return self.data.copy()
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = ", grad" if self.requires_grad else ""
@@ -204,10 +203,12 @@ def ones(shape: Sequence[int], dtype=np.float64, requires_grad: bool = False) ->
 # -- shape/dtype guards --------------------------------------------------------
 
 
-def _need_2d(t: Tensor, op: str) -> None:
-    """Rank 2, or rank 3 (a leading batch axis) while recording is off."""
-    if t.data.ndim != 2 and (t.data.ndim != 3 or _GRAD_ENABLED):
-        raise DimMismatch(f"{op} requires a rank-2 tensor, got shape {t.dims}")
+def matrix_dims(t: Tensor) -> tuple[int, int]:
+    """(rows, cols) of a matrix: rank 2, or rank 3 (a leading probe axis) while recording is off."""
+    shape = t.data.shape
+    if len(shape) != 2 and (len(shape) != 3 or _GRAD_ENABLED):
+        raise DimMismatch(f"expected a rank-2 tensor, got shape {shape}")
+    return shape[-2:]
 
 
 def _need_same(a: Tensor, b: Tensor, op: str) -> None:
@@ -224,9 +225,7 @@ def _need_same(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _need_2d(a, "matmul")
-    _need_2d(b, "matmul")
-    if a.dims[-1] != b.dims[-2]:
+    if matrix_dims(a)[1] != matrix_dims(b)[0]:
         raise DimMismatch(f"matmul: inner dims {a.dims} x {b.dims}")
     if a.data.dtype != b.data.dtype:
         raise DimMismatch(f"matmul: dtypes {a.data.dtype} and {b.data.dtype} differ")
@@ -243,12 +242,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     The backward pass is g w^T, x^T g and the column sum of g.
     """
-    for t in (x, w, b):
-        _need_2d(t, "linear")
-    if x.dims[-1] != w.dims[-2]:
+    inner, n = matrix_dims(w)
+    if matrix_dims(x)[1] != inner:
         raise DimMismatch(f"linear: inner dims {x.dims} x {w.dims}")
-    if b.dims[-2:] != (1, w.dims[-1]):
-        raise DimMismatch(f"linear: bias must be (1, {w.dims[-1]}), got {b.dims}")
+    if matrix_dims(b) != (1, n):
+        raise DimMismatch(f"linear: bias must be (1, {n}), got {b.dims}")
     if w.data.dtype != x.data.dtype or b.data.dtype != x.data.dtype:
         raise DimMismatch(f"linear: dtypes {x.data.dtype}, {w.data.dtype} and {b.data.dtype} differ")
     out = x.data @ w.data + b.data
@@ -260,7 +258,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    _need_2d(x, "transpose")
+    matrix_dims(x)
 
     def vjp(g: Array):
         return (g.T.copy(),)
@@ -421,7 +419,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rejects non-finite logits."""
-    _need_2d(x, "softmax_rows")
+    matrix_dims(x)
     if not np.all(np.isfinite(x.data)):
         raise NonFinite("softmax_rows: logits contain NaN or infinity")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
@@ -441,10 +439,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gain and bias are (1, n) tensors applied to every row; the op is
     fused so the backward pass is a single closed-form expression.
     """
-    for t in (x, gain, bias):
-        _need_2d(t, "layer_norm")
-    n = x.dims[-1]
-    if gain.dims[-2:] != (1, n) or bias.dims[-2:] != (1, n):
+    n = matrix_dims(x)[1]
+    if matrix_dims(gain) != (1, n) or matrix_dims(bias) != (1, n):
         raise DimMismatch(f"layer_norm: affine params must be (1, {n}), got {gain.dims} and {bias.dims}")
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
@@ -488,20 +484,18 @@ def attention(
     order and memory layout of the unfused slice/transpose/matmul/
     softmax chain, so its values match that chain bit for bit.
     """
-    for t in (q, k, v):
-        _need_2d(t, "attention")
-    d, n = q.dims[-1], k.dims[-2]
-    if k.dims[-1] != d:
-        raise DimMismatch(f"attention: query dim {d} != key dim {k.dims[-1]}")
-    if v.dims[-2] != n:
-        raise DimMismatch(f"attention: key count {n} != value count {v.dims[-2]}")
-    if n_heads < 1 or d % n_heads or v.dims[-1] % n_heads:
-        raise DimMismatch(f"attention: widths {d} and {v.dims[-1]} do not split into {n_heads} heads")
+    (_, d), (n, dk), (nv, dv_all) = matrix_dims(q), matrix_dims(k), matrix_dims(v)
+    if dk != d:
+        raise DimMismatch(f"attention: query dim {d} != key dim {dk}")
+    if nv != n:
+        raise DimMismatch(f"attention: key count {n} != value count {nv}")
+    if n_heads < 1 or d % n_heads or dv_all % n_heads:
+        raise DimMismatch(f"attention: widths {d} and {dv_all} do not split into {n_heads} heads")
     if k.data.dtype != q.data.dtype or v.data.dtype != q.data.dtype:
         raise DimMismatch(f"attention: dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype} differ")
     if log_bias is not None and (log_bias.shape != (1, n) or log_bias.dtype != q.data.dtype):
         raise DimMismatch(f"attention: log_bias must be a (1, {n}) {q.data.dtype} row, got {log_bias.shape}")
-    dh, dv = d // n_heads, v.dims[-1] // n_heads
+    dh, dv = d // n_heads, dv_all // n_heads
     # a Python float: a numpy scalar would promote f32 logits to f64
     c = 1.0 / math.sqrt(dh)
     heads = []
@@ -537,7 +531,7 @@ def attention(
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every entry as a (1, 1) tensor; (B, m, n) sums to (B, 1, 1)."""
-    _need_2d(x, "sum_all")
+    matrix_dims(x)
     out = x.data.sum(axis=(-2, -1), keepdims=True)
 
     def vjp(g: Array):
@@ -548,18 +542,17 @@ def sum_all(x: Tensor) -> Tensor:
 
 def sum_cols(x: Tensor) -> Tensor:
     """Sum across columns: (m, n) -> (m, 1)."""
-    _need_2d(x, "sum_cols")
+    n = matrix_dims(x)[1]
     out = x.data.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
-        return (np.repeat(g, x.dims[1], axis=1),)
+        return (np.repeat(g, n, axis=1),)
 
     return Tensor._from_op(out, (x,), vjp, "sum_cols")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _need_2d(x, "slice_cols")
-    if not (0 <= start < stop <= x.dims[-1]):
+    if not (0 <= start < stop <= matrix_dims(x)[1]):
         raise DimMismatch(f"slice_cols: [{start}, {stop}) out of bounds for {x.dims}")
     out = x.data[..., start:stop].copy()
 
@@ -574,19 +567,17 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise DimMismatch("concat_cols: empty input")
-    rows = parts[0].dims[-2]
-    for p in parts:
-        _need_2d(p, "concat_cols")
-        if p.dims[-2] != rows:
-            raise DimMismatch("concat_cols: row counts differ")
-        if p.data.dtype != parts[0].data.dtype:
-            raise DimMismatch("concat_cols: dtypes differ")
-    widths = [p.dims[-1] for p in parts]
+    dims = [matrix_dims(p) for p in parts]
+    if len({rows for rows, _ in dims}) > 1:
+        raise DimMismatch("concat_cols: row counts differ")
+    if len({p.data.dtype for p in parts}) > 1:
+        raise DimMismatch("concat_cols: dtypes differ")
+    widths = [cols for _, cols in dims]
     lead = {p.dims[0] for p in parts if p.data.ndim == 3}
     if len(lead) > 1:
         raise DimMismatch(f"concat_cols: batch sizes {sorted(lead)} differ")
     # an unbatched part counts for every batch entry: broadcast its leading axis only
-    blocks = [np.broadcast_to(p.data, (*lead, *p.dims[-2:])) for p in parts]
+    blocks = [np.broadcast_to(p.data, (*lead, *d)) for p, d in zip(parts, dims)]
     out = np.concatenate(blocks, axis=-1)
 
     def vjp(g: Array):
@@ -601,12 +592,12 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
-    _need_2d(x, "gather_rows")
+    rows = matrix_dims(x)[0]
     idx = np.asarray(list(index), dtype=np.int64)
     if idx.size == 0:
         raise DimMismatch("gather_rows: empty index")
-    if np.any(idx < 0) or np.any(idx >= x.dims[-2]):
-        raise DimMismatch(f"gather_rows: index out of range for {x.dims[-2]} rows")
+    if np.any(idx < 0) or np.any(idx >= rows):
+        raise DimMismatch(f"gather_rows: index out of range for {rows} rows")
     out = x.data[..., idx, :].copy()
 
     def vjp(g: Array):
@@ -641,7 +632,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every tensor requiring grad."""
+    """Accumulate d(loss)/d(t) into t.grad for every leaf requiring grad (op outputs keep none)."""
     if loss.data.size != 1:
         raise NotScalar(f"backward expects a scalar, got shape {loss.dims}")
     if not loss.requires_grad:
@@ -652,8 +643,8 @@ def backward(loss: Tensor) -> None:
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
         if node._vjp is None:
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
@@ -663,11 +654,6 @@ def backward(loss: Tensor) -> None:
                 adjoint[id(parent)] = pg.astype(parent.data.dtype, copy=True)
             else:
                 acc += pg
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 def sgd_step(params: Sequence[Tensor], lr: float) -> None:

@@ -490,32 +490,53 @@ class TestTrainStep:
         assert min(losses[100:]) < min(losses[:50])
 
 
-def _op_counts(loss) -> dict:
-    """Recorded op nodes behind ``loss`` by op name (leaves excluded)."""
-    counts: dict = {}
-    seen, stack = {id(loss)}, [loss]
+def _recorded(loss) -> list:
+    """Every tensor recorded behind ``loss``: op nodes and the leaves that require grad."""
+    nodes, seen, stack = [], {id(loss)}, [loss]
     while stack:
         node = stack.pop()
-        if node._op != "leaf":
-            counts[node._op] = counts.get(node._op, 0) + 1
+        nodes.append(node)
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
+    return nodes
+
+
+def _op_counts(loss) -> dict:
+    """Recorded op nodes behind ``loss`` by op name (leaves excluded)."""
+    counts: dict = {}
+    for node in _recorded(loss):
+        if node._op != "leaf":
+            counts[node._op] = counts.get(node._op, 0) + 1
     return counts
+
+
+def _desk_image_loss(tmp_path):
+    """The desk model's state and the recorded training loss of one synthetic image."""
+    config = ModelConfig()  # the desk preset's model
+    record = generate_synthetic(3, 1, tmp_path)[0]
+    state = init_state(config, seed=0)
+    head = forward_train(record.load_image(), build_prior(record, config, "average"), state)
+    with T.no_grad():
+        a = assign(head.to_predictions(), list(record.crops), W)
+    assert any(r.kind == "matched" for r in a.roles)
+    return state, training_loss(head, a, list(record.crops), W)
 
 
 class TestGraphSize:
     def test_one_desk_image_records_117_op_nodes(self, tmp_path):
-        config = ModelConfig()  # the desk preset's model
-        record = generate_synthetic(3, 1, tmp_path)[0]
-        state = init_state(config, seed=0)
-        head = forward_train(record.load_image(), build_prior(record, config, "average"), state)
-        with T.no_grad():
-            a = assign(head.to_predictions(), list(record.crops), W)
-        assert any(r.kind == "matched" for r in a.roles)
-        counts = _op_counts(training_loss(head, a, list(record.crops), W))
+        _, loss = _desk_image_loss(tmp_path)
+        counts = _op_counts(loss)
         # every affine layer is one node, and the focal term is one call over all rows
         assert counts["linear"] == 25 and "matmul" not in counts
         assert counts["gather_rows"] == 1 and counts["pow_const"] == 1
         assert sum(counts.values()) == 117
+
+    def test_backward_leaves_gradient_buffers_on_parameters_only(self, tmp_path):
+        state, loss = _desk_image_loss(tmp_path)
+        T.backward(loss)
+        ops = [node for node in _recorded(loss) if node._op != "leaf"]
+        assert len(ops) == 117 and all(node.grad is None for node in ops)
+        for p in state.parameters():
+            assert p.grad is not None and p.grad.shape == p.data.shape

@@ -275,6 +275,25 @@ class TestPipeline:
         assert main(["gradcheck", "--seeds", "1", "--scenarios", "matmul"]) == 0
         assert "[PASS] gradcheck matmul" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--seeds", "0"], "seeds"),
+        (["--seeds", "1", "--scenarios", "matmul,nope"], "scenarios"),
+    ])
+    def test_gradcheck_without_checks_exits_2(self, flags, field, capsys):
+        # zero seeds would pass on zero checks; a misspelled scenario is not a failed check
+        assert main(["gradcheck", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        err = json.loads(err)
+        assert err["code"] == "parse_error" and field in err["message"]
+
+    def test_ablate_non_integer_depth_exits_2(self, tmp_path, capsys):
+        code = main(["ablate", "--train-data", str(tmp_path / "t.jsonl"), "--val-data", str(tmp_path / "v.jsonl"),
+                     "--out", str(tmp_path / "ablate"), "--depths", "1,x"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "parse_error" and "depths" in err["message"]
+
     def test_ablate_tiny_grid(self, tmp_path, capsys):
         data = _gen(tmp_path, "data")
         out = tmp_path / "ablate"
@@ -315,6 +334,17 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "parse_error"
         assert "extra" in err["message"]
+
+    @pytest.mark.parametrize("doc", ["3", "null"])
+    def test_non_object_checkpoint_manifest_exits_2(self, tmp_path, capsys, doc):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, init_state(toy_config(), seed=1))
+        (ckpt / "manifest.json").write_text(doc)
+        with pytest.raises(ParseError, match="not a JSON object"):
+            load_checkpoint(ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "val.jsonl")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "parse_error"
 
     def test_mistyped_model_field_exits_2(self, tmp_path, capsys):
         config = tmp_path / "f.json"

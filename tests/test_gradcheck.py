@@ -8,6 +8,7 @@ from croprank import tensor as T
 from croprank.composition import CompositionPrior
 from croprank.decoder import ModelConfig, forward_train, init_state
 from croprank.errors import DimMismatch
+from croprank.geometry import giou_pairs, l1_pairs
 from croprank import gradcheck
 from croprank.gradcheck import DEFAULT_STEP, DEFAULT_TOL, SCENARIOS, numeric_gradient, run_check, toy_config
 from croprank.tensor import Tensor
@@ -120,6 +121,10 @@ class TestBatchAxis:
             T.matmul(x, w)
         with pytest.raises(DimMismatch):
             T.linear(T.zeros((3, 4)), w, _batched((1, 2)))
+        with pytest.raises(DimMismatch):
+            giou_pairs(x, x)
+        with pytest.raises(DimMismatch):
+            l1_pairs(x, x)
 
     def test_no_grad_still_checks_trailing_dims_and_rank(self):
         x = _batched((3, 4))
@@ -153,6 +158,19 @@ class TestBatchAxis:
                 T.linear(rank4, T.zeros((4, 2)), T.zeros((1, 2)))
             with pytest.raises(DimMismatch):
                 T.sum_all(rank4)
+
+    def test_matrix_dims_reads_past_the_probe_axis_only_under_no_grad(self):
+        x = _batched((3, 4))
+        rank4 = T.constant(np.zeros((2, 3, 3, 4)))
+        assert T.matrix_dims(T.zeros((3, 4))) == (3, 4)
+        with pytest.raises(DimMismatch):
+            T.matrix_dims(x)
+        with pytest.raises(DimMismatch):
+            T.matrix_dims(rank4)
+        with T.no_grad():
+            assert T.matrix_dims(x) == (3, 4)
+            with pytest.raises(DimMismatch):
+                T.matrix_dims(rank4)
 
     def test_ops_act_on_each_batch_entry(self):
         x = _batched((3, 4))

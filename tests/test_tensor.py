@@ -28,6 +28,11 @@ class TestConstruction:
         b = T.tensor([[1.0]])
         assert a.grad is not None and a.grad.shape == a.data.shape
         assert b.grad is None
+        # an op output is recorded but holds no buffer, before or after backward
+        y = T.mul(a, b)
+        assert y.requires_grad and y.grad is None
+        T.backward(T.sum_all(y))
+        assert y.grad is None and a.grad.tolist() == [[1.0]]
 
     def test_item_requires_single_element(self):
         assert T.tensor([[3.5]]).item() == 3.5
@@ -249,7 +254,7 @@ class TestBackward:
         def run():
             T.backward(T.sum_all(T.mul(T.sigmoid(w), w)))
             g = w.grad.copy()
-            w.zero_grad()
+            w.grad[...] = 0.0
             return g
 
         assert np.array_equal(run(), run())
