@@ -8,11 +8,13 @@ targets in ascending order. Matched predictions get the full three-term
 loss (L1 + weighted GIoU deficit + weighted focal); unmatched
 predictions that still sit on an annotated crop (IoU >= tau) get a soft
 score target; the rest are pushed to zero score. One training step is
-forward -> assign -> loss -> backward -> SGD.
+one batched forward -> per-image assign -> one batched loss -> one
+backward -> SGD (or Adam).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,8 +95,10 @@ def focal(v_hat: float, v: float, gamma: float = 2.0) -> float:
 
 
 def focal_terms(v_hat: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
-    """Differentiable focal penalties, one per row of v_hat (m, 1)."""
-    tv = np.asarray(targets, dtype=v_hat.data.dtype).reshape(T.matrix_dims(v_hat))
+    """Differentiable focal penalties, one per row of v_hat (m, 1); (B, m, 1) targets give one column per entry."""
+    tv = np.asarray(targets, dtype=v_hat.data.dtype)
+    if tv.ndim != 3:
+        tv = tv.reshape(T.matrix_dims(v_hat))
     vc = T.clamp(v_hat, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     one_minus = T.add_const(T.scale(vc, -1.0), 1.0)
     ce = T.scale(
@@ -283,8 +287,13 @@ def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeig
     return Assignment(roles=tuple(roles), perm=perm, good_indices=good_indices)
 
 
-def training_loss(head: HeadOutputs, assignment: Assignment, ground_truths: list[ScoredCrop], w: LossWeights) -> Tensor:
-    """Role-dependent loss, summed and averaged over all N predictions.
+def training_loss(
+    head: HeadOutputs,
+    assignment: Assignment | list[Assignment],
+    ground_truths: list[ScoredCrop] | list[list[ScoredCrop]],
+    w: LossWeights,
+) -> Tensor:
+    """Role-dependent loss, summed and averaged over all N predictions: one loss per leading entry.
 
     Matched rows: L1 + lambda_giou (1 - giou) + lambda_focal focal
     against their target; soft rows: focal toward the soft score;
@@ -292,27 +301,50 @@ def training_loss(head: HeadOutputs, assignment: Assignment, ground_truths: list
     all N scores against one target column that holds each row's role
     target. The assignment itself is taken as given (no gradient flows
     through the matching).
+
+    One image: an (N, ·) head, one ``Assignment`` and its crops give a
+    (1, 1) loss ((P, 1, 1) when a no-grad probe axis rides on the
+    head). A batch: a (B, N, ·) head, a list of B assignments and a
+    list of B crop lists give (B, 1, 1), entry b holding the bytes
+    image b's own loss has. The batch's matched rows are gathered
+    into one (M, 4) stack for the box terms and summed back per image.
     """
+    batched = isinstance(assignment, list)
+    assignments = assignment if batched else [assignment]
+    crops = ground_truths if batched else [ground_truths]
     n = T.matrix_dims(head.scores)[0]
-    if len(assignment.roles) != n:
-        raise CardinalityMismatch(f"assignment covers {len(assignment.roles)} rows, head has {n}")
+    if batched and (head.scores.data.ndim != 3 or not len(assignments) == len(crops) == head.scores.dims[0]):
+        raise CardinalityMismatch(
+            f"{len(assignments)} assignments and {len(crops)} crop lists for a head of shape {head.scores.dims}"
+        )
+    for a in assignments:
+        if len(a.roles) != n:
+            raise CardinalityMismatch(f"assignment covers {len(a.roles)} rows, head has {n}")
     if n == 0:
         raise DomainError("training_loss: empty assignment")
     dtype = head.scores.data.dtype
-    targets = np.zeros((n, 1), dtype=dtype)
-    matched = []
-    for i, r in enumerate(assignment.roles):
-        if r.kind == "matched":
-            matched.append(i)
-            targets[i, 0] = normalize_mos(ground_truths[r.target].mos)
-        elif r.kind == "soft":
-            targets[i, 0] = r.soft_score
-    total = T.scale(T.sum_all(focal_terms(head.scores, targets, w.focal_gamma)), w.focal_weight)
+    targets = np.zeros((len(assignments), n, 1), dtype=dtype)
+    matched = []  # (entry, row)
+    for e, (a, gts) in enumerate(zip(assignments, crops)):
+        for i, r in enumerate(a.roles):
+            if r.kind == "matched":
+                matched.append((e, i))
+                targets[e, i, 0] = normalize_mos(gts[r.target].mos)
+            elif r.kind == "soft":
+                targets[e, i, 0] = r.soft_score
+    focal = focal_terms(head.scores, targets if batched else targets[0], w.focal_gamma)
+    total = T.scale(T.sum_all(focal), w.focal_weight)
     if matched:
-        tgt = T.constant(boxes_array([ground_truths[assignment.roles[i].target].box for i in matched]).astype(dtype))
-        pb = T.gather_rows(head.boxes, matched)
+        tgt = T.constant(boxes_array([crops[e][assignments[e].roles[i].target].box for e, i in matched]).astype(dtype))
+        if batched:
+            pb = T.gather_rows(T.flatten_batch(head.boxes), [e * n + i for e, i in matched])
+            counts = np.bincount([e for e, _ in matched], minlength=len(assignments))
+            per_entry = partial(T.sum_row_blocks, counts=counts)
+        else:
+            pb = T.gather_rows(head.boxes, [i for _, i in matched])
+            per_entry = T.sum_all
         giou_deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
-        box = T.add(T.sum_all(l1_pairs(pb, tgt)), T.scale(T.sum_all(giou_deficit), w.giou_weight))
+        box = T.add(per_entry(l1_pairs(pb, tgt)), T.scale(per_entry(giou_deficit), w.giou_weight))
         total = T.add(box, total)
     return T.scale(total, 1.0 / n)
 
@@ -327,18 +359,21 @@ class TrainExample:
 
 
 def train_step(state: ModelState, batch: list[TrainExample], w: LossWeights, lr: float, optimizer=None) -> float:
-    """One SGD (or supplied optimizer) update; returns the pre-step loss."""
-    losses = []
-    for ex in batch:
-        head = forward_train(ex.image, ex.prior, state)
-        with T.no_grad():
-            preds = head.to_predictions()
-        a = assign(preds, list(ex.crops), w)
-        losses.append(training_loss(head, a, list(ex.crops), w))
-    total = losses[0]
-    for extra in losses[1:]:
-        total = T.add(total, extra)
-    loss = T.scale(total, 1.0 / len(batch))
+    """One SGD (or supplied optimizer) update; returns the pre-step loss.
+
+    The batch's images go through one recorded graph: one forward gives
+    (B, N, ·) heads, each image is matched on its own detached rows,
+    ``training_loss`` gives one loss per image and ``sum_batch`` adds
+    them left to right. The loss, the gradients and so the update have
+    the bytes of a loop that records, matches and scores each image on
+    its own and adds the B losses with ``add``.
+    """
+    if not batch:
+        raise CardinalityMismatch("train_step needs at least one example")
+    head = forward_train([ex.image for ex in batch], [ex.prior for ex in batch], state)
+    crops = [list(ex.crops) for ex in batch]
+    assignments = [assign(head.entry(e).to_predictions(), gts, w) for e, gts in enumerate(crops)]
+    loss = T.scale(T.sum_batch(training_loss(head, assignments, crops, w)), 1.0 / len(batch))
     value = loss.item()
     T.backward(loss)
     params = state.parameters()

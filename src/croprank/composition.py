@@ -211,7 +211,7 @@ def biased_cross_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    prior: CompositionPrior | None = None,
+    prior: CompositionPrior | None | list = None,
     weights_out: list | None = None,
     n_heads: int = 1,
 ) -> Tensor:
@@ -219,13 +219,19 @@ def biased_cross_attention(
 
     The bias row is shared by all queries and heads (and, at the
     caller's level, by all layers); ``tensor.attention`` does the work.
-    Pass a list as ``weights_out`` to capture one detached (m, n_keys)
-    array of attention weights per head, in head order.
+    For a batch, ``prior`` is a list with one prior (or None) per
+    entry, stacked into one (B, 1, n_keys) bias. Pass a list as
+    ``weights_out`` to capture one detached (m, n_keys) array of
+    attention weights per head, in head order.
     """
-    log_bias = None
-    if prior is not None:
-        n_cells = prior.grid_h * prior.grid_w
-        if T.matrix_dims(k)[0] != n_cells:
-            raise DimMismatch(f"prior has {n_cells} cells but the keys are {k.dims}")
-        log_bias = prior.flat_log_bias(q.data.dtype)
+    priors = prior if isinstance(prior, list) else [prior]
+    if all(p is None for p in priors):
+        return T.attention(q, k, v, n_heads, None, weights_out)
+    n_keys = T.matrix_dims(k)[0]
+    for p in priors:
+        if p is not None and p.grid_h * p.grid_w != n_keys:
+            raise DimMismatch(f"prior has {p.grid_h * p.grid_w} cells but the keys are {k.dims}")
+    # a missing prior is a zero log-bias row: log 1 = 0 leaves its logits as they are
+    rows = [np.zeros((1, n_keys), q.data.dtype) if p is None else p.flat_log_bias(q.data.dtype) for p in priors]
+    log_bias = np.stack(rows) if isinstance(prior, list) else rows[0]
     return T.attention(q, k, v, n_heads, log_bias, weights_out)

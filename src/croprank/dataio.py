@@ -9,7 +9,9 @@ end-to-end training has a ground truth to converge to. Checkpoints
 """
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -22,6 +24,7 @@ from .errors import (
     BadMagic,
     BadShape,
     BadVersion,
+    ChecksumMismatch,
     CropError,
     Degenerate,
     MissingFile,
@@ -462,21 +465,45 @@ def generate_synthetic(
 # -- checkpoints ------------------------------------------------------------------
 
 
+def _replace(path: Path, write) -> None:
+    """Write ``path`` through a temp file beside it and ``os.replace``, so it is old or new, never partial."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def save_checkpoint(out_dir, state: ModelState, extra: dict | None = None) -> None:
-    """Manifest JSON plus one AESC file per named parameter."""
+    """One AESC file per named parameter, then the manifest JSON with each file's sha256.
+
+    Every file goes through a temp file and ``os.replace``, the manifest
+    last. A save cut short leaves the previous manifest, whose checksums
+    no longer match the files already replaced, so ``load_checkpoint``
+    refuses the mix instead of returning it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = state.param_names()
+    checksums = {}
+    for name in names:
+        path = out / f"{name}.aesc"
+        _replace(path, lambda tmp: write_tensor(tmp, state.params[name]))
+        checksums[name] = _sha256(path)
     manifest = {
         "format": 1,
         "model": asdict(state.config),
         "dtype": "f32" if state.dtype == np.float32 else "f64",
         "params": names,
+        "sha256": checksums,
         "extra": extra or {},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    for name in names:
-        write_tensor(out / f"{name}.aesc", state.params[name])
+    _replace(out / "manifest.json", lambda tmp: tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True)))
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
@@ -491,7 +518,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
         raise ParseError(f"manifest is not valid JSON: {e.msg}") from e
     if not isinstance(manifest, dict):
         raise ParseError("manifest is not a JSON object")
-    for key in ("format", "model", "dtype", "params"):
+    for key in ("format", "model", "dtype", "params", "sha256"):
         if key not in manifest:
             raise ParseError(f"manifest missing field {key!r}", field=key)
     if manifest["format"] != 1:
@@ -512,10 +539,16 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
     state = init_state(config, seed=0, dtype=dtype)
     if set(params) != set(state.param_names()):
         raise ParseError("manifest parameter list does not match the configured model", field="params")
+    checksums = manifest["sha256"]
+    if not isinstance(checksums, dict) or set(checksums) != set(params):
+        raise ParseError("manifest sha256 must map every parameter to a checksum", field="sha256")
     for name in params:
-        loaded = read_tensor(ckpt / f"{name}.aesc")
+        path = ckpt / f"{name}.aesc"
+        loaded = read_tensor(path)
         if loaded.dims != state.params[name].dims:
             raise BadShape(f"parameter {name}: stored {loaded.dims} != expected {state.params[name].dims}")
+        if _sha256(path) != checksums[name]:
+            raise ChecksumMismatch(f"parameter {name}: {path} does not match the manifest's sha256")
         state.params[name].data[...] = loaded.data.astype(dtype)
     return state, extra
 

@@ -12,6 +12,11 @@ fused ``tensor.attention`` op. Two heads turn the final query
 embeddings into (cx, cy, w, h) boxes and quality scores, both through
 sigmoids. Every affine layer (patch projection, attention projections,
 FFN and heads) is one ``tensor.linear`` op with a (1, n) bias row.
+
+``forward_train`` also takes a batch: a list of images and a list of
+priors give (B, N, ·) heads in one recorded graph. Each image's values
+are the bytes its own forward gives, and the anchor queries, with the
+first self-attention block, are computed once for the whole batch.
 """
 from __future__ import annotations
 
@@ -107,14 +112,20 @@ class Prediction:
 class HeadOutputs:
     """Raw head tensors kept differentiable for the training loss."""
 
-    boxes: Tensor  # (N, 4) cxcywh, each in (0, 1)
-    scores: Tensor  # (N, 1) in (0, 1)
+    boxes: Tensor  # (N, 4) cxcywh, each in (0, 1); (B, N, 4) for a batch
+    scores: Tensor  # (N, 1) in (0, 1); (B, N, 1) for a batch
+
+    def entry(self, index: int) -> "HeadOutputs":
+        """Batch entry ``index`` as detached (N, ·) constants."""
+        return HeadOutputs(boxes=T.constant(self.boxes.data[index]), scores=T.constant(self.scores.data[index]))
 
     def to_predictions(self) -> list[Prediction]:
-        """Detach into Prediction values; sub-1e-6 extents are rejected."""
+        """Detach one image's rows into Prediction values; sub-1e-6 extents are rejected."""
         out = []
         b = self.boxes.data
         s = self.scores.data
+        if b.ndim != 2:
+            raise DimMismatch(f"to_predictions takes one image's (N, 4) boxes, got {b.shape}; use entry()")
         for i in range(b.shape[0]):
             w, h = float(b[i, 2]), float(b[i, 3])
             if w < MIN_PREDICTED_EXTENT or h < MIN_PREDICTED_EXTENT:
@@ -213,13 +224,16 @@ def patch_matrix(image: np.ndarray, config: ModelConfig) -> np.ndarray:
     return np.ascontiguousarray(patches)
 
 
-def encode(image: np.ndarray, state: ModelState, add_position: bool = True) -> Tensor:
-    """Patch-embed an image into (n_cells, d) key/value memory.
+def encode(image: np.ndarray | list, state: ModelState, add_position: bool = True) -> Tensor:
+    """Patch-embed an image into (n_cells, d) key/value memory; a list of images gives (B, n_cells, d).
 
     ``add_position=False`` exposes the content embeddings alone (used
     by permutation probes); normal forward passes keep the default.
     """
-    patches = patch_matrix(np.asarray(image, dtype=state.dtype), state.config)
+    if isinstance(image, list):
+        patches = np.stack([patch_matrix(np.asarray(im, dtype=state.dtype), state.config) for im in image])
+    else:
+        patches = patch_matrix(np.asarray(image, dtype=state.dtype), state.config)
     content = T.linear(T.constant(patches), state["enc.proj.w"], state["enc.proj.b"])
     if not add_position:
         return content
@@ -231,7 +245,7 @@ def _multi_head_attention(
     prefix: str,
     queries: Tensor,
     memory: Tensor,
-    prior: CompositionPrior | None,
+    prior: CompositionPrior | None | list,
     weights_out: list | None,
 ) -> Tensor:
     q = T.linear(queries, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
@@ -246,7 +260,7 @@ def _multi_head_attention(
 
 def decode(
     memory: Tensor,
-    prior: CompositionPrior | None,
+    prior: CompositionPrior | None | list,
     state: ModelState,
     attention_out: list | None = None,
 ) -> Tensor:
@@ -255,16 +269,17 @@ def decode(
     Pre-norm blocks: x += SelfAttn(LN(x)); x += CrossAttn(LN(x), E)
     with the composition bias added to every head's scaled logits;
     x += FFN(LN(x)). The same prior is shared by all layers and heads.
-    ``attention_out`` collects one (n_heads, N, n_cells) array per
-    layer of cross-attention weights.
+    A (B, n_cells, d) memory takes a list of B priors (or Nones), one
+    per image. ``attention_out`` collects one (n_heads, N, n_cells)
+    array per layer of cross-attention weights ((n_heads, B, N,
+    n_cells) for a batch).
     """
     cfg = state.config
     if T.matrix_dims(memory) != (cfg.n_cells, cfg.model_dim):
         raise DimMismatch(f"memory {memory.dims} != ({cfg.n_cells}, {cfg.model_dim})")
-    if prior is not None and (prior.grid_h, prior.grid_w) != (cfg.grid_h, cfg.grid_w):
-        raise DimMismatch(
-            f"prior grid ({prior.grid_h}, {prior.grid_w}) != configured ({cfg.grid_h}, {cfg.grid_w})"
-        )
+    for p in prior if isinstance(prior, list) else [prior]:
+        if p is not None and (p.grid_h, p.grid_w) != (cfg.grid_h, cfg.grid_w):
+            raise DimMismatch(f"prior grid ({p.grid_h}, {p.grid_w}) != configured ({cfg.grid_h}, {cfg.grid_w})")
     x = state["query.embed"]
     for i in range(cfg.n_layers):
         normed = T.layer_norm(x, state[f"layer{i}.ln1.g"], state[f"layer{i}.ln1.b"])
@@ -290,12 +305,15 @@ def predict_heads(decoded: Tensor, state: ModelState) -> HeadOutputs:
 
 
 def forward_train(
-    image: np.ndarray,
-    prior: CompositionPrior | None,
+    image: np.ndarray | list,
+    prior: CompositionPrior | None | list,
     state: ModelState,
     attention_out: list | None = None,
 ) -> HeadOutputs:
-    """encode -> decode -> heads with the graph kept for backward."""
+    """encode -> decode -> heads with the graph kept for backward.
+
+    Lists of B images and B priors give (B, N, ·) heads.
+    """
     memory = encode(image, state)
     decoded = decode(memory, prior, state, attention_out=attention_out)
     return predict_heads(decoded, state)

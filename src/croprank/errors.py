@@ -159,3 +159,9 @@ class TruncatedPayload(CropError):
     """A binary tensor file ends before the declared payload is complete."""
 
     code = "truncated_payload"
+
+
+class ChecksumMismatch(CropError):
+    """A checkpoint file's bytes differ from the sha256 its manifest records."""
+
+    code = "checksum_mismatch"

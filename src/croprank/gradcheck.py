@@ -8,7 +8,7 @@ manufacture huge ratios out of finite-difference noise.
 
 The probe is batched: all 2k perturbed copies of a k-entry parameter
 are stacked along a leading axis and evaluated in one no-grad forward
-(ops accept that axis while recording is off), so a parameter costs
+(every op accepts that axis), so a parameter costs
 one ``loss_fn`` call instead of 2k. Each row holds the values a
 per-entry loop would set, and the batched ops reproduce each row's
 rank-2 result, so the differences match that loop's.

@@ -13,21 +13,25 @@ shapes, and scalars enter through ``scale``/``add_const`` (or a bare
 Python float on the operator sugar). Anything fancier raises
 DimMismatch instead of silently broadcasting.
 
-One exception, for forward values only: while ``no_grad`` is active,
-every op also accepts a leading batch axis, so a (B, m, n) operand
-stands for B separate (m, n) matrices and may meet an unbatched
-(m, n) one, which counts for all B. Trailing dims must still match
-exactly, and no op batches over more than one leading axis.
-``gradcheck.numeric_gradient`` uses this to evaluate every
-perturbation of a parameter in one forward. ``matrix_dims`` is the one
-reader of that axis, here and in every other module: it returns a
-matrix's (rows, cols) and raises unless the rank is 2, or 3 under
-``no_grad``. So while recording, the ops that call it (``matmul``,
-``linear``, ``transpose``, ``softmax_rows``, ``layer_norm``,
-``attention``, ``sum_all``, ``sum_cols``, ``slice_cols``,
-``concat_cols``, ``gather_rows``) take rank 2 only and mixed-rank
-elementwise operands raise; elementwise ops on equal shapes do not
-check rank.
+One exception: every op accepts a leading batch axis, so a (B, m, n)
+operand stands for B separate (m, n) matrices and may meet an
+unbatched (m, n) one, which counts for all B. Trailing dims must still
+match exactly, and no op batches over more than one leading axis.
+``matrix_dims`` is the one reader of that axis, here and in every
+other module: it returns a matrix's (rows, cols) and raises unless the
+rank is 2 or 3. Under ``no_grad`` the axis carries the perturbed copies
+of ``gradcheck.numeric_gradient``'s probe; while recording it carries
+the images of one training batch. Each entry's values are the bytes the
+op gives that entry alone.
+
+Backward is batch-aware the same way. An adjoint may carry the batch
+axis where its node's data does not: a node computed once for every
+image (a parameter, or a block that does not depend on the image)
+receives one contribution per image, (B, *shape). Op outputs add such
+stacks elementwise. A leaf keeps every contribution until its last
+use has reported, then adds them image-major, each image's in arrival
+order: the order a loop would have used that records one graph per
+image, adds the losses with ``add`` and backpropagates the sum.
 
 Gradient buffers live on leaves only: ``backward`` keeps op outputs'
 adjoints in a local table and adds into ``.grad`` at the leaves.
@@ -90,13 +94,13 @@ def branches(out: list):
 class Tensor:
     """A numpy array plus optional gradient and autodiff bookkeeping.
 
-    Invariants: ``grad`` is a buffer (zeros, same shape/dtype as
-    ``data``) exactly on leaves made with ``requires_grad=True``, and
-    None otherwise; a recorded op output requires grad but holds no
-    buffer. The one exception is the finite-difference probe, which
-    swaps a (B, *shape) stack into ``data`` under ``no_grad`` and puts
-    the original array back afterwards; ``matrix_dims`` reads past that
-    leading axis.
+    Invariants: ``data`` is a matrix, or a (B, m, n) batch of them, and
+    ``matrix_dims`` reads past that leading axis. ``grad`` is a buffer
+    (zeros, same shape/dtype as ``data``) exactly on leaves made with
+    ``requires_grad=True``, and None otherwise; a recorded op output
+    requires grad but holds no buffer. The finite-difference probe
+    swaps a (B, *shape) stack into a leaf's ``data`` under ``no_grad``
+    and puts the original array back afterwards.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -204,21 +208,29 @@ def ones(shape: Sequence[int], dtype=np.float64, requires_grad: bool = False) ->
 
 
 def matrix_dims(t: Tensor) -> tuple[int, int]:
-    """(rows, cols) of a matrix: rank 2, or rank 3 (a leading probe axis) while recording is off."""
+    """(rows, cols) of a matrix: rank 2, or rank 3 with a leading batch axis."""
     shape = t.data.shape
-    if len(shape) != 2 and (len(shape) != 3 or _GRAD_ENABLED):
-        raise DimMismatch(f"expected a rank-2 tensor, got shape {shape}")
+    if len(shape) not in (2, 3):
+        raise DimMismatch(f"expected a rank-2 tensor or a rank-3 batch, got shape {shape}")
     return shape[-2:]
 
 
 def _need_same(a: Tensor, b: Tensor, op: str) -> None:
-    """Equal shapes, or while recording is off an (m, n) operand against a (B, m, n) one."""
+    """Equal shapes, or an (m, n) operand against a (B, m, n) one."""
     if a.data.shape != b.data.shape and (
-        _GRAD_ENABLED or sorted((a.data.ndim, b.data.ndim)) != [2, 3] or a.dims[-2:] != b.dims[-2:]
+        sorted((a.data.ndim, b.data.ndim)) != [2, 3] or a.dims[-2:] != b.dims[-2:]
     ):
         raise DimMismatch(f"{op}: shapes {a.dims} and {b.dims} differ")
     if a.data.dtype != b.data.dtype:
         raise DimMismatch(f"{op}: dtypes {a.data.dtype} and {b.data.dtype} differ")
+
+
+def _batch(op: str, *arrays: Array) -> tuple[int, ...]:
+    """The leading batch axis the operands share: (B,), or () when none has one."""
+    sizes = {a.shape[0] for a in arrays if a.ndim == 3}
+    if len(sizes) > 1:
+        raise DimMismatch(f"{op}: batch sizes {sorted(sizes)} differ")
+    return tuple(sizes)
 
 
 # -- core ops ------------------------------------------------------------------
@@ -229,10 +241,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimMismatch(f"matmul: inner dims {a.dims} x {b.dims}")
     if a.data.dtype != b.data.dtype:
         raise DimMismatch(f"matmul: dtypes {a.data.dtype} and {b.data.dtype} differ")
-    out = a.data @ b.data
+    try:
+        out = a.data @ b.data
+    except ValueError as e:  # the dims are checked, so only the batch sizes can differ
+        raise DimMismatch(f"matmul: batch sizes of {a.dims} and {b.dims} differ") from e
 
     def vjp(g: Array):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return Tensor._from_op(out, (a, b), vjp, "matmul")
 
@@ -249,10 +264,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimMismatch(f"linear: bias must be (1, {n}), got {b.dims}")
     if w.data.dtype != x.data.dtype or b.data.dtype != x.data.dtype:
         raise DimMismatch(f"linear: dtypes {x.data.dtype}, {w.data.dtype} and {b.data.dtype} differ")
-    out = x.data @ w.data + b.data
+    try:
+        out = x.data @ w.data + b.data
+    except ValueError as e:  # the dims are checked, so only the batch sizes can differ
+        raise DimMismatch(f"linear: batch sizes of {x.dims}, {w.dims} and {b.dims} differ") from e
 
     def vjp(g: Array):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
+        return g @ w.data.swapaxes(-1, -2), x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
     return Tensor._from_op(out, (x, w, b), vjp, "linear")
 
@@ -261,7 +279,7 @@ def transpose(x: Tensor) -> Tensor:
     matrix_dims(x)
 
     def vjp(g: Array):
-        return (g.T.copy(),)
+        return (g.swapaxes(-1, -2).copy(),)
 
     return Tensor._from_op(x.data.swapaxes(-1, -2).copy(), (x,), vjp, "transpose")
 
@@ -427,7 +445,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
     return Tensor._from_op(out, (x,), vjp, "softmax_rows")
@@ -452,11 +470,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def vjp(g: Array):
         gy = g * gain.data
         # d/dx of (x - mu) * inv with mu, inv both functions of the row
-        mean_gy = gy.mean(axis=1, keepdims=True)
-        mean_gy_xhat = (gy * xhat).mean(axis=1, keepdims=True)
+        mean_gy = gy.mean(axis=-1, keepdims=True)
+        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
-        ggain = (g * xhat).sum(axis=0, keepdims=True)
-        gbias = g.sum(axis=0, keepdims=True)
+        ggain = (g * xhat).sum(axis=-2, keepdims=True)
+        gbias = g.sum(axis=-2, keepdims=True)
         return gx, ggain, gbias
 
     return Tensor._from_op(out, (x, gain, bias), vjp, "layer_norm")
@@ -474,9 +492,10 @@ def attention(
 
     q is (m, d), k is (n, d) and v is (n, d_v); each splits into
     ``n_heads`` equal column blocks, one per head. ``log_bias`` is a
-    constant (1, n) row added to every head's scaled logits. Pass a
-    list as ``weights_out`` to capture one detached (m, n) weight array
-    per head, in head order.
+    constant (1, n) row added to every head's scaled logits, or a
+    (B, 1, n) stack of one row per batch entry. Pass a list as
+    ``weights_out`` to capture one detached (m, n) weight array per
+    head, in head order ((B, m, n) for a batch).
 
     The op is fused so the backward pass is closed form per head:
     gV = A^T g, gA = g V^T, gS = c A (gA - rowsum(gA A)), gQ = gS K and
@@ -493,8 +512,11 @@ def attention(
         raise DimMismatch(f"attention: widths {d} and {dv_all} do not split into {n_heads} heads")
     if k.data.dtype != q.data.dtype or v.data.dtype != q.data.dtype:
         raise DimMismatch(f"attention: dtypes {q.data.dtype}, {k.data.dtype} and {v.data.dtype} differ")
-    if log_bias is not None and (log_bias.shape != (1, n) or log_bias.dtype != q.data.dtype):
-        raise DimMismatch(f"attention: log_bias must be a (1, {n}) {q.data.dtype} row, got {log_bias.shape}")
+    if log_bias is not None and (
+        log_bias.ndim not in (2, 3) or log_bias.shape[-2:] != (1, n) or log_bias.dtype != q.data.dtype
+    ):
+        raise DimMismatch(f"attention: log_bias must be (1, {n}) {q.data.dtype} rows, got {log_bias.shape}")
+    _batch("attention", q.data, k.data, v.data, *([] if log_bias is None else [log_bias]))
     dh, dv = d // n_heads, dv_all // n_heads
     # a Python float: a numpy scalar would promote f32 logits to f64
     c = 1.0 / math.sqrt(dh)
@@ -516,14 +538,15 @@ def attention(
     out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=-1)
 
     def vjp(g: Array):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        # an operand computed once for the whole batch gets one gradient per entry
+        gq, gk, gv = (np.empty(g.shape[:-2] + t.data.shape[-2:], dtype=t.data.dtype) for t in (q, k, v))
         for i, (qh, kt, vh, a) in enumerate(heads):
-            gh = g[:, i * dv : (i + 1) * dv].copy()
-            ga = gh @ vh.T
-            gs = (ga - (ga * a).sum(axis=1, keepdims=True)) * a * c
-            gq[:, i * dh : (i + 1) * dh] = gs @ kt.T
-            gk[:, i * dh : (i + 1) * dh] = (qh.T @ gs).T
-            gv[:, i * dv : (i + 1) * dv] = a.T @ gh
+            gh = g[..., i * dv : (i + 1) * dv].copy()
+            ga = gh @ vh.swapaxes(-1, -2)
+            gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * c
+            gq[..., i * dh : (i + 1) * dh] = gs @ kt.swapaxes(-1, -2)
+            gk[..., i * dh : (i + 1) * dh] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+            gv[..., i * dv : (i + 1) * dv] = a.swapaxes(-1, -2) @ gh
         return gq, gk, gv
 
     return Tensor._from_op(out, (q, k, v), vjp, "attention")
@@ -535,9 +558,44 @@ def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum(axis=(-2, -1), keepdims=True)
 
     def vjp(g: Array):
-        return (np.full_like(x.data, float(g.reshape(-1)[0])),)
+        return (np.broadcast_to(g, g.shape[:-2] + x.data.shape[-2:]),)
 
     return Tensor._from_op(out, (x,), vjp, "sum_all")
+
+
+def sum_batch(x: Tensor) -> Tensor:
+    """(B, m, n) -> (m, n): the B entries added left to right.
+
+    The bytes are those of add(add(x[0], x[1]), x[2]) and so on:
+    ``np.cumsum`` adds in that order, where ``.sum(axis=0)`` may pair
+    terms up.
+    """
+    if x.data.ndim != 3:
+        raise DimMismatch(f"sum_batch: expected a (B, m, n) batch, got shape {x.dims}")
+    out = np.cumsum(x.data, axis=0)[-1]
+
+    def vjp(g: Array):
+        return (np.broadcast_to(g, x.data.shape),)
+
+    return Tensor._from_op(out, (x,), vjp, "sum_batch")
+
+
+def sum_row_blocks(x: Tensor, counts: Sequence[int]) -> Tensor:
+    """Sums of consecutive row blocks of an (M, n) matrix: (len(counts), 1, 1).
+
+    Block b is the next ``counts[b]`` rows, possibly none; each block
+    is summed as ``sum_all`` sums a matrix of those rows.
+    """
+    counts = [int(c) for c in counts]
+    if x.data.ndim != 2 or min(counts, default=-1) < 0 or sum(counts) != x.dims[0]:
+        raise DimMismatch(f"sum_row_blocks: blocks {counts} do not tile the rows of {x.dims}")
+    ends = np.cumsum(counts)
+    out = np.stack([x.data[e - c : e].sum(axis=(-2, -1), keepdims=True) for c, e in zip(counts, ends)])
+
+    def vjp(g: Array):
+        return (np.broadcast_to(np.repeat(g[:, 0], counts, axis=0), x.data.shape),)
+
+    return Tensor._from_op(out, (x,), vjp, "sum_row_blocks")
 
 
 def sum_cols(x: Tensor) -> Tensor:
@@ -546,19 +604,20 @@ def sum_cols(x: Tensor) -> Tensor:
     out = x.data.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array):
-        return (np.repeat(g, n, axis=1),)
+        return (np.repeat(g, n, axis=-1),)
 
     return Tensor._from_op(out, (x,), vjp, "sum_cols")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= matrix_dims(x)[1]):
+    cols = matrix_dims(x)[1]
+    if not (0 <= start < stop <= cols):
         raise DimMismatch(f"slice_cols: [{start}, {stop}) out of bounds for {x.dims}")
     out = x.data[..., start:stop].copy()
 
     def vjp(g: Array):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
+        gx = np.zeros(g.shape[:-1] + (cols,), dtype=x.data.dtype)
+        gx[..., start:stop] = g
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp, "slice_cols")
@@ -573,9 +632,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if len({p.data.dtype for p in parts}) > 1:
         raise DimMismatch("concat_cols: dtypes differ")
     widths = [cols for _, cols in dims]
-    lead = {p.dims[0] for p in parts if p.data.ndim == 3}
-    if len(lead) > 1:
-        raise DimMismatch(f"concat_cols: batch sizes {sorted(lead)} differ")
+    lead = _batch("concat_cols", *(p.data for p in parts))
     # an unbatched part counts for every batch entry: broadcast its leading axis only
     blocks = [np.broadcast_to(p.data, (*lead, *d)) for p, d in zip(parts, dims)]
     out = np.concatenate(blocks, axis=-1)
@@ -584,7 +641,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         grads = []
         at = 0
         for w in widths:
-            grads.append(g[:, at : at + w])
+            grads.append(g[..., at : at + w])
             at += w
         return tuple(grads)
 
@@ -601,19 +658,31 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
     out = x.data[..., idx, :].copy()
 
     def vjp(g: Array):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        gx = np.zeros(g.shape[:-2] + x.data.shape[-2:], dtype=x.data.dtype)
+        np.add.at(gx, (..., idx, slice(None)), g)
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp, "gather_rows")
 
 
+def flatten_batch(x: Tensor) -> Tensor:
+    """(B, m, n) -> (B * m, n): the batch's matrices stacked row-wise, entry 0 on top."""
+    if x.data.ndim != 3:
+        raise DimMismatch(f"flatten_batch: expected a (B, m, n) batch, got shape {x.dims}")
+
+    def vjp(g: Array):
+        return (g.reshape(x.data.shape),)
+
+    return Tensor._from_op(x.data.reshape(-1, x.dims[-1]).copy(), (x,), vjp, "flatten_batch")
+
+
 # -- graph and backward ---------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order DFS (parents before children)."""
+def _topo_order(root: Tensor) -> tuple[list[Tensor], dict[int, int]]:
+    """Iterative post-order DFS (parents before children), and each leaf's number of uses."""
     out: list[Tensor] = []
+    uses: dict[int, int] = {}
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
@@ -626,9 +695,28 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    return out
+            if p.requires_grad:
+                if p._vjp is None:
+                    uses[id(p)] = uses.get(id(p), 0) + 1
+                if id(p) not in seen:
+                    stack.append((p, False))
+    return out, uses
+
+
+def _fold(parts: list[Array], leaf: Tensor) -> Array:
+    """A leaf's contributions summed image-major, each image's in arrival order.
+
+    A part with one axis more than the leaf holds one contribution per
+    batch entry; a part without it counts as entry 0 only. The terms are
+    added one at a time, as a per-image loop would have added them;
+    ``.sum(axis=0)`` would pair terms up for a (1, 1) leaf.
+    """
+    stacks = [p if p.ndim > leaf.data.ndim else p[None] for p in parts]
+    terms = [s[e] for e in range(max(map(len, stacks))) for s in stacks if e < len(s)]
+    total = terms[0].astype(leaf.data.dtype, copy=True)
+    for t in terms[1:]:
+        total += t
+    return total
 
 
 def backward(loss: Tensor) -> None:
@@ -637,21 +725,29 @@ def backward(loss: Tensor) -> None:
         raise NotScalar(f"backward expects a scalar, got shape {loss.dims}")
     if not loss.requires_grad:
         raise DisconnectedGraph("loss does not depend on any tensor requiring grad")
-    order = _topo_order(loss)
+    if loss._vjp is None:
+        loss.grad += 1.0
+        return
+    order, uses = _topo_order(loss)
     adjoint: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    parts: dict[int, list[Array]] = {}
     for node in reversed(order):
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
         if node._vjp is None:
-            node.grad += g
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+            continue  # a leaf: folded when its last use reported
+        for parent, pg in zip(node._parents, node._vjp(adjoint.pop(id(node)))):
             if not parent.requires_grad:
+                continue
+            if parent._vjp is None:
+                got = parts.setdefault(id(parent), [])
+                got.append(pg)
+                if len(got) == uses[id(parent)]:
+                    parent.grad += _fold(parts.pop(id(parent)), parent)
                 continue
             acc = adjoint.get(id(parent))
             if acc is None:
                 adjoint[id(parent)] = pg.astype(parent.data.dtype, copy=True)
+            elif acc.shape != pg.shape:
+                raise DimMismatch(f"backward: {parent._op} output gets adjoints of shapes {acc.shape} and {pg.shape}")
             else:
                 acc += pg
 

@@ -27,7 +27,7 @@ from croprank.assignment import (
 from croprank.cli import build_prior
 from croprank.dataio import generate_synthetic
 from croprank.decoder import HeadOutputs, ModelConfig, Prediction, forward_train, init_state
-from croprank.errors import CardinalityMismatch, DomainError, NonFinite, NonSquare, OutOfRange
+from croprank.errors import CardinalityMismatch, DimMismatch, DomainError, NonFinite, NonSquare, OutOfRange
 from croprank.gradcheck import toy_config
 from croprank.geometry import CropBox, ScoredCrop, boxes_array, giou, giou_pairs, iou, l1_box, l1_pairs
 
@@ -490,6 +490,121 @@ class TestTrainStep:
         assert min(losses[100:]) < min(losses[:50])
 
 
+def reference_train_step(state, batch, w, lr, optimizer=None) -> float:
+    """Reference: one recorded graph per image, the losses added with ``add``, as before batching."""
+    losses = []
+    for ex in batch:
+        head = forward_train(ex.image, ex.prior, state)
+        with T.no_grad():
+            preds = head.to_predictions()
+        a = assign(preds, list(ex.crops), w)
+        losses.append(training_loss(head, a, list(ex.crops), w))
+    total = losses[0]
+    for extra in losses[1:]:
+        total = T.add(total, extra)
+    loss = T.scale(total, 1.0 / len(batch))
+    value = loss.item()
+    T.backward(loss)
+    params = state.parameters()
+    if optimizer is None:
+        T.sgd_step(params, lr)
+    else:
+        optimizer.step(params, lr)
+    return value
+
+
+class _GradRecordingAdam(T.Adam):
+    """Adam that keeps a copy of the gradients it was handed."""
+
+    def step(self, params, lr):
+        self.grads = [p.grad.tobytes() for p in params]
+        super().step(params, lr)
+
+
+@pytest.fixture(scope="module")
+def desk_records(tmp_path_factory):
+    return generate_synthetic(46, 16, tmp_path_factory.mktemp("desk"))
+
+
+class TestBatchedStep:
+    """One recorded graph per step gives the bytes of the per-image loop."""
+
+    @staticmethod
+    def _examples(records, mode, dtype):
+        config = ModelConfig()
+        examples = [TrainExample(image=r.load_image().astype(dtype), prior=build_prior(r, config, mode),
+                                 crops=r.crops) for r in records]
+        # one image without a crop of MOS >= 4: focal terms only, no box rows
+        weak = tuple(ScoredCrop(box=c.box, mos=min(c.mos, 3.5)) for c in examples[1].crops)
+        examples[1] = TrainExample(image=examples[1].image, prior=examples[1].prior, crops=weak)
+        return examples
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    @pytest.mark.parametrize("mode", ["average", "off"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_per_image_loop_bit_for_bit(self, desk_records, size, mode, dtype):
+        examples = self._examples(desk_records, mode, dtype)
+        batches = [examples[:size], examples[16 - size :][::-1]]
+        if size > 1:
+            goods = [sum(c.mos >= 4.0 for c in ex.crops) for ex in batches[0]]
+            assert 0 in goods and len(set(goods)) > 2
+        states = [init_state(ModelConfig(), seed=5, dtype=dtype) for _ in range(2)]
+        optimizers = [_GradRecordingAdam(), _GradRecordingAdam()]
+        for batch in batches:
+            batched = train_step(states[0], batch, W, 1e-3, optimizer=optimizers[0])
+            looped = reference_train_step(states[1], batch, W, 1e-3, optimizer=optimizers[1])
+            assert np.float64(batched).tobytes() == np.float64(looped).tobytes()
+            assert optimizers[0].grads == optimizers[1].grads
+            for a, b in zip(states[0].parameters(), states[1].parameters()):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_a_batch_mixing_priors_and_none(self, desk_records):
+        examples = self._examples(desk_records[:5], "average", np.float64)
+        # an image without a prior gets a zero log-bias row, which leaves its logits as they are
+        batch = [ex if i % 2 else TrainExample(image=ex.image, prior=None, crops=ex.crops)
+                 for i, ex in enumerate(examples)]
+        state, ref = init_state(ModelConfig(), seed=9), init_state(ModelConfig(), seed=9)
+        optimizers = [_GradRecordingAdam(), _GradRecordingAdam()]
+        batched = train_step(state, batch, W, 1e-3, optimizer=optimizers[0])
+        assert batched == reference_train_step(ref, batch, W, 1e-3, optimizer=optimizers[1])
+        assert optimizers[0].grads == optimizers[1].grads
+
+    def test_a_batch_without_matched_rows(self, desk_records):
+        examples = self._examples(desk_records[:2], "average", np.float32)
+        batch = [examples[1], examples[1]]
+        state, ref = init_state(ModelConfig(), seed=8, dtype=np.float32), init_state(ModelConfig(), seed=8,
+                                                                                    dtype=np.float32)
+        optimizers = [_GradRecordingAdam(), _GradRecordingAdam()]
+        batched = train_step(state, batch, W, 1e-3, optimizer=optimizers[0])
+        assert batched == reference_train_step(ref, batch, W, 1e-3, optimizer=optimizers[1])
+        assert optimizers[0].grads == optimizers[1].grads
+
+    def test_sgd_step_and_head_shapes(self, desk_records):
+        examples = self._examples(desk_records[:3], "average", np.float64)
+        state, ref = init_state(ModelConfig(), seed=6), init_state(ModelConfig(), seed=6)
+        assert train_step(state, examples, W, 0.05) == reference_train_step(ref, examples, W, 0.05)
+        for a, b in zip(state.parameters(), ref.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        head = forward_train([ex.image for ex in examples], [ex.prior for ex in examples], state)
+        assert head.boxes.dims == (3, 16, 4) and head.scores.dims == (3, 16, 1)
+        with pytest.raises(DimMismatch):
+            head.to_predictions()
+        assert len(head.entry(2).to_predictions()) == 16
+
+    def test_batch_and_assignment_counts_must_agree(self, desk_records):
+        examples = self._examples(desk_records[:2], "off", np.float64)
+        state = init_state(ModelConfig(), seed=7)
+        head = forward_train([ex.image for ex in examples], [None, None], state)
+        crops = [list(ex.crops) for ex in examples]
+        a = [assign(head.entry(e).to_predictions(), crops[e], W) for e in range(2)]
+        with pytest.raises(CardinalityMismatch):
+            training_loss(head, a[:1], crops[:1], W)
+        with pytest.raises(CardinalityMismatch):
+            training_loss(head, a, crops[:1], W)
+        with pytest.raises(CardinalityMismatch):
+            train_step(state, [], W, 0.1)
+
+
 def _recorded(loss) -> list:
     """Every tensor recorded behind ``loss``: op nodes and the leaves that require grad."""
     nodes, seen, stack = [], {id(loss)}, [loss]
@@ -532,6 +647,22 @@ class TestGraphSize:
         assert counts["linear"] == 25 and "matmul" not in counts
         assert counts["gather_rows"] == 1 and counts["pow_const"] == 1
         assert sum(counts.values()) == 117
+
+    def test_a_batch_records_one_graph_whatever_its_size(self, desk_records):
+        config = ModelConfig()
+        state = init_state(config, seed=0)
+        counts = {}
+        for size in (1, 4, 16):
+            records = desk_records[:size]
+            head = forward_train([r.load_image() for r in records],
+                                 [build_prior(r, config, "average") for r in records], state)
+            crops = [list(r.crops) for r in records]
+            a = [assign(head.entry(e).to_predictions(), gts, W) for e, gts in enumerate(crops)]
+            counts[size] = _op_counts(T.scale(T.sum_batch(training_loss(head, a, crops, W)), 1.0 / size))
+        assert counts[1] == counts[4] == counts[16]
+        # one image's 117 nodes, the box rows flattened, the losses summed and scaled
+        assert sum(counts[16].values()) == 117 + 3
+        assert counts[16]["sum_row_blocks"] == 2 and "sum_all" in counts[16] and counts[16]["flatten_batch"] == 1
 
     def test_backward_leaves_gradient_buffers_on_parameters_only(self, tmp_path):
         state, loss = _desk_image_loss(tmp_path)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from croprank import dataio
 from croprank.dataio import (
     AESC_MAGIC,
     AESC_VERSION,
@@ -24,6 +25,7 @@ from croprank.errors import (
     BadMagic,
     BadShape,
     BadVersion,
+    ChecksumMismatch,
     MissingFile,
     OutOfRange,
     ParseError,
@@ -383,6 +385,56 @@ class TestCheckpoints:
         write_tensor(tmp_path / "ck" / "query.embed.aesc", np.zeros((2, 2)))
         with pytest.raises(BadShape):
             load_checkpoint(tmp_path / "ck")
+
+    def test_interrupted_overwrite_is_refused(self, tmp_path, monkeypatch):
+        old = self._trained_state()
+        save_checkpoint(tmp_path / "ck", old)
+        new = init_state(toy_config(), seed=5)
+        written = []
+        real_write = dataio.write_tensor
+
+        def fail_after_five(path, t):
+            if len(written) == 5:
+                raise OSError("disk full")
+            real_write(path, t)
+            written.append(path)
+
+        monkeypatch.setattr(dataio, "write_tensor", fail_after_five)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "ck", new)
+        monkeypatch.undo()
+        # five files hold the new values, the manifest and the rest the old ones
+        assert not list((tmp_path / "ck").glob("*.tmp"))
+        with pytest.raises(ChecksumMismatch) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert err.value.code == "checksum_mismatch"
+        save_checkpoint(tmp_path / "ck", new)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        for name in new.param_names():
+            assert loaded[name].data.tobytes() == new[name].data.tobytes()
+
+    def test_changed_parameter_file_is_refused(self, tmp_path):
+        state = self._trained_state()
+        save_checkpoint(tmp_path / "ck", state)
+        write_tensor(tmp_path / "ck" / "query.embed.aesc", state["query.embed"].data + 1.0)
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_checksums_must_cover_every_parameter(self, tmp_path):
+        state = self._trained_state()
+        save_checkpoint(tmp_path / "ck", state)
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        partial = dict(list(manifest["sha256"].items())[1:])
+        for checksums in (partial, ["abc"], None):
+            (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**manifest, "sha256": checksums}))
+            with pytest.raises(ParseError) as err:
+                load_checkpoint(tmp_path / "ck")
+            assert err.value.field == "sha256"
+        del manifest["sha256"]
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert err.value.field == "sha256"
 
 
 class TestPgm:

@@ -1,4 +1,5 @@
-"""The batched finite-difference probe and the no-grad leading batch axis it relies on."""
+"""The batched finite-difference probe and the leading batch axis it relies on."""
+import contextlib
 import zlib
 
 import numpy as np
@@ -104,27 +105,33 @@ def _batched(shape, batch=3):
 
 
 class TestBatchAxis:
-    def test_recording_rejects_rank_3_in_rank_checked_ops(self):
+    def test_rank_checked_ops_take_rank_3_and_reject_rank_4_in_both_modes(self):
         x = _batched((3, 4))
-        with pytest.raises(DimMismatch):
-            T.matmul(x, T.zeros((4, 2)))
-        with pytest.raises(DimMismatch):
-            T.add(x, T.zeros((3, 4)))
-        with pytest.raises(DimMismatch):
-            T.layer_norm(x, T.ones((1, 4)), T.zeros((1, 4)))
-        with pytest.raises(DimMismatch):
-            T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2)
-        with pytest.raises(DimMismatch):
-            T.linear(x, T.zeros((4, 2)), T.zeros((1, 2)))
         w = Tensor(np.zeros((4, 2)), requires_grad=True)
-        with pytest.raises(DimMismatch):
-            T.matmul(x, w)
-        with pytest.raises(DimMismatch):
-            T.linear(T.zeros((3, 4)), w, _batched((1, 2)))
-        with pytest.raises(DimMismatch):
-            giou_pairs(x, x)
-        with pytest.raises(DimMismatch):
-            l1_pairs(x, x)
+        rank4 = T.constant(np.zeros((2, 3, 3, 4)))
+        boxes4 = T.constant(np.full((2, 3, 3, 4), 0.5))
+        for recording in (True, False):
+            with contextlib.nullcontext() if recording else T.no_grad():
+                assert T.matmul(x, w).dims == (3, 3, 2)
+                assert T.matmul(x, w).requires_grad == recording
+                assert T.add(x, T.zeros((3, 4))).dims == (3, 3, 4)
+                assert T.linear(T.zeros((3, 4)), w, _batched((1, 2))).dims == (3, 3, 2)
+                assert T.layer_norm(x, T.ones((1, 4)), T.zeros((1, 4))).dims == (3, 3, 4)
+                assert T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2).dims == (3, 3, 4)
+                assert giou_pairs(_batched((3, 4)), _batched((3, 4))).dims == (3, 3, 1)
+                for op in (
+                    lambda: T.matmul(rank4, w),
+                    lambda: T.linear(rank4, w, T.zeros((1, 2))),
+                    lambda: T.add(rank4, T.zeros((3, 4))),
+                    lambda: T.layer_norm(rank4, T.ones((1, 4)), T.zeros((1, 4))),
+                    lambda: T.attention(rank4, T.zeros((5, 4)), T.zeros((5, 4)), 2),
+                    lambda: T.sum_all(rank4),
+                    lambda: T.softmax_rows(rank4),
+                    lambda: giou_pairs(boxes4, boxes4),
+                    lambda: l1_pairs(boxes4, boxes4),
+                ):
+                    with pytest.raises(DimMismatch):
+                        op()
 
     def test_no_grad_still_checks_trailing_dims_and_rank(self):
         x = _batched((3, 4))
@@ -159,18 +166,28 @@ class TestBatchAxis:
             with pytest.raises(DimMismatch):
                 T.sum_all(rank4)
 
-    def test_matrix_dims_reads_past_the_probe_axis_only_under_no_grad(self):
+    def test_matrix_dims_reads_past_one_leading_axis_in_both_modes(self):
         x = _batched((3, 4))
         rank4 = T.constant(np.zeros((2, 3, 3, 4)))
-        assert T.matrix_dims(T.zeros((3, 4))) == (3, 4)
+        for mode in (contextlib.nullcontext(), T.no_grad()):
+            with mode:
+                assert T.matrix_dims(T.zeros((3, 4))) == (3, 4)
+                assert T.matrix_dims(x) == (3, 4)
+                with pytest.raises(DimMismatch):
+                    T.matrix_dims(rank4)
+                with pytest.raises(DimMismatch):
+                    T.matrix_dims(T.constant(np.zeros(4)))
+
+    def test_differing_batch_sizes_raise(self):
+        x, other = _batched((3, 4)), _batched((4, 2), batch=2)
         with pytest.raises(DimMismatch):
-            T.matrix_dims(x)
+            T.matmul(x, other)
         with pytest.raises(DimMismatch):
-            T.matrix_dims(rank4)
-        with T.no_grad():
-            assert T.matrix_dims(x) == (3, 4)
-            with pytest.raises(DimMismatch):
-                T.matrix_dims(rank4)
+            T.linear(x, other, T.zeros((1, 2)))
+        with pytest.raises(DimMismatch):
+            T.attention(x, _batched((5, 4), batch=2), _batched((5, 4), batch=2), 2)
+        with pytest.raises(DimMismatch):
+            T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2, np.zeros((2, 1, 5)))
 
     def test_ops_act_on_each_batch_entry(self):
         x = _batched((3, 4))

@@ -1,5 +1,6 @@
 """Autodiff core: op semantics, backward mechanics, optimizers."""
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -272,6 +273,124 @@ class TestBackward:
         assert not y.requires_grad
         with pytest.raises(DisconnectedGraph):
             T.backward(T.sum_all(y))
+
+
+def _grads(leaves):
+    return [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _fresh(arrays, dtype):
+    return [Tensor(a, dtype=dtype, requires_grad=True) for a in arrays]
+
+
+# Each case: leaf shapes, the shape of one item's constant c, the shape of fn's output,
+# and fn(leaves, c). The constant is what differs between items; batched, it carries
+# the leading axis, so both batched operands and leaves computed once for every item occur.
+_BATCH_CASES = {
+    "matmul_left": ([(3, 4), (4, 2)], (3, 4), (3, 2), lambda L, c: T.matmul(T.add(L[0], c), L[1])),
+    "matmul_right": ([(3, 4), (4, 2)], (4, 2), (3, 2), lambda L, c: T.matmul(L[0], T.mul(L[1], c))),
+    "linear": ([(3, 4), (4, 5), (1, 5)], (3, 4), (3, 5), lambda L, c: T.linear(T.sub(L[0], c), L[1], L[2])),
+    "linear_once": ([(3, 4), (4, 5), (1, 5)], (3, 5), (3, 5), lambda L, c: T.mul(T.linear(*L), c)),
+    "transpose": ([(3, 4)], (4, 3), (4, 3), lambda L, c: T.mul(T.transpose(L[0]), c)),
+    "transpose_batched": ([(3, 4)], (3, 4), (4, 3), lambda L, c: T.transpose(T.mul(L[0], c))),
+    "softmax_rows": ([(3, 5)], (3, 5), (3, 5), lambda L, c: T.mul(T.softmax_rows(L[0]), c)),
+    "softmax_rows_batched": ([(3, 5)], (3, 5), (3, 5), lambda L, c: T.softmax_rows(T.add(L[0], c))),
+    "layer_norm": ([(4, 6), (1, 6), (1, 6)], (4, 6), (4, 6), lambda L, c: T.layer_norm(T.add(L[0], c), L[1], L[2])),
+    "layer_norm_once": ([(4, 6), (1, 6), (1, 6)], (4, 6), (4, 6), lambda L, c: T.mul(T.layer_norm(*L), c)),
+    "attention": ([(3, 4), (5, 4), (5, 4)], (5, 4), (3, 4),
+                  lambda L, c: T.attention(L[0], T.add(L[1], c), L[2], 2)),
+    "attention_bias": ([(3, 4), (5, 4), (5, 4)], (1, 5), (3, 4),
+                       lambda L, c: T.attention(L[0], L[1], L[2], 2, c.data)),
+    "attention_once": ([(3, 4), (5, 4), (5, 4)], (3, 4), (3, 4), lambda L, c: T.mul(T.attention(*L, 2), c)),
+    "sum_cols": ([(3, 4)], (3, 4), (3, 1),
+                 lambda L, c: T.add(T.sum_cols(T.mul(L[0], c)), T.sum_cols(T.scale(L[0], 0.5)))),
+    "slice_concat_cols": ([(3, 4), (3, 2)], (3, 4), (3, 4),
+                          lambda L, c: T.concat_cols([T.slice_cols(T.add(L[0], c), 1, 3), L[1]])),
+    "concat_cols_once": ([(3, 4), (3, 2)], (3, 6), (3, 6), lambda L, c: T.mul(T.concat_cols([L[1], L[0]]), c)),
+    "gather_rows": ([(4, 3)], (4, 3), (5, 3), lambda L, c: T.gather_rows(T.add(L[0], c), [3, 0, 3, 1, 3])),
+    "gather_rows_once": ([(4, 3)], (5, 3), (5, 3), lambda L, c: T.mul(T.gather_rows(L[0], [3, 0, 3, 1, 3]), c)),
+    "elementwise": ([(3, 4), (3, 4)], (3, 4), (3, 4), lambda L, c: T.div(
+        T.add(T.minimum(T.mul(L[0], c), L[1]), T.pow_const(T.absolute(T.maximum(L[1], c)), 1.5)),
+        T.add_const(T.sigmoid(T.relu(T.clamp(T.sub(c, L[0]), -0.5, 0.5))), 0.5))),
+    "log": ([(3, 4)], (3, 4), (3, 4), lambda L, c: T.log(T.add_const(T.mul(T.sigmoid(L[0]), c), 0.1))),
+}
+
+
+class TestBatchedBackward:
+    """A recorded batch's gradients equal a per-item loop's, bit for bit."""
+
+    @staticmethod
+    def _per_item(fn, leaves, consts, weights):
+        losses = [T.sum_all(T.mul(fn(leaves, T.constant(c)), T.constant(r))) for c, r in zip(consts, weights)]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = T.add(total, extra)
+        return total
+
+    @staticmethod
+    def _batched(fn, leaves, consts, weights):
+        return T.sum_batch(T.sum_all(T.mul(fn(leaves, T.constant(consts)), T.constant(weights))))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", list(_BATCH_CASES))
+    def test_batched_backward_equals_per_item_backwards(self, name, dtype):
+        shapes, c_shape, out_shape, fn = _BATCH_CASES[name]
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        arrays = [rng.uniform(-1.0, 1.0, size=s) for s in shapes]
+        for batch in (1, 6):
+            consts = rng.uniform(0.2, 1.0, size=(batch, *c_shape)).astype(dtype)
+            weights = rng.uniform(-1.0, 1.0, size=(batch, *out_shape)).astype(dtype)
+            items, together = _fresh(arrays, dtype), _fresh(arrays, dtype)
+            ref = self._per_item(fn, items, consts, weights)
+            loss = self._batched(fn, together, consts, weights)
+            assert loss.dims == (1, 1) and loss.data.tobytes() == ref.data.tobytes()
+            T.backward(ref)
+            T.backward(loss)
+            assert _grads(together) == _grads(items)
+
+    def test_leaf_gradient_is_the_image_major_sequential_fold(self):
+        # a (1, 1) leaf used twice per item; mul(s, c) reports before mul(s, d)
+        def fn(leaves, cd):
+            s = leaves[0]
+            return T.add(T.mul(s, T.slice_cols(cd, 0, 1)), T.mul(s, T.slice_cols(cd, 1, 2)))
+
+        draws = [np.random.default_rng(seed).standard_normal((20, 1, 2)) for seed in range(20)]
+        # terms that a pairwise sum groups differently from a sequential one
+        draws.append(np.concatenate([np.ones((20, 1, 1)), np.full((20, 1, 1), 2.0**-53)], axis=2))
+        ones = np.ones((20, 1, 1))
+        for cd in draws:
+            expected = np.zeros((1, 1))
+            for b in range(20):
+                expected += cd[b, :, :1]
+                expected += cd[b, :, 1:]
+            together, items = _fresh([[[0.5]]] * 2, np.float64)
+            T.backward(self._batched(fn, [together], cd, ones))
+            T.backward(self._per_item(fn, [items], cd, ones))
+            assert together.grad.tobytes() == expected.tobytes() == items.grad.tobytes()
+
+    def test_mixed_adjoint_shapes_on_one_op_output_raise(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        y = T.scale(w, 2.0)  # computed once, then used both batched and whole
+        loss = T.add(T.sum_batch(T.sum_all(T.mul(y, T.constant(np.ones((3, 2, 2)))))), T.sum_all(y))
+        with pytest.raises(DimMismatch):
+            T.backward(loss)
+
+    def test_sum_batch_and_row_blocks(self):
+        x = T.constant(np.arange(12.0).reshape(3, 2, 2))
+        assert np.array_equal(T.sum_batch(x).data, x.data[0] + x.data[1] + x.data[2])
+        rows = T.constant(np.arange(10.0).reshape(5, 2))
+        blocks = T.sum_row_blocks(rows, [2, 0, 3])
+        assert blocks.dims == (3, 1, 1)
+        assert blocks.data.reshape(-1).tolist() == [6.0, 0.0, 39.0]
+        assert T.flatten_batch(x).data.tolist() == x.data.reshape(6, 2).tolist()
+        with pytest.raises(DimMismatch):
+            T.sum_row_blocks(rows, [2, 2])
+        with pytest.raises(DimMismatch):
+            T.sum_row_blocks(rows, [6, -1])
+        with pytest.raises(DimMismatch):
+            T.sum_batch(rows)
+        with pytest.raises(DimMismatch):
+            T.flatten_batch(rows)
 
 
 class TestOptimizers:
