@@ -7,9 +7,14 @@ predictions; the predictions none of them takes get the padding
 targets in ascending order. Matched predictions get the full three-term
 loss (L1 + weighted GIoU deficit + weighted focal); unmatched
 predictions that still sit on an annotated crop (IoU >= tau) get a soft
-score target; the rest are pushed to zero score. One training step is
-one batched forward -> per-image assign -> one batched loss -> one
-backward -> SGD (or Adam).
+score target; the rest are pushed to zero score.
+
+Assignment works on arrays: ``assign_batch`` takes a batch's (B, N, 4)
+boxes and scores and makes one cost pass and one IoU pass for all its
+images, then one Hungarian solve and one ``Assignment`` per image.
+``assign`` is the same core for one image's ``Prediction`` list. One
+training step is one batched forward -> ``decoder.check_heads`` ->
+``assign_batch`` -> one batched loss -> one backward -> SGD (or Adam).
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .decoder import HeadOutputs, ModelState, Prediction, forward_train
+from .decoder import HeadOutputs, ModelState, Prediction, check_heads, forward_train
 from .errors import CardinalityMismatch, DomainError, NonFinite, NonSquare, OutOfRange
 from .geometry import ScoredCrop, boxes_array, giou, giou_matrix, giou_pairs, iou_matrix, l1_box, l1_pairs
 from .tensor import Tensor
@@ -124,25 +129,61 @@ def empty_cost(pred: Prediction, w: LossWeights) -> float:
     return w.focal_weight * focal(pred.score, 0.0, w.focal_gamma)
 
 
+def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, C, 4) boxes and (B, C) normalized MOS of B crop lists padded to the longest, and which are real.
+
+    A padding entry is the box (1, 1, 1, 1) with MOS 1; no result reads it.
+    """
+    counts = np.array([len(crops) for crops in crop_lists], dtype=np.int64)
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    boxes = np.ones(real.shape + (4,))
+    rows = [(c.box.cx, c.box.cy, c.box.w, c.box.h) for crops in crop_lists for c in crops]
+    boxes[real] = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    mos = np.ones(real.shape)
+    mos[real] = [c.mos for crops in crop_lists for c in crops]
+    # normalize_mos's (s - 1) / 4, elementwise
+    return boxes, (mos - 1.0) / 4.0, real
+
+
+def cost_matrices(
+    boxes: np.ndarray, scores: np.ndarray, targets: list[list[ScoredCrop]], w: LossWeights
+) -> list[np.ndarray]:
+    """Each image's (N, N) padded cost matrix; columns beyond its own targets are padding.
+
+    ``boxes`` is (B, N, 4) and ``scores`` (B, N) float64, ``targets``
+    one list per image. The L1, GIoU and focal costs of the whole batch
+    are one (B, N, G) pass against the targets padded to the longest
+    list, G; image b's matrix is its real block, then its padding cost
+    (focal toward 0) in every column left.
+    """
+    n = boxes.shape[1]
+    for tgts in targets:
+        if len(tgts) > n:
+            raise CardinalityMismatch(f"{len(tgts)} matchable targets but only {n} predictions")
+    tgt_boxes, v, _ = _crop_arrays(targets)
+    l1 = np.abs(boxes[:, :, None, :] - tgt_boxes[:, None, :, :]).sum(axis=3)
+    gi = giou_matrix(boxes, tgt_boxes)
+    fo = _focal_np(scores[:, :, None], v[:, None, :], w.focal_gamma)
+    real = l1 + w.giou_weight * (1.0 - gi) + w.focal_weight * fo
+    pad = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)
+    out = []
+    for b, tgts in enumerate(targets):
+        g = len(tgts)
+        costs = np.empty((n, n))
+        costs[:, :g] = real[b, :, :g]
+        costs[:, g:] = pad[b, :, None]
+        out.append(costs)
+    return out
+
+
+def _prediction_arrays(preds: list[Prediction]) -> tuple[np.ndarray, np.ndarray]:
+    """One image's predictions as (1, N, 4) boxes and (1, N) scores."""
+    return boxes_array([p.box for p in preds])[None], np.array([[p.score for p in preds]], dtype=np.float64)
+
+
 def build_cost_matrix(preds: list[Prediction], good: list[ScoredCrop], w: LossWeights) -> np.ndarray:
     """(N, N) padded cost matrix; columns beyond len(good) are padding."""
-    n = len(preds)
-    g = len(good)
-    if g > n:
-        raise CardinalityMismatch(f"{g} matchable targets but only {n} predictions")
-    pred_boxes = boxes_array([p.box for p in preds])
-    scores = np.array([p.score for p in preds], dtype=np.float64)
-    costs = np.empty((n, n), dtype=np.float64)
-    pad = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)
-    costs[:, g:] = pad[:, None]
-    if g:
-        tgt_boxes = boxes_array([t.box for t in good])
-        v = np.array([normalize_mos(t.mos) for t in good], dtype=np.float64)
-        l1 = np.abs(pred_boxes[:, None, :] - tgt_boxes[None, :, :]).sum(axis=2)
-        gi = giou_matrix(pred_boxes, tgt_boxes)
-        fo = _focal_np(scores[:, None], v[None, :], w.focal_gamma)
-        costs[:, :g] = l1 + w.giou_weight * (1.0 - gi) + w.focal_weight * fo
-    return costs
+    return cost_matrices(*_prediction_arrays(preds), [good], w)[0]
 
 
 # -- Hungarian solver -----------------------------------------------------------
@@ -204,9 +245,11 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     c[:, :g] - c[:, -1:]. Among equal-total optima the lexicographically
     smallest column sequence (by row index) is returned: row by row,
     smaller real columns with zero reduced cost are tried and verified
-    by sub-solves over the real columns left, so the refinement costs
-    nothing when the optimum is unique. The rows no real column takes
-    then get the padding columns g, g+1, ... in ascending row order.
+    by sub-solves over the real columns left. The zero-reduced-cost mask
+    is computed once, and only a row whose first such column lies below
+    its current one is visited, so the refinement costs almost nothing
+    when the optimum is unique. The rows no real column takes then get
+    the padding columns g, g+1, ... in ascending row order.
     """
     arr = np.asarray(costs)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -226,65 +269,87 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
         # arr[i, -1] is the padding cost, so index -1 prices an unmatched row
         total = float(arr[rows, match].sum())
         tol = 1e-7 * max(1.0, float(np.abs(arr).max()))
+        # only zero-reduced-cost columns can belong to an optimal solution
+        zero = real - u - v[:, None] <= tol
+        first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), g).tolist()
         available = np.ones(g, dtype=bool)
         for i in range(n):
-            # only zero-reduced-cost columns can belong to an optimal solution
-            below = g if match[i] < 0 else match[i]
-            reduced = real[i, :below] - u[:below] - v[i]
-            for j in np.nonzero(available[:below] & (reduced <= tol))[0]:
-                rest = np.nonzero(available)[0]
-                rest = rest[rest != j]
-                trial = match.copy()
-                trial[i] = j
-                trial[i + 1 :] = -1
-                sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
-                trial[i + 1 + sub_rows] = rest
-                trial_total = float(arr[rows, trial].sum())
-                if trial_total <= total:
-                    match, total = trial, trial_total
-                    break
+            below = g if match[i] < 0 else int(match[i])
+            if first_zero[i] < below:
+                candidates = np.nonzero(available[:below] & zero[i, :below])[0]
+                free = np.nonzero(available)[0]
+                for j in candidates:
+                    rest = free[free != j]
+                    trial = match.copy()
+                    trial[i] = j
+                    trial[i + 1 :] = -1
+                    sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
+                    trial[i + 1 + sub_rows] = rest
+                    trial_total = float(arr[rows, trial].sum())
+                    if trial_total <= total:
+                        match, total = trial, trial_total
+                        break
             if match[i] >= 0:
                 available[match[i]] = False
     match[match < 0] = np.arange(g, n)
     return match
 
 
-def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:
-    """Match predictions to good targets, then classify the remainder.
+_NEGATIVE = Role(kind="negative")
 
-    (1) Hungarian over the padded cost matrix; (2) rows landing on a
-    real column become matched; (3) unmatched rows overlapping ANY
-    annotated crop at IoU >= tau become soft with score
-    normalize_mos(neighbor MOS) * IoU; (4) the rest are negatives.
+
+def assign_batch(
+    boxes: np.ndarray, scores: np.ndarray, ground_truths: list[list[ScoredCrop]], w: LossWeights
+) -> list[Assignment]:
+    """Match each image's predictions to its good targets, then classify the remainder.
+
+    ``boxes`` is (B, N, 4) and ``scores`` (B, N, 1) or (B, N), rows
+    that ``decoder.check_heads`` accepts; ``ground_truths`` holds one
+    crop list per image. (1) Hungarian over each image's padded cost
+    matrix (``cost_matrices``, one pass for the batch); (2) rows
+    landing on a real column become matched; (3) unmatched rows
+    overlapping ANY annotated crop at IoU >= tau become soft with score
+    normalize_mos(neighbor MOS) * IoU, the IoUs of the whole batch
+    being one (B, N, C) pass; (4) the rest are negatives. The neighbor
+    is the first crop of highest IoU.
     """
-    n = len(preds)
+    boxes = np.asarray(boxes, dtype=np.float64)
+    n_images, n = boxes.shape[:2]
+    scores = np.asarray(scores, dtype=np.float64).reshape(n_images, n)
     if n == 0:
         raise CardinalityMismatch("assign requires at least one prediction")
-    good_indices = tuple(i for i, g in enumerate(ground_truths) if g.mos >= 4.0)
-    good = [ground_truths[i] for i in good_indices]
-    if len(good) > n:
-        raise CardinalityMismatch(f"{len(good)} matchable targets but only {n} predictions")
-    costs = build_cost_matrix(preds, good, w)
-    perm = hungarian(costs)
-    if ground_truths:
-        ious = iou_matrix(boxes_array([p.box for p in preds]), boxes_array([g.box for g in ground_truths]))
+    if len(ground_truths) != n_images:
+        raise CardinalityMismatch(f"{len(ground_truths)} crop lists for {n_images} images")
+    good_indices = [tuple(i for i, g in enumerate(gts) if g.mos >= 4.0) for gts in ground_truths]
+    costs = cost_matrices(boxes, scores, [[gts[i] for i in gi] for gts, gi in zip(ground_truths, good_indices)], w)
+    crop_boxes, crop_v, real_crop = _crop_arrays(ground_truths)
+    if crop_boxes.shape[1]:
+        # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
+        ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
+        neighbor = ious.argmax(axis=2)
+        overlap = np.take_along_axis(ious, neighbor[:, :, None], axis=2)[:, :, 0]
+        soft = np.take_along_axis(crop_v, neighbor, axis=1) * overlap
+        is_soft = overlap >= w.soft_iou_threshold
     else:
-        ious = np.zeros((n, 0))
-    roles: list[Role] = []
-    for i in range(n):
-        col = int(perm[i])
-        if col < len(good):
-            roles.append(Role(kind="matched", target=good_indices[col]))
-            continue
-        if ious.shape[1]:
-            neighbor = int(np.argmax(ious[i]))  # ties resolve to the lowest index
-            overlap = float(ious[i, neighbor])
-            if overlap >= w.soft_iou_threshold:
-                soft = normalize_mos(ground_truths[neighbor].mos) * overlap
-                roles.append(Role(kind="soft", target=neighbor, soft_score=soft))
-                continue
-        roles.append(Role(kind="negative"))
-    return Assignment(roles=tuple(roles), perm=perm, good_indices=good_indices)
+        neighbor = soft = np.zeros((n_images, n))
+        is_soft = np.zeros((n_images, n), dtype=bool)
+    out = []
+    for b, good in enumerate(good_indices):
+        perm = hungarian(costs[b])
+        roles = tuple(
+            Role(kind="matched", target=good[col]) if col < len(good)
+            else Role(kind="soft", target=nb, soft_score=score) if on_crop
+            else _NEGATIVE
+            for col, nb, score, on_crop in zip(perm.tolist(), neighbor[b].tolist(), soft[b].tolist(),
+                                               is_soft[b].tolist())
+        )
+        out.append(Assignment(roles=roles, perm=perm, good_indices=good))
+    return out
+
+
+def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:
+    """``assign_batch`` for one image's predictions."""
+    return assign_batch(*_prediction_arrays(preds), [ground_truths], w)[0]
 
 
 def training_loss(
@@ -362,17 +427,21 @@ def train_step(state: ModelState, batch: list[TrainExample], w: LossWeights, lr:
     """One SGD (or supplied optimizer) update; returns the pre-step loss.
 
     The batch's images go through one recorded graph: one forward gives
-    (B, N, ·) heads, each image is matched on its own detached rows,
-    ``training_loss`` gives one loss per image and ``sum_batch`` adds
-    them left to right. The loss, the gradients and so the update have
-    the bytes of a loop that records, matches and scores each image on
-    its own and adds the B losses with ``add``.
+    (B, N, ·) heads, ``decoder.check_heads`` rejects an invalid row
+    (``NonFinite`` for NaN or infinity, else ``Degenerate``) before
+    anything moves, ``assign_batch`` matches every image on the
+    detached (B, N, ·) arrays, ``training_loss`` gives one loss per
+    image and ``sum_batch`` adds them left to right. The loss, the
+    gradients and so the update have the bytes of a loop that records,
+    matches and scores each image on its own, through its
+    ``Prediction`` objects, and adds the B losses with ``add``.
     """
     if not batch:
         raise CardinalityMismatch("train_step needs at least one example")
     head = forward_train([ex.image for ex in batch], [ex.prior for ex in batch], state)
+    check_heads(head.boxes.data, head.scores.data)
     crops = [list(ex.crops) for ex in batch]
-    assignments = [assign(head.entry(e).to_predictions(), gts, w) for e, gts in enumerate(crops)]
+    assignments = assign_batch(head.boxes.data, head.scores.data, crops, w)
     loss = T.scale(T.sum_batch(training_loss(head, assignments, crops, w)), 1.0 / len(batch))
     value = loss.item()
     T.backward(loss)

@@ -36,7 +36,7 @@ from .dataio import (
     write_tensor,
 )
 from .decoder import ModelConfig, ModelState, Prediction, forward, init_state
-from .errors import CropError, DomainError, ParseError
+from .errors import CropError, DomainError, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
 from .tensor import Adam
 
@@ -210,7 +210,10 @@ def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, di
         epoch_sum = 0.0
         for at in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[at : at + batch_size]]
-            loss = train_step(state, batch, weights, lr, optimizer=optimizer)
+            try:
+                loss = train_step(state, batch, weights, lr, optimizer=optimizer)
+            except NonFinite as e:
+                raise NonFinite(f"epoch {epoch}, step {at // batch_size} (run step {len(step_losses)}): {e}") from e
             step_losses.append(loss)
             epoch_sum += loss * len(batch)
         epoch_losses.append(epoch_sum / len(examples))

@@ -20,13 +20,14 @@ first self-attention block, are computed once for the whole batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .composition import CompositionPrior, biased_cross_attention
-from .errors import BadShape, Degenerate, DimMismatch, ParseError
+from .errors import BadShape, Degenerate, DimMismatch, NonFinite, ParseError
 from .geometry import CropBox
 from .tensor import Tensor
 
@@ -120,19 +121,46 @@ class HeadOutputs:
         return HeadOutputs(boxes=T.constant(self.boxes.data[index]), scores=T.constant(self.scores.data[index]))
 
     def to_predictions(self) -> list[Prediction]:
-        """Detach one image's rows into Prediction values; sub-1e-6 extents are rejected."""
-        out = []
+        """Detach one image's rows into Prediction values, after ``check_heads``."""
         b = self.boxes.data
         s = self.scores.data
         if b.ndim != 2:
             raise DimMismatch(f"to_predictions takes one image's (N, 4) boxes, got {b.shape}; use entry()")
-        for i in range(b.shape[0]):
-            w, h = float(b[i, 2]), float(b[i, 3])
-            if w < MIN_PREDICTED_EXTENT or h < MIN_PREDICTED_EXTENT:
-                raise Degenerate(f"prediction {i} has near-zero extent ({w}, {h})")
-            box = CropBox(cx=float(b[i, 0]), cy=float(b[i, 1]), w=w, h=h)
-            out.append(Prediction(box=box, score=float(s[i, 0])))
-        return out
+        check_heads(b, s)
+        return [Prediction(box=CropBox(*row), score=score) for row, (score,) in zip(b.tolist(), s.tolist())]
+
+
+# per-field bounds of a box row (cx, cy, w, h), in float64 so that float32 rows compare as the floats they hold
+_BOX_LOWER = np.array([0.0, 0.0, MIN_PREDICTED_EXTENT, MIN_PREDICTED_EXTENT])
+_BOX_UPPER = np.ones(4)
+
+
+def check_heads(boxes: np.ndarray, scores: np.ndarray) -> None:
+    """Reject head rows that are not valid predictions, without building any object.
+
+    ``boxes`` is (N, 4) or (B, N, 4) and ``scores`` (N, 1) or (B, N, 1).
+    The rules are those of ``Prediction`` and ``CropBox``, plus the
+    ``MIN_PREDICTED_EXTENT`` floor on w and h. The first bad row, in
+    image then row order, raises: ``NonFinite`` when a field is NaN or
+    infinite, else ``Degenerate``. The message names the row, and the
+    image when there is a leading axis.
+    """
+    rows, values = boxes.reshape(-1, 4), scores.reshape(-1)
+    ok = ((rows >= _BOX_LOWER) & (rows <= _BOX_UPPER)).all(axis=1) & (values >= 0.0) & (values <= 1.0)
+    if ok.all():
+        return
+    first = int(np.argmin(ok))
+    image, row = divmod(first, boxes.shape[-2])
+    where = f"image {image} prediction {row}" if boxes.ndim == 3 else f"prediction {row}"
+    (cx, cy, w, h), score = rows[first].tolist(), float(values[first])
+    if not all(math.isfinite(v) for v in (cx, cy, w, h, score)):
+        raise NonFinite(f"{where} has non-finite values: box ({cx}, {cy}, {w}, {h}), score {score}")
+    if w < MIN_PREDICTED_EXTENT or h < MIN_PREDICTED_EXTENT:
+        raise Degenerate(f"{where} has near-zero extent ({w}, {h})")
+    try:
+        Prediction(box=CropBox(cx=cx, cy=cy, w=w, h=h), score=score)
+    except Degenerate as e:
+        raise Degenerate(f"{where}: {e}") from None
 
 
 def sinusoidal_grid_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float64) -> np.ndarray:

@@ -3,10 +3,11 @@
 Boxes are carried as (cx, cy, w, h) with centers in [0, 1] and extents
 in (0, 1]; corner form is derived on demand and clamped to the unit
 square at conversion. Two parallel implementations exist on purpose:
-a plain-numpy path for costs and metrics, and a tensor path used
-inside differentiable losses. Both derive corners by one rule: extents
-are clamped to [1e-6, 1] first (so gradients stay bounded), and the
-corners then to the unit square.
+a plain-numpy path for costs and metrics, whose matrices also take a
+leading batch axis, and a tensor path used inside differentiable
+losses. Both derive corners by one rule: extents are clamped to
+[1e-6, 1] first (so gradients stay bounded), and the corners then to
+the unit square.
 """
 from __future__ import annotations
 
@@ -89,30 +90,35 @@ def _corners_np(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _overlap_np(a: np.ndarray, b: np.ndarray, op: str):
-    """Pairwise intersection and union of (m, 4) vs (n, 4) cxcywh arrays, plus both corner sets."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4:
-        raise DimMismatch(f"{op} expects (m, 4) and (n, 4), got {a.shape} and {b.shape}")
+    """Pairwise intersection and union of (m, 4) vs (n, 4) cxcywh arrays, plus both corner sets.
+
+    (B, m, 4) vs (B, n, 4) pairs the boxes of each leading entry and gives (B, m, n).
+    """
+    if not (a.ndim == b.ndim in (2, 3) and a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-1] == 4):
+        raise DimMismatch(f"{op} expects (m, 4) and (n, 4), or (B, m, 4) and (B, n, 4); got {a.shape} and {b.shape}")
     ax1, ay1, ax2, ay2 = ca = _corners_np(a)
     bx1, by1, bx2, by2 = cb = _corners_np(b)
-    iw = np.maximum(0.0, np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :]))
-    ih = np.maximum(0.0, np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :]))
+    iw = np.maximum(0.0, np.minimum(ax2[..., None], bx2[..., None, :])
+                    - np.maximum(ax1[..., None], bx1[..., None, :]))
+    ih = np.maximum(0.0, np.minimum(ay2[..., None], by2[..., None, :])
+                    - np.maximum(ay1[..., None], by1[..., None, :]))
     inter = iw * ih
-    area_a = ((ax2 - ax1) * (ay2 - ay1))[:, None]
-    area_b = ((bx2 - bx1) * (by2 - by1))[None, :]
+    area_a = ((ax2 - ax1) * (ay2 - ay1))[..., None]
+    area_b = ((bx2 - bx1) * (by2 - by1))[..., None, :]
     return inter, area_a + area_b - inter, ca, cb
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n)."""
+    """Pairwise IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n); (B, m, 4) vs (B, n, 4) -> (B, m, n)."""
     inter, union, _, _ = _overlap_np(a, b, "iou_matrix")
     return inter / union
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n)."""
+    """Pairwise generalized IoU of (m, 4) vs (n, 4) cxcywh arrays -> (m, n); (B, m, 4) vs (B, n, 4) -> (B, m, n)."""
     inter, union, (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _overlap_np(a, b, "giou_matrix")
-    ew = np.maximum(ax2[:, None], bx2[None, :]) - np.minimum(ax1[:, None], bx1[None, :])
-    eh = np.maximum(ay2[:, None], by2[None, :]) - np.minimum(ay1[:, None], by1[None, :])
+    ew = np.maximum(ax2[..., None], bx2[..., None, :]) - np.minimum(ax1[..., None], bx1[..., None, :])
+    eh = np.maximum(ay2[..., None], by2[..., None, :]) - np.minimum(ay1[..., None], by1[..., None, :])
     enclose = ew * eh
     return inter / union - (enclose - union) / enclose
 

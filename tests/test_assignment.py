@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from croprank import assignment as assignment_module
 from croprank import tensor as T
 from croprank.assignment import (
     Assignment,
     LossWeights,
     Role,
     TrainExample,
+    _focal_np,
+    _shortest_paths,
     assign,
+    assign_batch,
     build_cost_matrix,
+    cost_matrices,
     empty_cost,
     focal,
     focal_terms,
@@ -27,9 +32,28 @@ from croprank.assignment import (
 from croprank.cli import build_prior
 from croprank.dataio import generate_synthetic
 from croprank.decoder import HeadOutputs, ModelConfig, Prediction, forward_train, init_state
-from croprank.errors import CardinalityMismatch, DimMismatch, DomainError, NonFinite, NonSquare, OutOfRange
+from croprank.errors import (
+    CardinalityMismatch,
+    Degenerate,
+    DimMismatch,
+    DomainError,
+    NonFinite,
+    NonSquare,
+    OutOfRange,
+)
 from croprank.gradcheck import toy_config
-from croprank.geometry import CropBox, ScoredCrop, boxes_array, giou, giou_pairs, iou, l1_box, l1_pairs
+from croprank.geometry import (
+    CropBox,
+    ScoredCrop,
+    boxes_array,
+    giou,
+    giou_matrix,
+    giou_pairs,
+    iou,
+    iou_matrix,
+    l1_box,
+    l1_pairs,
+)
 
 W = LossWeights()
 
@@ -51,6 +75,91 @@ def _brute_force_perms(cost: np.ndarray):
         elif abs(total - best) <= 1e-12:
             winners.append(perm)
     return best, sorted(winners)
+
+
+def reference_hungarian(costs: np.ndarray, accepted: list | None = None) -> np.ndarray:
+    """Reference: the tie pass that rebuilds its candidates and trial arrays for every row and trial.
+
+    ``accepted`` collects (row, column) for every sub-solve that replaced the match.
+    """
+    arr = np.asarray(costs, dtype=np.float64)
+    n = arr.shape[0]
+    is_pad = np.all(arr == arr[:, -1:], axis=0)
+    g = n - int(np.argmin(np.append(is_pad[::-1], False)))
+    real = arr[:, :g] - arr[:, -1:]
+    match = np.full(n, -1, dtype=np.int64)
+    if g:
+        col_rows, u, v = _shortest_paths(real.T)
+        match[col_rows] = np.arange(g)
+        rows = np.arange(n)
+        total = float(arr[rows, match].sum())
+        tol = 1e-7 * max(1.0, float(np.abs(arr).max()))
+        available = np.ones(g, dtype=bool)
+        for i in range(n):
+            below = g if match[i] < 0 else match[i]
+            reduced = real[i, :below] - u[:below] - v[i]
+            for j in np.nonzero(available[:below] & (reduced <= tol))[0]:
+                rest = np.nonzero(available)[0]
+                rest = rest[rest != j]
+                trial = match.copy()
+                trial[i] = j
+                trial[i + 1 :] = -1
+                sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
+                trial[i + 1 + sub_rows] = rest
+                trial_total = float(arr[rows, trial].sum())
+                if trial_total <= total:
+                    match, total = trial, trial_total
+                    if accepted is not None:
+                        accepted.append((i, int(j)))
+                    break
+            if match[i] >= 0:
+                available[match[i]] = False
+    match[match < 0] = np.arange(g, n)
+    return match
+
+
+def reference_cost_matrix(preds: list, good: list, w: LossWeights) -> np.ndarray:
+    """Reference: one image's padded cost matrix built from its Prediction and ScoredCrop objects."""
+    n, g = len(preds), len(good)
+    pred_boxes = boxes_array([p.box for p in preds])
+    scores = np.array([p.score for p in preds], dtype=np.float64)
+    costs = np.empty((n, n), dtype=np.float64)
+    costs[:, g:] = (w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma))[:, None]
+    if g:
+        tgt_boxes = boxes_array([t.box for t in good])
+        v = np.array([normalize_mos(t.mos) for t in good], dtype=np.float64)
+        l1 = np.abs(pred_boxes[:, None, :] - tgt_boxes[None, :, :]).sum(axis=2)
+        gi = giou_matrix(pred_boxes, tgt_boxes)
+        fo = _focal_np(scores[:, None], v[None, :], w.focal_gamma)
+        costs[:, :g] = l1 + w.giou_weight * (1.0 - gi) + w.focal_weight * fo
+    return costs
+
+
+def reference_assign(preds: list, ground_truths: list, w: LossWeights) -> tuple[Assignment, np.ndarray]:
+    """Reference: one image's assignment, row by row over its objects; also returns its cost matrix."""
+    n = len(preds)
+    good_indices = tuple(i for i, g in enumerate(ground_truths) if g.mos >= 4.0)
+    costs = reference_cost_matrix(preds, [ground_truths[i] for i in good_indices], w)
+    perm = reference_hungarian(costs)
+    if ground_truths:
+        ious = iou_matrix(boxes_array([p.box for p in preds]), boxes_array([g.box for g in ground_truths]))
+    else:
+        ious = np.zeros((n, 0))
+    roles = []
+    for i in range(n):
+        col = int(perm[i])
+        if col < len(good_indices):
+            roles.append(Role(kind="matched", target=good_indices[col]))
+            continue
+        if ious.shape[1]:
+            neighbor = int(np.argmax(ious[i]))
+            overlap = float(ious[i, neighbor])
+            if overlap >= w.soft_iou_threshold:
+                soft = normalize_mos(ground_truths[neighbor].mos) * overlap
+                roles.append(Role(kind="soft", target=neighbor, soft_score=soft))
+                continue
+        roles.append(Role(kind="negative"))
+    return Assignment(roles=tuple(roles), perm=perm, good_indices=good_indices), costs
 
 
 class TestSelection:
@@ -231,6 +340,28 @@ class TestHungarian:
             n = int(rng.integers(2, 6))
             cost = rng.integers(0, 3, size=(n, n)).astype(np.float64)
             assert np.array_equal(hungarian(cost), hungarian(cost * 7.5))
+
+    def test_tie_pass_equals_the_reference(self, desk_records):
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(2400):
+            n = int(rng.integers(1, 9))
+            g = int(rng.integers(0, n + 1))  # columns from g on share one padding column
+            high = int(rng.integers(1, 4))
+            cost = rng.integers(0, high + 1, size=(n, n)).astype(np.float64)
+            cost[:, g:] = rng.integers(0, high + 1, size=(n, 1))
+            cases.append(cost)
+        for mode in ("average", "off"):
+            boxes, scores = _desk_heads(desk_records, mode, np.float64)
+            crops = _desk_crops(desk_records)
+            cases += cost_matrices(boxes, scores[:, :, 0], [[c for c in gts if c.mos >= 4.0] for gts in crops], W)
+        with_accepted = 0
+        for cost in cases:
+            accepted = []
+            assert hungarian(cost).tobytes() == reference_hungarian(cost, accepted).tobytes()
+            with_accepted += bool(accepted)
+        # the sub-solve that replaces the match is taken, not only tried
+        assert with_accepted >= 100
 
     def test_rejects_bad_input(self):
         with pytest.raises(NonSquare):
@@ -497,7 +628,7 @@ def reference_train_step(state, batch, w, lr, optimizer=None) -> float:
         head = forward_train(ex.image, ex.prior, state)
         with T.no_grad():
             preds = head.to_predictions()
-        a = assign(preds, list(ex.crops), w)
+        a, _ = reference_assign(preds, list(ex.crops), w)
         losses.append(training_loss(head, a, list(ex.crops), w))
     total = losses[0]
     for extra in losses[1:]:
@@ -524,6 +655,35 @@ class _GradRecordingAdam(T.Adam):
 @pytest.fixture(scope="module")
 def desk_records(tmp_path_factory):
     return generate_synthetic(46, 16, tmp_path_factory.mktemp("desk"))
+
+
+def _desk_heads(records, mode, dtype, seed=5):
+    """(B, N, 4) boxes and (B, N, 1) scores of the desk model on ``records``, with rows that find every role.
+
+    Rows 8-13 of each image are moved onto jittered copies of its first
+    six crops, so soft as well as matched rows occur, and row 15 is a
+    copy of row 14, an exact tie for the matching.
+    """
+    config = ModelConfig()
+    state = init_state(config, seed=seed, dtype=dtype)
+    with T.no_grad():
+        head = forward_train([r.load_image().astype(dtype) for r in records],
+                             [build_prior(r, config, mode) for r in records], state)
+    boxes, scores = head.boxes.data.copy(), head.scores.data.copy()
+    rng = np.random.default_rng(seed)
+    for b, r in enumerate(records):
+        crops = boxes_array([c.box for c in r.crops[:6]])
+        boxes[b, 8 : 8 + len(crops)] = np.clip(crops + rng.uniform(-0.01, 0.01, crops.shape), 0.01, 1.0)
+        boxes[b, 15], scores[b, 15] = boxes[b, 14], scores[b, 14]
+    return boxes, scores
+
+
+def _desk_crops(records):
+    """The records' crop lists, with image 1 held below MOS 4 and image 2 left without crops."""
+    crops = [list(r.crops) for r in records]
+    crops[1] = [ScoredCrop(box=c.box, mos=min(c.mos, 3.5)) for c in crops[1]]
+    crops[2] = []
+    return crops
 
 
 class TestBatchedStep:
@@ -579,6 +739,17 @@ class TestBatchedStep:
         assert batched == reference_train_step(ref, batch, W, 1e-3, optimizer=optimizers[1])
         assert optimizers[0].grads == optimizers[1].grads
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_batch_with_an_image_without_crops(self, desk_records, dtype):
+        examples = self._examples(desk_records[:4], "average", dtype)
+        # image 1 has no crop of MOS >= 4 and image 2 has no crop at all
+        examples[2] = TrainExample(image=examples[2].image, prior=examples[2].prior, crops=())
+        states = [init_state(ModelConfig(), seed=4, dtype=dtype) for _ in range(2)]
+        optimizers = [_GradRecordingAdam(), _GradRecordingAdam()]
+        batched = train_step(states[0], examples, W, 1e-3, optimizer=optimizers[0])
+        assert batched == reference_train_step(states[1], examples, W, 1e-3, optimizer=optimizers[1])
+        assert optimizers[0].grads == optimizers[1].grads
+
     def test_sgd_step_and_head_shapes(self, desk_records):
         examples = self._examples(desk_records[:3], "average", np.float64)
         state, ref = init_state(ModelConfig(), seed=6), init_state(ModelConfig(), seed=6)
@@ -603,6 +774,102 @@ class TestBatchedStep:
             training_loss(head, a, crops[:1], W)
         with pytest.raises(CardinalityMismatch):
             train_step(state, [], W, 0.1)
+
+
+class TestAssignBatch:
+    """One cost and IoU pass per batch gives each image the bytes of the per-image reference."""
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    @pytest.mark.parametrize("mode", ["average", "off"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_per_image_reference_bit_for_bit(self, desk_records, size, mode, dtype):
+        boxes, scores = _desk_heads(desk_records, mode, dtype)
+        crops = _desk_crops(desk_records)
+        kinds = set()
+        for rows in (list(range(size)), list(range(16 - size, 16))[::-1]):
+            got = assign_batch(boxes[rows], scores[rows], [crops[k] for k in rows], W)
+            goods = [[c for c in crops[k] if c.mos >= 4.0] for k in rows]
+            costs = cost_matrices(boxes[rows].astype(np.float64), scores[rows, :, 0].astype(np.float64), goods, W)
+            for e, k in enumerate(rows):
+                head = HeadOutputs(boxes=T.constant(boxes[k]), scores=T.constant(scores[k]))
+                ref, ref_costs = reference_assign(head.to_predictions(), crops[k], W)
+                assert got[e].roles == ref.roles
+                assert got[e].perm.tobytes() == ref.perm.tobytes()
+                assert got[e].good_indices == ref.good_indices
+                assert costs[e].tobytes() == ref_costs.tobytes()
+                kinds.update(r.kind for r in ref.roles)
+        if size > 1:
+            assert kinds == {"matched", "soft", "negative"}
+
+    def test_a_batch_without_any_crop(self, desk_records):
+        boxes, scores = _desk_heads(desk_records[:3], "off", np.float64)
+        for a in assign_batch(boxes, scores, [[], [], []], W):
+            assert a.good_indices == () and all(r.kind == "negative" for r in a.roles)
+            assert a.perm.tolist() == list(range(16))
+
+    def test_single_image_assign_is_the_batch_of_one(self, desk_records):
+        boxes, scores = _desk_heads(desk_records[:4], "average", np.float32)
+        crops = _desk_crops(desk_records[:4])
+        batch = assign_batch(boxes, scores, crops, W)
+        for e in range(4):
+            preds = HeadOutputs(boxes=T.constant(boxes[e]), scores=T.constant(scores[e])).to_predictions()
+            one = assign(preds, crops[e], W)
+            assert one.roles == batch[e].roles and one.perm.tobytes() == batch[e].perm.tobytes()
+
+    def test_counts_must_agree(self, desk_records):
+        boxes, scores = _desk_heads(desk_records[:2], "off", np.float64)
+        with pytest.raises(CardinalityMismatch):
+            assign_batch(boxes, scores, [list(desk_records[0].crops)], W)
+        with pytest.raises(CardinalityMismatch):
+            assign_batch(boxes[:, :0], scores[:, :0], [[], []], W)
+        many = [_crop(0.5, 0.5, 0.3, 0.3, 4.5)] * 17
+        with pytest.raises(CardinalityMismatch):
+            assign_batch(boxes, scores, [[], many], W)
+
+
+class TestTrainStepRejectsBadHeads:
+    """A head row that is no valid prediction stops the step before backward: nothing moves."""
+
+    @staticmethod
+    def _snapshot(state, optimizer):
+        return (
+            [p.data.tobytes() for p in state.parameters()],
+            [None if p.grad is None else p.grad.tobytes() for p in state.parameters()],
+            optimizer.t,
+            [(k, m.tobytes()) for k, m in optimizer._m.items()],
+            [(k, v.tobytes()) for k, v in optimizer._v.items()],
+        )
+
+    @staticmethod
+    def _started(records):
+        """A desk state after one Adam step, so that the moments hold values."""
+        examples = TestBatchedStep._examples(records, "average", np.float64)
+        state, optimizer = init_state(ModelConfig(), seed=3), T.Adam()
+        train_step(state, examples, W, 1e-3, optimizer=optimizer)
+        return examples, state, optimizer
+
+    def test_a_nan_weight_raises_non_finite(self, desk_records):
+        examples, state, optimizer = self._started(desk_records[:4])
+        state["score.w"].data[5, 0] = np.nan
+        before = self._snapshot(state, optimizer)
+        with pytest.raises(NonFinite, match="image 0 prediction 0 has non-finite values"):
+            train_step(state, examples, W, 1e-3, optimizer=optimizer)
+        assert self._snapshot(state, optimizer) == before
+
+    def test_a_near_zero_extent_in_one_image_raises_degenerate(self, desk_records, monkeypatch):
+        examples, state, optimizer = self._started(desk_records[:5])
+        real_forward = assignment_module.forward_train
+
+        def one_collapsed_row(*args, **kwargs):
+            head = real_forward(*args, **kwargs)
+            head.boxes.data[3, 6, 2] = 1e-9
+            return head
+
+        monkeypatch.setattr(assignment_module, "forward_train", one_collapsed_row)
+        before = self._snapshot(state, optimizer)
+        with pytest.raises(Degenerate, match="image 3 prediction 6 has near-zero extent"):
+            train_step(state, examples, W, 1e-3, optimizer=optimizer)
+        assert self._snapshot(state, optimizer) == before
 
 
 def _recorded(loss) -> list:

@@ -318,6 +318,19 @@ class TestPipeline:
         assert err["code"] == "missing_file"
         assert "missing.jsonl" in err["message"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_training_names_the_epoch_and_step(self, tmp_path, capsys):
+        data = _gen(tmp_path, "data")
+        capsys.readouterr()
+        # the first Adam step at this rate moves every weight by about 1e300, and the next forward overflows
+        code = main(["train", "--data", str(data / "train" / "data.jsonl"), "--out", str(tmp_path / "run"),
+                     "--quiet", "--epochs", "1", "--lr", "1e300", "--train.batch_size", "3", *TINY_FLAGS])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "non_finite"
+        assert err["message"].startswith("epoch 0, step 1 (run step 1): ")
+
     def test_bad_override_value_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--data.n_candidates", "5"])
         assert code == 2

@@ -10,6 +10,7 @@ from croprank.composition import ActivationMap, make_prior, uniform_prior
 from croprank.decoder import (
     HeadOutputs,
     ModelConfig,
+    check_heads,
     decode,
     encode,
     forward,
@@ -19,7 +20,7 @@ from croprank.decoder import (
     predict_heads,
     sinusoidal_grid_encoding,
 )
-from croprank.errors import BadShape, Degenerate, DimMismatch
+from croprank.errors import BadShape, Degenerate, DimMismatch, NonFinite
 from croprank.tensor import Tensor
 
 SMALL = ModelConfig(
@@ -233,6 +234,40 @@ class TestHeads:
         heads = HeadOutputs(boxes=T.constant(boxes), scores=T.constant(np.full((2, 1), 0.5)))
         with pytest.raises(Degenerate):
             heads.to_predictions()
+
+
+
+class TestCheckHeads:
+    @pytest.mark.parametrize("field, value, error", [
+        (0, -0.1, Degenerate),  # centre outside [0, 1]
+        (1, 1.5, Degenerate),
+        (2, 1.2, Degenerate),  # extent above 1
+        (3, 5e-7, Degenerate),  # extent below MIN_PREDICTED_EXTENT
+        (4, 1.5, Degenerate),  # score outside [0, 1]
+        (2, np.nan, NonFinite),
+        (0, np.inf, NonFinite),
+        (4, np.nan, NonFinite),
+    ])
+    def test_each_rule_names_the_first_bad_row(self, field, value, error):
+        boxes, scores = np.full((3, 4, 4), 0.5), np.full((3, 4, 1), 0.5)
+        rows = np.concatenate([boxes, scores], axis=2)
+        rows[2, 1, field] = value
+        rows[2, 3, 2] = 0.0  # a later bad row does not win
+        boxes, scores = rows[:, :, :4], rows[:, :, 4:]
+        with pytest.raises(error, match="image 2 prediction 1"):
+            check_heads(boxes, scores)
+        # one image's rows through to_predictions: the same rule, named by row
+        with pytest.raises(error, match="^prediction 1"):
+            HeadOutputs(boxes=T.constant(boxes[2]), scores=T.constant(scores[2])).to_predictions()
+
+    def test_float32_rows_compare_as_the_floats_they_hold(self):
+        boxes, scores = np.full((1, 2, 4), 0.5, dtype=np.float32), np.full((1, 2, 1), 0.5, dtype=np.float32)
+        boxes[0, 1, 3] = 1e-6  # rounds to 9.9999997e-07, below the floor
+        with pytest.raises(Degenerate, match="near-zero extent"):
+            check_heads(boxes, scores)
+        boxes[0, 1, 3] = np.nextafter(np.float32(1e-6), np.float32(1.0))
+        check_heads(boxes, scores)
+        check_heads(boxes[0], scores[0])
 
 
 class TestForward:

@@ -215,6 +215,32 @@ class TestDifferentiablePairs:
         pairs = giou_pairs(T.constant(a), T.constant(b)).data[:, 0]
         np.testing.assert_allclose(np.diag(giou_matrix(a, b)), pairs, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_leading_axis_equals_the_2d_calls_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(13)
+
+        def draw(m):
+            # interior, overhanging and sub-1e-6 extents, as in the diagonal test above
+            return np.concatenate([
+                np.column_stack([rng.uniform(0.2, 0.8, (m, 2)), rng.uniform(0.05, 0.5, (m, 2))]),
+                np.column_stack([rng.uniform(0.0, 1.0, (m, 2)), rng.uniform(0.6, 1.0, (m, 2))]),
+                np.column_stack([rng.uniform(0.1, 0.9, (m, 2)), rng.choice([1e-9, 5e-7, 0.3], (m, 2))]),
+            ]).astype(dtype)
+
+        a = np.stack([draw(5) for _ in range(7)])
+        b = np.stack([draw(3) for _ in range(7)])
+        for fn in (iou_matrix, giou_matrix):
+            batched = fn(a, b)
+            assert batched.shape == (7, 15, 9) and batched.dtype == dtype
+            for k in range(7):
+                assert batched[k].tobytes() == fn(a[k], b[k]).tobytes()
+            with pytest.raises(DimMismatch):
+                fn(a, b[:6])
+            with pytest.raises(DimMismatch):
+                fn(a, b[0])
+            with pytest.raises(DimMismatch):
+                fn(a[None], b[None])
+
     def test_tiny_extent_clamped_keeps_gradient_finite(self):
         a = Tensor(np.array([[0.5, 0.5, 1e-9, 0.3]]), requires_grad=True)
         b = T.constant(np.array([[0.5, 0.5, 0.3, 0.3]]))
