@@ -327,8 +327,8 @@ def assign_batch(
         # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
         ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
         neighbor = ious.argmax(axis=2)
-        overlap = np.take_along_axis(ious, neighbor[:, :, None], axis=2)[:, :, 0]
-        soft = np.take_along_axis(crop_v, neighbor, axis=1) * overlap
+        overlap = ious.max(axis=2)
+        soft = crop_v[np.arange(n_images)[:, None], neighbor] * overlap
         is_soft = overlap >= w.soft_iou_threshold
     else:
         neighbor = soft = np.zeros((n_images, n))
