@@ -132,10 +132,11 @@ def empty_cost(pred: Prediction, w: LossWeights) -> float:
 def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, C, 4) boxes and (B, C) normalized MOS of B crop lists padded to the longest, and which are real.
 
-    A padding entry is the box (1, 1, 1, 1) with MOS 1; no result reads it.
+    A padding entry is the box (1, 1, 1, 1) with MOS 1; no result reads
+    it. C is at least 1, so a batch without any crop still has a column.
     """
     counts = np.array([len(crops) for crops in crop_lists], dtype=np.int64)
-    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
     boxes = np.ones(real.shape + (4,))
     rows = [(c.box.cx, c.box.cy, c.box.w, c.box.h) for crops in crop_lists for c in crops]
     boxes[real] = np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -323,16 +324,12 @@ def assign_batch(
     good_indices = [tuple(i for i, g in enumerate(gts) if g.mos >= 4.0) for gts in ground_truths]
     costs = cost_matrices(boxes, scores, [[gts[i] for i in gi] for gts, gi in zip(ground_truths, good_indices)], w)
     crop_boxes, crop_v, real_crop = _crop_arrays(ground_truths)
-    if crop_boxes.shape[1]:
-        # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
-        ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
-        neighbor = ious.argmax(axis=2)
-        overlap = ious.max(axis=2)
-        soft = crop_v[np.arange(n_images)[:, None], neighbor] * overlap
-        is_soft = overlap >= w.soft_iou_threshold
-    else:
-        neighbor = soft = np.zeros((n_images, n))
-        is_soft = np.zeros((n_images, n), dtype=bool)
+    # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
+    ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
+    neighbor = ious.argmax(axis=2)
+    overlap = ious.max(axis=2)
+    soft = crop_v[np.arange(n_images)[:, None], neighbor] * overlap
+    is_soft = overlap >= w.soft_iou_threshold
     out = []
     for b, good in enumerate(good_indices):
         perm = hungarian(costs[b])
