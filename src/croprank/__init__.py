@@ -60,7 +60,7 @@ from .decoder import (
 )
 from .errors import CropError
 from .geometry import CropBox, ScoredCrop, from_corners, giou, iou, l1_box, to_corners
-from .metrics import EvalExample, MetricsReport, acc_bar_n, acc_k_n, build_report, top_k_predictions, top_n_ground_truths
+from .metrics import EvalExample, MetricsReport, acc_bar_n, acc_k_n, build_report
 from .tensor import Tensor, backward, no_grad, sgd_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

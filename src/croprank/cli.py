@@ -35,12 +35,14 @@ from .dataio import (
     write_pgm,
     write_tensor,
 )
-from .decoder import ModelConfig, ModelState, Prediction, forward, init_state
-from .errors import CropError, DomainError, NonFinite, ParseError
+from .decoder import ModelConfig, ModelState, Prediction, forward_train, init_state
+from .errors import CropError, Degenerate, DomainError, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
-from .tensor import Adam
+from .tensor import Adam, no_grad
 
 MCAB_MODES = ("average", "max", "off")
+# images per no-grad forward in evaluate_model
+EVAL_CHUNK = 32
 
 
 # -- configuration ----------------------------------------------------------------
@@ -228,11 +230,25 @@ def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, di
 
 
 def evaluate_model(state: ModelState, records, mode: str, dtype) -> list[EvalExample]:
+    """One example per record, from one no-grad forward per chunk of ``EVAL_CHUNK`` images.
+
+    Each image's heads have the bytes of its own forward. An image whose
+    heads ``check_heads`` rejects (a NaN or infinite value, or a collapsed
+    or out-of-range row) is flagged with its id: it has no predictions
+    and counts as zero hits, and the other images are scored as usual.
+    """
     examples = []
-    for r in records:
-        image = r.load_image().astype(dtype)
-        preds = forward(image, build_prior(r, state.config, mode), state)
-        examples.append(EvalExample(predictions=tuple(preds), ground_truths=r.crops))
+    for at in range(0, len(records), EVAL_CHUNK):
+        chunk = records[at : at + EVAL_CHUNK]
+        inputs = [(r.load_image().astype(dtype), build_prior(r, state.config, mode)) for r in chunk]
+        with no_grad():
+            heads = forward_train([image for image, _ in inputs], [prior for _, prior in inputs], state)
+        for b, r in enumerate(chunk):
+            try:
+                preds, flagged = tuple(heads.entry(b).to_predictions()), None
+            except (Degenerate, NonFinite):
+                preds, flagged = (), r.id
+            examples.append(EvalExample(predictions=preds, ground_truths=r.crops, flagged=flagged))
     return examples
 
 

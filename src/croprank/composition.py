@@ -180,22 +180,26 @@ def resample_to_grid(amap: ActivationMap, grid_h: int, grid_w: int) -> Activatio
     """Mean-pool a map down to (grid_h, grid_w) cells, then re-normalize.
 
     Cell boundaries use the floor partition; remainder rows/columns
-    fold into the last cell. Upsampling is rejected.
+    fold into the last cell. Upsampling is rejected. The full (bh, bw)
+    blocks are one reshape and mean; only the cells of the last row or
+    column that take a remainder are pooled one by one.
     """
     h, w = amap.shape
     if grid_h < 1 or grid_w < 1:
         raise BadGrid(f"grid ({grid_h}, {grid_w}) must be positive")
     if grid_h > h or grid_w > w:
         raise BadGrid(f"grid ({grid_h}, {grid_w}) finer than source map ({h}, {w})")
+    v = amap.values
     bh, bw = h // grid_h, w // grid_w
-    out = np.empty((grid_h, grid_w), dtype=np.float64)
-    for i in range(grid_h):
-        r0 = i * bh
-        r1 = (i + 1) * bh if i < grid_h - 1 else h
-        for j in range(grid_w):
-            c0 = j * bw
-            c1 = (j + 1) * bw if j < grid_w - 1 else w
-            out[i, j] = amap.values[r0:r1, c0:c1].mean()
+    blocks = v[: grid_h * bh, : grid_w * bw].reshape(grid_h, bh, grid_w, bw).transpose(0, 2, 1, 3)
+    # each block copied out contiguously: its mean then has the bytes of the mean of its own slice
+    out = np.ascontiguousarray(blocks).reshape(grid_h, grid_w, bh * bw).mean(axis=2).astype(np.float64, copy=False)
+    last_row = [(grid_h - 1, j) for j in range(grid_w)] if h % grid_h else []
+    last_col = [(i, grid_w - 1) for i in range(grid_h)] if w % grid_w else []
+    for i, j in last_row + last_col:
+        r1 = h if i == grid_h - 1 else (i + 1) * bh
+        c1 = w if j == grid_w - 1 else (j + 1) * bw
+        out[i, j] = v[i * bh : r1, j * bw : c1].mean()
     return ActivationMap(values=normalize01(out))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -56,10 +57,12 @@ def write_tensor(path, t) -> None:
 
 def read_tensor(path) -> Tensor:
     """Parse an AESC file back into a (non-trainable) Tensor, bit-exact."""
-    p = Path(path)
-    if not p.exists():
-        raise MissingFile(f"tensor file not found: {p}")
-    blob = p.read_bytes()
+    p = os.fspath(path)
+    try:
+        with open(p, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise MissingFile(f"tensor file not found: {p}") from None
     if len(blob) < 8 or blob[:4] != AESC_MAGIC:
         raise BadMagic(f"{p}: missing AESC magic")
     version, dtype_code, rank = struct.unpack("<HBB", blob[4:8])
@@ -72,15 +75,13 @@ def read_tensor(path) -> Tensor:
         raise TruncatedPayload(f"{p}: header truncated at {len(blob)} bytes")
     dims = struct.unpack(f"<{rank}I", blob[8:dims_end]) if rank else ()
     dtype = _CODE_DTYPES[dtype_code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     actual = len(blob) - dims_end
     if actual != expected:
         raise TruncatedPayload(f"{p}: payload is {actual} bytes, expected {expected}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims if rank else (1,))
-    if not rank:
-        arr = arr.reshape(())
-    native = arr.astype(dtype.newbyteorder("="), copy=True)
-    return Tensor(native, dtype=native.dtype)
+    arr = np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims)
+    # Tensor copies the little-endian payload into a native-order array of its own
+    return Tensor(arr, dtype=dtype.newbyteorder("="))
 
 
 # -- dataset records -------------------------------------------------------------
@@ -101,8 +102,8 @@ class DatasetRecord:
     crops: tuple[ScoredCrop, ...]
     base_dir: str
 
-    def _resolve(self, rel: str) -> Path:
-        return Path(self.base_dir) / rel
+    def _resolve(self, rel: str) -> str:
+        return os.path.join(self.base_dir, rel)
 
     def load_image(self) -> np.ndarray:
         if self.image_path is None:
@@ -198,7 +199,7 @@ def load_dataset(path) -> list[DatasetRecord]:
                 raise ParseError(f"cams_inline must list {N_CLASSES} maps", line=line_no, field="cams_inline")
             cams_inline = tuple(cams_inline)
         for rel in filter(None, [image_path, *(cam_paths or ())]):
-            if not (Path(base_dir) / rel).exists():
+            if not os.path.exists(os.path.join(base_dir, rel)):
                 raise MissingFile(f"record {rec_id!r} references missing file {rel}")
         records.append(
             DatasetRecord(

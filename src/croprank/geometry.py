@@ -4,10 +4,11 @@ Boxes are carried as (cx, cy, w, h) with centers in [0, 1] and extents
 in (0, 1]; corner form is derived on demand and clamped to the unit
 square at conversion. Two parallel implementations exist on purpose:
 a plain-numpy path for costs and metrics, whose matrices also take a
-leading batch axis, and a tensor path used inside differentiable
-losses. Both derive corners by one rule: extents are clamped to
-[1e-6, 1] first (so gradients stay bounded), and the corners then to
-the unit square.
+leading batch axis (one training batch's costs, or one split's top
+predictions against its top crops), and a tensor path used inside
+differentiable losses. Both derive corners by one rule: extents are
+clamped to [1e-6, 1] first (so gradients stay bounded), and the
+corners then to the unit square.
 """
 from __future__ import annotations
 

@@ -2,97 +2,96 @@
 
 Acc_{K/N}: the fraction of the top-K scored predictions whose best IoU
 against any of the top-N annotated crops clears a threshold, averaged
-over all examples. Both rankings break ties by original index so runs
-are reproducible across platforms.
+over all T examples; both rankings break ties by original index. It is
+computed once per split: one sort per example, one (T, max K, max N)
+``iou_matrix`` call, then the cumulative hit count at rank K over T·K.
+A flagged example (see ``EvalExample``) stays in T with zero hits.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .decoder import Prediction
 from .errors import DimMismatch, EmptySK, KTooLarge, NTooLarge, OutOfRange
-from .geometry import ScoredCrop, boxes_array, iou_matrix
+from .geometry import ScoredCrop, iou_matrix
 
 
 @dataclass(frozen=True)
 class EvalExample:
-    """One evaluated image: model predictions plus annotated crops."""
+    """One evaluated image; ``flagged`` is the id of an image whose heads were invalid, left with no predictions."""
 
     predictions: tuple[Prediction, ...]
     ground_truths: tuple[ScoredCrop, ...]
+    flagged: str | None = None
 
     def __post_init__(self):
-        if len(self.predictions) < 1:
+        if len(self.predictions) < 1 and self.flagged is None:
             raise DimMismatch("EvalExample needs at least one prediction")
 
 
-def top_k_predictions(preds, k: int) -> list[Prediction]:
-    """Top k by score descending; equal scores keep original order."""
-    if k < 1 or k > len(preds):
-        raise KTooLarge(f"K={k} outside [1, {len(preds)}]")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    return [preds[i] for i in order[:k]]
-
-
-def top_n_ground_truths(gts, n: int) -> list[ScoredCrop]:
-    """The N highest-MOS crops (ties by index), as an ordered list."""
-    if n < 1 or n > len(gts):
-        raise NTooLarge(f"N={n} outside [1, {len(gts)}]")
-    order = sorted(range(len(gts)), key=lambda i: (-gts[i].mos, i))
-    return [gts[i] for i in order[:n]]
+def _top_rows(items, key, depth: int) -> list:
+    """(cx, cy, w, h) of the ``depth`` items of highest ``key``; the stable argsort breaks ties by index."""
+    order = np.argsort([-key(x) for x in items], kind="stable")[:depth]
+    return [(items[i].box.cx, items[i].box.cy, items[i].box.w, items[i].box.h) for i in order]
 
 
 def acc_k_n(examples, k: int, n: int, epsilon: float) -> float:
     """(1 / (T K)) sum_i sum_{j<=K} [ max_{g in S_i(N)} IoU(c_ij, g) >= eps ]."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise OutOfRange(f"epsilon {epsilon} outside [0, 1]")
-    examples = list(examples)
-    if not examples:
-        raise DimMismatch("acc_k_n needs at least one example")
-    hits = 0
-    for ex in examples:
-        top_preds = top_k_predictions(ex.predictions, k)
-        top_gts = top_n_ground_truths(ex.ground_truths, n)
-        best = iou_matrix(boxes_array([p.box for p in top_preds]), boxes_array([g.box for g in top_gts])).max(axis=1)
-        hits += int(np.count_nonzero(best >= epsilon))
-    return hits / (len(examples) * k)
+    return build_report(examples, (k,), (n,), epsilon).acc[n][k]
 
 
 def acc_bar_n(examples, s_k, n: int, epsilon: float) -> float:
     """Mean of acc_k_n over K in s_k (default reporting uses {1,2,3,4})."""
-    ks = list(s_k)
-    if not ks:
-        raise EmptySK("acc_bar_n: S_K is empty")
-    return sum(acc_k_n(examples, k, n, epsilon) for k in ks) / len(ks)
+    return build_report(examples, s_k, (n,), epsilon).acc_bar[n]
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Accuracy table for one evaluation run."""
+    """Accuracy table for one evaluation run, with the ids of its flagged examples."""
 
     epsilon: float
     n_examples: int
     acc: dict  # {N: {K: value}}
     acc_bar: dict  # {N: value}
+    flagged: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "epsilon": self.epsilon,
-            "examples": self.n_examples,
-            "acc": {str(n): {str(k): v for k, v in row.items()} for n, row in self.acc.items()},
-            "acc_bar": {str(n): v for n, v in self.acc_bar.items()},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        acc = {str(n): {str(k): v for k, v in row.items()} for n, row in self.acc.items()}
+        payload = {"epsilon": self.epsilon, "examples": self.n_examples, "acc": acc,
+                   "acc_bar": {str(n): v for n, v in self.acc_bar.items()}}
+        flagged = {"flagged": {"count": len(self.flagged), "ids": list(self.flagged)}} if self.flagged else {}
+        return json.dumps({**payload, **flagged}, indent=2, sort_keys=True)
 
 
 def build_report(examples, ks=(1, 2, 3, 4), ns=(5, 10), epsilon: float = 0.90) -> MetricsReport:
-    examples = list(examples)
-    acc = {n: {k: acc_k_n(examples, k, n, epsilon) for k in ks} for n in ns}
-    acc_bar = {n: acc_bar_n(examples, ks, n, epsilon) for n in ns}
-    return MetricsReport(epsilon=epsilon, n_examples=len(examples), acc=acc, acc_bar=acc_bar)
+    """Acc_{K/N} for every pair and its mean over K for every N, from one IoU pass over the split."""
+    examples, ks, ns = list(examples), list(ks), list(ns)
+    flagged = tuple(ex.flagged for ex in examples if ex.flagged is not None)
+    if not ns:
+        return MetricsReport(epsilon=epsilon, n_examples=len(examples), acc={}, acc_bar={}, flagged=flagged)
+    if not ks:
+        raise EmptySK("acc_bar_n: S_K is empty")
+    if not (0.0 <= epsilon <= 1.0):
+        raise OutOfRange(f"epsilon {epsilon} outside [0, 1]")
+    if not examples:
+        raise DimMismatch("acc_k_n needs at least one example")
+    for n, k, ex in product(ns, ks, examples):  # the first bad (N, K) pair raises, at its first bad example
+        if ex.flagged is None and not 1 <= k <= len(ex.predictions):
+            raise KTooLarge(f"K={k} outside [1, {len(ex.predictions)}]")
+        if not 1 <= n <= len(ex.ground_truths):
+            raise NTooLarge(f"N={n} outside [1, {len(ex.ground_truths)}]")
+    live = [ex for ex in examples if ex.flagged is None]
+    preds = [_top_rows(ex.predictions, lambda p: p.score, max(ks)) for ex in live]
+    gts = [_top_rows(ex.ground_truths, lambda g: g.mos, max(ns)) for ex in live]
+    ious = iou_matrix(np.reshape(preds, (len(live), max(ks), 4)), np.reshape(gts, (len(live), max(ns), 4)))
+    hits = {n: np.cumsum((ious[:, :, :n].max(axis=2) >= epsilon).sum(axis=0)) for n in ns}
+    acc = {n: {k: int(hits[n][k - 1]) / (len(examples) * k) for k in ks} for n in ns}
+    acc_bar = {n: sum(row[k] for k in ks) / len(ks) for n, row in acc.items()}
+    return MetricsReport(epsilon=epsilon, n_examples=len(examples), acc=acc, acc_bar=acc_bar, flagged=flagged)
 
 
 def render_table(rows: list[tuple[str, MetricsReport]]) -> str:

@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from croprank import cli, decoder
 from croprank.cli import (
     DESK_CONFIG,
     MCAB_MODES,
     PRESETS,
     RunConfig,
     _config_from,
+    build_prior,
     build_parser,
     evaluate_model,
     main,
@@ -17,10 +19,11 @@ from croprank.cli import (
     resolve_config,
 )
 from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_checkpoint, write_tensor
-from croprank.decoder import init_state
-from croprank.errors import ParseError
+from croprank.dataio import generate_synthetic
+from croprank.decoder import ModelConfig, forward, init_state
+from croprank.errors import Degenerate, ParseError
 from croprank.gradcheck import toy_config
-from croprank.metrics import EvalExample
+from croprank.metrics import EvalExample, build_report
 
 from conftest import random_eval_example
 
@@ -151,6 +154,79 @@ class TestRandomBaseline:
             [p.score for p in ea.predictions] == [p.score for p in eb.predictions]
             for ea, eb in zip(a, b)
         )
+
+
+def per_image_eval(state, records, mode, dtype) -> list[EvalExample]:
+    """Reference for ``evaluate_model``: one ``decoder.forward`` per image."""
+    return [
+        EvalExample(predictions=tuple(forward(r.load_image().astype(dtype), build_prior(r, state.config, mode), state)),
+                    ground_truths=r.crops)
+        for r in records
+    ]
+
+
+def _box_bytes(examples) -> list[bytes]:
+    return [np.array([[p.box.cx, p.box.cy, p.box.w, p.box.h, p.score] for p in ex.predictions]).tobytes()
+            for ex in examples]
+
+
+class TestBatchedEval:
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        return generate_synthetic(41, 10, tmp_path_factory.mktemp("batched_eval"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["average", "off"])
+    @pytest.mark.parametrize("chunk", [32, 4])
+    def test_each_image_has_the_bytes_of_its_own_forward(self, records, dtype, mode, chunk, monkeypatch):
+        monkeypatch.setattr(cli, "EVAL_CHUNK", chunk)  # 4 leaves a short last chunk of 2
+        state = init_state(ModelConfig(), seed=5, dtype=dtype)
+        got = evaluate_model(state, records, mode, dtype)
+        expected = per_image_eval(state, records, mode, dtype)
+        assert [ex.ground_truths for ex in got] == [ex.ground_truths for ex in expected]
+        assert all(ex.flagged is None for ex in got)
+        assert _box_bytes(got) == _box_bytes(expected)
+        # the ten images give ten different prediction sets
+        assert len(set(_box_bytes(got))) == len(records)
+
+    def test_degenerate_image_is_flagged_and_scored_as_zero_hits(self, tmp_path, records, capsys, monkeypatch):
+        state = init_state(ModelConfig(), seed=6)
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, state, extra={"mcab": "average", "dtype": "f64"})
+        expected = per_image_eval(state, records, "average", state.dtype)
+        real_heads = decoder.predict_heads
+
+        def collapse_one_query_of_image_3(decoded, state):
+            heads = real_heads(decoded, state)
+            boxes = heads.boxes.data
+            if boxes.ndim == 3 and boxes.shape[0] > 3:
+                boxes[3, 5, 2] = 1e-9  # w below the 1e-6 extent floor
+            elif boxes.ndim == 2:
+                boxes[5, 2] = 1e-9
+            return heads
+
+        monkeypatch.setattr(decoder, "predict_heads", collapse_one_query_of_image_3)
+        # the per-image forward still raises on the collapsed query
+        with pytest.raises(Degenerate, match="near-zero extent"):
+            forward(records[3].load_image(), build_prior(records[3], state.config, "average"), state)
+        got = evaluate_model(state, records, "average", state.dtype)
+        assert [ex.flagged for ex in got] == [None] * 3 + [records[3].id] + [None] * 6
+        assert got[3].predictions == () and got[3].ground_truths == records[3].crops
+        assert _box_bytes(got[:3] + got[4:]) == _box_bytes(expected[:3] + expected[4:])
+
+        data = records[0].base_dir + "/data.jsonl"
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", data, "--out", str(tmp_path / "report"),
+                     "--eval.epsilon", "0.3"])
+        assert code == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert payload["examples"] == 10
+        assert payload["flagged"] == {"count": 1, "ids": [records[3].id]}
+        # the flagged image stays in T with zero hits; the others score as they would alone
+        expected[3] = EvalExample(predictions=(), ground_truths=records[3].crops, flagged=records[3].id)
+        report = build_report(expected, epsilon=0.3)
+        assert (tmp_path / "report" / "report.json").read_text() == report.to_json()
+        assert report.acc[5][4] > 0.0
 
 
 class TestPipeline:

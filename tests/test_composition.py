@@ -183,6 +183,19 @@ class TestFuseCams:
             fuse_cams(bad, probs, "average")
 
 
+def loop_resample(values: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
+    """Reference pooling: one mean per cell over its slice, remainders folded into the last row and column."""
+    h, w = values.shape
+    bh, bw = h // grid_h, w // grid_w
+    out = np.empty((grid_h, grid_w), dtype=np.float64)
+    for i in range(grid_h):
+        r1 = (i + 1) * bh if i < grid_h - 1 else h
+        for j in range(grid_w):
+            c1 = (j + 1) * bw if j < grid_w - 1 else w
+            out[i, j] = values[i * bh : r1, j * bw : c1].mean()
+    return normalize01(out)
+
+
 class TestResample:
     def test_constant_map_becomes_all_ones(self):
         amap = ActivationMap(values=np.full((8, 8), 0.4))
@@ -206,6 +219,20 @@ class TestResample:
         )
         expected = (pooled - pooled.min()) / (pooled.max() - pooled.min())
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, grid", [
+        ((32, 32), (8, 8)), ((64, 64), (8, 8)), ((32, 48), (8, 8)), ((32, 32), (4, 8)), ((24, 24), (1, 1)),
+        ((32, 32), (32, 32)), ((40, 9), (4, 9)), ((33, 35), (8, 8)), ((37, 32), (8, 8)), ((32, 37), (8, 8)),
+        ((64, 41), (8, 4)), ((23, 31), (7, 3)), ((50, 50), (3, 1)), ((9, 50), (1, 6)),
+    ])
+    def test_matches_the_cell_loop_bit_for_bit(self, shape, grid):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for dtype in (np.float64, np.float32):
+            for _ in range(20):
+                vals = rng.uniform(size=shape).astype(dtype)
+                out = resample_to_grid(ActivationMap(values=vals), *grid).values
+                assert out.dtype == np.float64
+                assert np.array_equal(out, loop_resample(vals, *grid))
 
     def test_rejects_upsampling_and_bad_grid(self):
         amap = ActivationMap(values=np.zeros((4, 4)))

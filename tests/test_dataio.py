@@ -127,6 +127,40 @@ class TestTensorCodec:
             read_tensor(path)
 
 
+    def test_string_paths_raise_the_same_types(self, tmp_path):
+        good = tmp_path / "good.aesc"
+        write_tensor(good, np.arange(6, dtype=np.float32).reshape(2, 3))
+        blob = good.read_bytes()
+        cases = {
+            "absent.aesc": (None, MissingFile),
+            "magic.aesc": (b"NOPE" + blob[4:], BadMagic),
+            "version.aesc": (blob[:4] + struct.pack("<HBB", 2, 0, 2) + blob[8:], BadVersion),
+            "code.aesc": (blob[:4] + struct.pack("<HBB", AESC_VERSION, 9, 2) + blob[8:], BadVersion),
+            "short.aesc": (blob[:-1], TruncatedPayload),
+        }
+        for name, (content, error) in cases.items():
+            path = tmp_path / name
+            if content is not None:
+                path.write_bytes(content)
+            with pytest.raises(error, match=name):
+                read_tensor(str(path))
+
+    def test_read_gives_a_writable_native_copy(self, tmp_path):
+        path = tmp_path / "t.aesc"
+        write_tensor(path, np.arange(6, dtype=np.float64).reshape(2, 3))
+        data = read_tensor(str(path)).data
+        assert data.flags.owndata and data.flags.writeable and data.dtype.isnative
+        data[0, 0] = 7.0
+        assert read_tensor(path).data[0, 0] == 0.0
+
+    def test_record_file_removed_after_load_raises_missing_file(self, tmp_path):
+        records = generate_synthetic(5, 1, tmp_path / "d", image_h=16, image_w=16, cam_h=8, cam_w=8,
+                                     n_candidates=13)
+        (tmp_path / "d" / records[0].cam_paths[4]).unlink()
+        assert records[0].load_image().shape == (3, 16, 16)
+        with pytest.raises(MissingFile, match=records[0].cam_paths[4]):
+            records[0].load_cams()
+
 class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):

@@ -13,11 +13,9 @@ from croprank.metrics import (
     acc_k_n,
     build_report,
     render_table,
-    top_k_predictions,
-    top_n_ground_truths,
 )
 
-from conftest import naive_iou, random_eval_example
+from conftest import interior_box, naive_iou, random_eval_example
 
 
 def _pred(cx, cy, w, h, score):
@@ -42,27 +40,47 @@ def naive_acc(examples, k, n, epsilon):
 
 
 class TestRankings:
-    def test_top_k_orders_by_score_then_index(self):
-        preds = [_pred(0.5, 0.5, 0.2, 0.2, s) for s in (0.2, 0.9, 0.9)]
-        top = top_k_predictions(preds, 2)
-        assert top == [preds[1], preds[2]]
+    def test_tied_scores_rank_by_index(self):
+        gt = (_gt(0.5, 0.5, 0.4, 0.4, 5.0),)
+        on, off = (0.5, 0.5, 0.4, 0.4), (0.1, 0.1, 0.1, 0.1)
+        preds = (_pred(*on, 0.2), _pred(*on, 0.9), _pred(*off, 0.9))
+        # the two top scores tie; K = 1 takes the lower index
+        assert acc_k_n([EvalExample(predictions=preds, ground_truths=gt)], 1, 1, 0.9) == 1.0
+        swapped = (preds[0], preds[2], preds[1])
+        assert acc_k_n([EvalExample(predictions=swapped, ground_truths=gt)], 1, 1, 0.9) == 0.0
+        assert acc_k_n([EvalExample(predictions=swapped, ground_truths=gt)], 2, 1, 0.9) == 0.5
 
-    def test_top_k_bounds(self):
-        preds = [_pred(0.5, 0.5, 0.2, 0.2, 0.5)]
-        with pytest.raises(KTooLarge):
-            top_k_predictions(preds, 2)
-        with pytest.raises(KTooLarge):
-            top_k_predictions(preds, 0)
+    def test_tied_mos_rank_by_index(self):
+        pred = (_pred(0.5, 0.5, 0.4, 0.4, 0.5),)
+        gts = (_gt(0.5, 0.5, 0.4, 0.4, 3.0), _gt(0.5, 0.5, 0.4, 0.4, 5.0), _gt(0.2, 0.2, 0.2, 0.2, 5.0))
+        # the two top MOS tie; N = 1 takes the lower index
+        assert acc_k_n([EvalExample(predictions=pred, ground_truths=gts)], 1, 1, 0.9) == 1.0
+        swapped = (gts[0], gts[2], gts[1])
+        assert acc_k_n([EvalExample(predictions=pred, ground_truths=swapped)], 1, 1, 0.9) == 0.0
+        assert acc_k_n([EvalExample(predictions=pred, ground_truths=swapped)], 1, 2, 0.9) == 1.0
 
-    def test_top_n_orders_by_mos_then_index(self):
-        gts = [_gt(0.5, 0.5, 0.2, 0.2, m) for m in (3.0, 5.0, 5.0, 1.0)]
-        top = top_n_ground_truths(gts, 3)
-        assert top == [gts[1], gts[2], gts[0]]
+    @pytest.mark.parametrize("k, n, error", [
+        (3, 1, KTooLarge), (0, 1, KTooLarge), (1, 3, NTooLarge), (1, 0, NTooLarge),
+    ])
+    def test_depth_outside_a_list_raises(self, k, n, error):
+        rng = np.random.default_rng(11)
+        # the second example is the short one: every example is checked
+        examples = [random_eval_example(rng, 4, 4), random_eval_example(rng, 2, 2)]
+        with pytest.raises(error):
+            acc_k_n(examples, k, n, 0.5)
+        with pytest.raises(error):
+            acc_bar_n(examples, (1, k), n, 0.5)
+        with pytest.raises(error):
+            build_report(examples, ks=(1, k), ns=(1, n), epsilon=0.5)
 
-    def test_top_n_bounds(self):
-        gts = [_gt(0.5, 0.5, 0.2, 0.2, 3.0)]
+    def test_first_bad_pair_decides_the_error(self):
+        rng = np.random.default_rng(12)
+        # K = 4 and N = 5 both overrun; the (N, K) pairs run N-major, so N = 5 with K = 1 raises first
+        examples = [random_eval_example(rng, 3, 3)]
         with pytest.raises(NTooLarge):
-            top_n_ground_truths(gts, 2)
+            build_report(examples, ks=(1, 2, 3, 4), ns=(5, 10))
+        with pytest.raises(KTooLarge):
+            build_report(examples, ks=(1, 2, 3, 4), ns=(1, 10))
 
     def test_eval_example_needs_predictions(self):
         with pytest.raises(DimMismatch):
@@ -150,6 +168,61 @@ class TestAveragedAccuracy:
         rng = np.random.default_rng(7)
         with pytest.raises(EmptySK):
             acc_bar_n([random_eval_example(rng, 4, 5)], [], 3, 0.5)
+
+
+def hitting_example(rng, n_preds, n_gts):
+    """Predictions jittered off the annotated crops, so many clear eps = 0.9; scores and MOS drawn with ties."""
+    gts = [
+        ScoredCrop(box=interior_box(rng), mos=float(rng.choice([2.0, 3.5, 5.0]))) for _ in range(n_gts)
+    ]
+    preds = []
+    for _ in range(n_preds):
+        base = gts[int(rng.integers(n_gts))].box
+        jitter = float(rng.choice([0.0, 0.002, 0.01, 0.05]))
+        box = CropBox(
+            cx=float(np.clip(base.cx + rng.normal(0.0, jitter), 0.0, 1.0)),
+            cy=float(np.clip(base.cy + rng.normal(0.0, jitter), 0.0, 1.0)),
+            w=base.w,
+            h=base.h,
+        )
+        preds.append(Prediction(box=box, score=float(rng.choice([0.25, 0.5, 0.75]))))
+    return EvalExample(predictions=tuple(preds), ground_truths=tuple(gts))
+
+
+class TestReportCore:
+    def test_matches_double_loop_oracle_on_hits(self):
+        rng = np.random.default_rng(13)
+        ks, ns = (1, 2, 3, 4), (1, 3, 5)
+        nonzero = 0
+        for _ in range(20):
+            examples = [hitting_example(rng, int(rng.integers(4, 21)), int(rng.integers(5, 31))) for _ in range(7)]
+            eps = float(rng.choice([0.5, 0.8, 0.9]))
+            rep = build_report(examples, ks=ks, ns=ns, epsilon=eps)
+            for n in ns:
+                expected = [naive_acc(examples, k, n, eps) for k in ks]
+                assert [rep.acc[n][k] for k in ks] == expected
+                assert rep.acc_bar[n] == sum(expected) / len(ks)
+                assert acc_bar_n(examples, ks, n, eps) == rep.acc_bar[n]
+                nonzero += sum(v > 0.0 for v in expected)
+        assert nonzero > 100  # the oracle is checked on real hits, not on zeros
+
+    def test_flagged_example_counts_as_zero_hits(self):
+        box = CropBox(0.5, 0.5, 0.4, 0.4)
+        gts = (ScoredCrop(box=box, mos=5.0),)
+        hit = EvalExample(predictions=(Prediction(box=box, score=0.9),), ground_truths=gts)
+        flagged = EvalExample(predictions=(), ground_truths=gts, flagged="scene_0001")
+        rep = build_report([hit, flagged], ks=(1,), ns=(1,), epsilon=0.9)
+        assert rep.n_examples == 2 and rep.acc[1][1] == 0.5
+        assert json.loads(rep.to_json())["flagged"] == {"count": 1, "ids": ["scene_0001"]}
+        # all flagged: zero hits, nothing to rank
+        assert acc_k_n([flagged, flagged], 1, 1, 0.0) == 0.0
+        # no flagged example: no "flagged" entry at all
+        assert "flagged" not in json.loads(build_report([hit], ks=(1,), ns=(1,)).to_json())
+
+    def test_flagged_example_still_needs_its_crops(self):
+        flagged = EvalExample(predictions=(), ground_truths=(_gt(0.5, 0.5, 0.2, 0.2, 3.0),), flagged="x")
+        with pytest.raises(NTooLarge):
+            acc_k_n([flagged], 1, 2, 0.5)
 
 
 class TestReport:
