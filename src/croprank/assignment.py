@@ -11,8 +11,10 @@ score target; the rest are pushed to zero score.
 
 Assignment works on arrays: ``assign_batch`` takes a batch's (B, N, 4)
 boxes and scores and makes one cost pass and one IoU pass for all its
-images, then one Hungarian solve and one ``Assignment`` per image.
-``assign`` is the same core for one image's ``Prediction`` list. One
+images, one stacked Hungarian solve for all their matrices, whose tie
+pass visits only the images with a candidate tie, and one
+``Assignment`` per image. ``assign`` is the same core for one image's
+``Prediction`` list, and ``hungarian`` the solve of one matrix. One
 training step is one batched forward -> ``decoder.check_heads`` ->
 ``assign_batch`` -> one batched loss -> one backward -> SGD (or Adam).
 """
@@ -83,7 +85,8 @@ def normalize_mos(s: float) -> float:
 
 
 def _focal_np(v_hat: np.ndarray, v: np.ndarray | float, gamma: float) -> np.ndarray:
-    vc = np.clip(v_hat, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    # np.minimum(np.maximum(...)) is np.clip's result in half its time on a few entries
+    vc = np.minimum(np.maximum(v_hat, SCORE_CLAMP), 1.0 - SCORE_CLAMP)
     ce = -(v * np.log(vc) + (1.0 - v) * np.log1p(-vc))
     return np.abs(v - vc) ** gamma * ce
 
@@ -148,8 +151,8 @@ def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.nda
 
 def cost_matrices(
     boxes: np.ndarray, scores: np.ndarray, targets: list[list[ScoredCrop]], w: LossWeights
-) -> list[np.ndarray]:
-    """Each image's (N, N) padded cost matrix; columns beyond its own targets are padding.
+) -> np.ndarray:
+    """The (B, N, N) stack of padded cost matrices; columns beyond an image's own targets are padding.
 
     ``boxes`` is (B, N, 4) and ``scores`` (B, N) float64, ``targets``
     one list per image. The L1, GIoU and focal costs of the whole batch
@@ -161,20 +164,15 @@ def cost_matrices(
     for tgts in targets:
         if len(tgts) > n:
             raise CardinalityMismatch(f"{len(tgts)} matchable targets but only {n} predictions")
-    tgt_boxes, v, _ = _crop_arrays(targets)
+    tgt_boxes, v, is_target = _crop_arrays(targets)
     l1 = np.abs(boxes[:, :, None, :] - tgt_boxes[:, None, :, :]).sum(axis=3)
     gi = giou_matrix(boxes, tgt_boxes)
     fo = _focal_np(scores[:, :, None], v[:, None, :], w.focal_gamma)
     real = l1 + w.giou_weight * (1.0 - gi) + w.focal_weight * fo
-    pad = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)
-    out = []
-    for b, tgts in enumerate(targets):
-        g = len(tgts)
-        costs = np.empty((n, n))
-        costs[:, :g] = real[b, :, :g]
-        costs[:, g:] = pad[b, :, None]
-        out.append(costs)
-    return out
+    costs = np.empty((len(targets), n, n))
+    costs[...] = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)[:, :, None]
+    np.copyto(costs[:, :, : real.shape[2]], real, where=is_target[:, None, :])
+    return costs
 
 
 def _prediction_arrays(preds: list[Prediction]) -> tuple[np.ndarray, np.ndarray]:
@@ -190,110 +188,175 @@ def build_cost_matrix(preds: list[Prediction], good: list[ScoredCrop], w: LossWe
 # -- Hungarian solver -----------------------------------------------------------
 
 
-def _shortest_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest-augmenting-path assignment of every row of an (n, m) matrix, n <= m.
+def _shortest_paths(cost: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest-augmenting-path assignment of B independent (R, M) problems at once.
 
-    Returns (col_of_row, u, v): the column of each row and the dual
-    potentials of the rows and columns. Reduced costs
-    cost[r, c] - u[r] - v[c] are nonnegative and zero on the assignment;
-    v is nonpositive, and zero on every column left unassigned.
+    Problem b assigns its first ``rows[b]`` rows, rows[b] <= M, and
+    ignores the rest of ``cost[b]``. Returns (row_of_col, u, v): the row
+    each column takes (-1 if none), (B, M), and the dual potentials of
+    the rows, (B, R), and of the columns, (B, M). Reduced costs
+    cost[b, r, c] - u[b, r] - v[b, c] are nonnegative and zero on the
+    assignment; v is nonpositive, and zero on every column left free.
+    Row i's search runs for every problem that has row i. A problem
+    whose path has reached a free column moves by 0 until the others
+    are done, and u and v never hold -0.0, so each problem makes
+    exactly the updates of u, v and assigned_row that a solve of its
+    own would make. Its path is then walked back along ``way``.
     """
-    n, m = cost.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    assigned_row = np.zeros(m + 1, dtype=np.int64)  # per column, 0 = free
-    way = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+    n_b, n_rows, m = cost.shape
+    ar = np.arange(n_b)
+    # problem b's column j sits at [j, b] (flat j * B + b) and its row r at [r, b] (flat r * B + b);
+    # row 0 and column 0 are the virtual start of every search, and row 0 marks a free column.
+    # Their costs are inf: column 0 is used from the first step on, and a problem whose path
+    # has ended reads row 0, so it changes no minv and no way.
+    cost_cols = np.empty((m + 1, n_rows + 1, n_b))
+    cost_cols.fill(np.inf)
+    cost_cols[1:, 1:] = cost.transpose(2, 1, 0)
+    cost_cols = cost_cols.reshape(m + 1, -1)
+    # -v, u and -minv move by -delta in one masked subtraction: -v on the used columns, u on
+    # the rows in the tree, -minv everywhere. x - (-d) is x + d to the bit, and a zero that
+    # ends up with the other sign is read back as +0.0 (v = 0.0 - (-v)) or only compared.
+    moving = np.zeros((2 * (m + 1) + n_rows + 1, n_b))
+    neg_v, u, neg_minv = moving[: m + 1], moving[m + 1 : m + n_rows + 2], moving[m + n_rows + 2 :]
+    marks = np.empty(moving.shape, dtype=bool)
+    marks[m + n_rows + 2 :] = True
+    flags, used, in_tree = marks[: m + n_rows + 2], marks[: m + 1], marks[m + 1 : m + n_rows + 2]
+    assigned_row = np.zeros((m + 1) * n_b, dtype=np.int64)  # flat row index per column
+    way = np.empty((m + 1, n_b), dtype=np.int64)  # flat index of the column before it on the path
+    u_flat, neg_minv_flat, way_flat = u.reshape(-1), neg_minv.reshape(-1), way.reshape(-1)
+    used_flat, in_tree_flat = used.reshape(-1), in_tree.reshape(-1)
+    if n_rows:
+        # row 1 meets only free columns: its search is one step to its cheapest column (the
+        # first of equals), which sets u = 0.0 + that cost and moves no real column's v
+        has_row = rows >= 1
+        np.add(0.0, np.minimum.reduce(cost[:, 0], axis=1), out=u[1], where=has_row)
+        row_1 = n_b + ar  # each problem's row 1, flat; its column c + 1 sits at c * B + row_1
+        assigned_row[cost[:, 0].argmin(axis=1) * n_b + row_1] = row_1 * has_row
+    for i in range(2, n_rows + 1):
+        running = rows >= i
+        # the first step leaves column 0, which holds row i, and reaches every other column
+        np.add(ar, i * n_b, out=assigned_row[:n_b])
+        flags.fill(False)
+        used[0] = True
+        in_tree[i] = True
+        np.subtract(u[i], cost_cols[:, i * n_b : (i + 1) * n_b], out=neg_minv)
+        neg_minv -= neg_v
+        way[...] = ar
+        j0 = ar.copy()
+        steps = 0
         while True:
-            used[j0] = True
-            i0 = assigned_row[j0]
-            free = ~used[1:]
-            cur = cost[i0 - 1] - u[i0] - v[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            masked = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[assigned_row[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if assigned_row[j0] == 0:
+            j1 = neg_minv.argmax(axis=0) * n_b + ar
+            neg_delta = np.where(running, neg_minv_flat[j1], 0.0)
+            np.subtract(moving, neg_delta, out=moving, where=marks)
+            np.copyto(j0, j1, where=running)
+            np.logical_and(running, assigned_row[j0], out=running)
+            steps += 1
+            if not np.count_nonzero(running):
                 break
-        while j0:
-            j1 = way[j0]
+            used_flat[j0] = True
+            # a used column's minv is never read again; -minv = -inf keeps it out of the argmax
+            neg_minv_flat[j0] = -np.inf
+            i0 = assigned_row[j0]
+            in_tree_flat[i0] = True
+            neg_cur = u_flat[i0] - cost_cols.take(i0, axis=1) - neg_v
+            better = ~used & (neg_cur > neg_minv)
+            np.copyto(neg_minv, neg_cur, where=better)
+            np.copyto(way, j0, where=better)
+        # a path has at most one column per step; column 0's way is itself
+        for _ in range(steps):
+            j1 = way_flat[j0]
             assigned_row[j0] = assigned_row[j1]
             j0 = j1
-    col_of_row = np.zeros(n, dtype=np.int64)
-    for j in range(1, m + 1):
-        if assigned_row[j] > 0:
-            col_of_row[assigned_row[j] - 1] = j - 1
-    return col_of_row, u[1:], v[1:]
+    # row 0 // B - 1 = -1 marks a free column
+    return assigned_row.reshape(m + 1, n_b)[1:].T // n_b - 1, u[1:].T, np.subtract(0.0, neg_v[1:]).T
+
+
+def _lexicographic(arr: np.ndarray, real: np.ndarray, match: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """One image's tie pass: the smallest optimal real column of each row, row by row.
+
+    ``match`` is an optimum of the (N, g) ``real`` block (-1 = padding)
+    and ``zero`` marks its zero-reduced-cost entries. A row whose first
+    such column lies below its current one tries the smaller candidates
+    in ascending order, each verified by a sub-solve of the later rows
+    over the real columns left; the first that keeps the total wins.
+    """
+    n, g = real.shape
+    rows = np.arange(n)
+    # arr[i, -1] is the padding cost, so index -1 prices an unmatched row
+    total = float(arr[rows, match].sum())
+    first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), g).tolist()
+    available = np.ones(g, dtype=bool)
+    for i in range(n):
+        below = g if match[i] < 0 else int(match[i])
+        if first_zero[i] < below:
+            candidates = np.nonzero(available[:below] & zero[i, :below])[0]
+            free = np.nonzero(available)[0]
+            for j in candidates:
+                rest = free[free != j]
+                trial = match.copy()
+                trial[i] = j
+                sub, _, _ = _shortest_paths(real[None, i + 1 :, rest].transpose(0, 2, 1), np.array([len(rest)]))
+                trial[i + 1 :] = np.concatenate((rest, [-1]))[sub[0]]
+                trial_total = float(arr[rows, trial].sum())
+                if trial_total <= total:
+                    match, total = trial, trial_total
+                    break
+        if match[i] >= 0:
+            available[match[i]] = False
+    return match
+
+
+def _match(costs: np.ndarray) -> np.ndarray:
+    """``hungarian`` of each (N, N) matrix of a (B, N, N) stack, solved together; (B, N) perms."""
+    costs = costs.astype(np.float64, copy=False)
+    top = np.maximum.reduce(np.abs(costs), axis=(1, 2))  # NaN if any entry is NaN
+    if not np.logical_and.reduce(np.isfinite(top)):
+        raise NonFinite("cost matrix contains NaN or infinity")
+    n = costs.shape[1]
+    last = costs[:, :, -1:]
+    # the trailing run of columns equal to the last one, which always counts, is padding:
+    # g is one past the last column outside it
+    is_pad = np.logical_and.reduce(costs == last, axis=1)
+    g = np.maximum.reduce(np.where(is_pad, 0, np.arange(1, n + 1)), axis=1)
+    # columns g..width of image b equal its last one, so they reduce to 0; at least one, as in _crop_arrays
+    width = max([1, *g.tolist()])
+    real = costs[:, :, :width] - last
+    match, u, v = _shortest_paths(real.transpose(0, 2, 1), g)
+    tol = 1e-7 * np.maximum(1.0, top)
+    zero = real - u[:, None, :] - v[:, :, None] <= tol[:, None, None]
+    # only a zero-reduced-cost column below a row's own can give a smaller optimum
+    below = np.where(match < 0, g[:, None], match)
+    flagged = np.logical_or.reduce(zero & (np.arange(width) < below[:, :, None]), axis=(1, 2))
+    for b in np.nonzero(flagged)[0].tolist():
+        match[b] = _lexicographic(costs[b], real[b, :, : g[b]], match[b], zero[b, :, : g[b]])
+    # the rows no real column takes get the padding columns g, g+1, ... in row order
+    match[match < 0] = np.nonzero(np.arange(n) >= g[:, None])[1]
+    return match
 
 
 def hungarian(costs: np.ndarray) -> np.ndarray:
-    """Exact minimum-cost bijection rows -> columns.
+    """Exact minimum-cost bijection rows -> columns: ``assign_batch``'s stacked solve for one matrix.
 
     The trailing block of columns equal to the last one is padding:
-    build_cost_matrix leaves N - g of them, and every square matrix has
+    ``cost_matrices`` leaves N - g of them, and every square matrix has
     at least one. Only the g real columns are solved, as a rectangular
     problem against all rows on their cost over padding,
-    c[:, :g] - c[:, -1:]. Among equal-total optima the lexicographically
+    c[:, :g] - c[:, -1:]; a stack of matrices runs this
+    shortest-augmenting-path solve for all of them in one pass, padded
+    to its largest g. Among equal-total optima the lexicographically
     smallest column sequence (by row index) is returned: row by row,
     smaller real columns with zero reduced cost are tried and verified
-    by sub-solves over the real columns left. The zero-reduced-cost mask
-    is computed once, and only a row whose first such column lies below
-    its current one is visited, so the refinement costs almost nothing
-    when the optimum is unique. The rows no real column takes then get
-    the padding columns g, g+1, ... in ascending row order.
+    by sub-solves over the real columns left. The zero-reduced-cost
+    mask is computed once for the stack, and only a matrix with a row
+    whose first such column lies below its current one goes through the
+    row loop, so the refinement costs almost nothing when the optimum
+    is unique. The rows no real column takes then get the padding
+    columns g, g+1, ... in ascending row order.
     """
     arr = np.asarray(costs)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NonSquare(f"cost matrix must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("cost matrix contains NaN or infinity")
-    arr = arr.astype(np.float64, copy=False)
-    n = arr.shape[0]
-    is_pad = np.all(arr == arr[:, -1:], axis=0)
-    g = n - int(np.argmin(np.append(is_pad[::-1], False)))
-    real = arr[:, :g] - arr[:, -1:]
-    match = np.full(n, -1, dtype=np.int64)  # real column of each row, -1 = padding
-    if g:
-        col_rows, u, v = _shortest_paths(real.T)
-        match[col_rows] = np.arange(g)
-        rows = np.arange(n)
-        # arr[i, -1] is the padding cost, so index -1 prices an unmatched row
-        total = float(arr[rows, match].sum())
-        tol = 1e-7 * max(1.0, float(np.abs(arr).max()))
-        # only zero-reduced-cost columns can belong to an optimal solution
-        zero = real - u - v[:, None] <= tol
-        first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), g).tolist()
-        available = np.ones(g, dtype=bool)
-        for i in range(n):
-            below = g if match[i] < 0 else int(match[i])
-            if first_zero[i] < below:
-                candidates = np.nonzero(available[:below] & zero[i, :below])[0]
-                free = np.nonzero(available)[0]
-                for j in candidates:
-                    rest = free[free != j]
-                    trial = match.copy()
-                    trial[i] = j
-                    trial[i + 1 :] = -1
-                    sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
-                    trial[i + 1 + sub_rows] = rest
-                    trial_total = float(arr[rows, trial].sum())
-                    if trial_total <= total:
-                        match, total = trial, trial_total
-                        break
-            if match[i] >= 0:
-                available[match[i]] = False
-    match[match < 0] = np.arange(g, n)
-    return match
+    return _match(arr[None])[0]
 
 
 _NEGATIVE = Role(kind="negative")
@@ -306,8 +369,9 @@ def assign_batch(
 
     ``boxes`` is (B, N, 4) and ``scores`` (B, N, 1) or (B, N), rows
     that ``decoder.check_heads`` accepts; ``ground_truths`` holds one
-    crop list per image. (1) Hungarian over each image's padded cost
-    matrix (``cost_matrices``, one pass for the batch); (2) rows
+    crop list per image. (1) Hungarian over the stack of padded cost
+    matrices (``cost_matrices``, one pass for the batch), solved for
+    all images at once; (2) rows
     landing on a real column become matched; (3) unmatched rows
     overlapping ANY annotated crop at IoU >= tau become soft with score
     normalize_mos(neighbor MOS) * IoU, the IoUs of the whole batch
@@ -330,9 +394,9 @@ def assign_batch(
     overlap = ious.max(axis=2)
     soft = crop_v[np.arange(n_images)[:, None], neighbor] * overlap
     is_soft = overlap >= w.soft_iou_threshold
+    perms = _match(costs)
     out = []
-    for b, good in enumerate(good_indices):
-        perm = hungarian(costs[b])
+    for b, (good, perm) in enumerate(zip(good_indices, perms)):
         roles = tuple(
             Role(kind="matched", target=good[col]) if col < len(good)
             else Role(kind="soft", target=nb, soft_score=score) if on_crop

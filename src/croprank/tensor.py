@@ -255,7 +255,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b, with b a (1, n) row added to every row.
 
-    The backward pass is g w^T, x^T g and the column sum of g.
+    The backward pass is g w^T, x^T g and the column sum of g; g w^T is
+    skipped (None) when x needs no gradient, as for a constant input,
+    since ``backward`` reads no slot of such a parent.
     """
     inner, n = matrix_dims(w)
     if matrix_dims(x)[1] != inner:
@@ -270,7 +272,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimMismatch(f"linear: batch sizes of {x.dims}, {w.dims} and {b.dims} differ") from e
 
     def vjp(g: Array):
-        return g @ w.data.swapaxes(-1, -2), x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
+        gx = g @ w.data.swapaxes(-1, -2) if x.requires_grad else None
+        return gx, x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
     return Tensor._from_op(out, (x, w, b), vjp, "linear")
 

@@ -14,6 +14,7 @@ from croprank.assignment import (
     Role,
     TrainExample,
     _focal_np,
+    _match,
     _shortest_paths,
     assign,
     assign_batch,
@@ -77,6 +78,50 @@ def _brute_force_perms(cost: np.ndarray):
     return best, sorted(winners)
 
 
+def reference_shortest_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference: one (n, m) problem, n <= m, solved on its own, one augmenting path per row.
+
+    Returns (col_of_row, u, v): the column of each row and the dual
+    potentials of the rows and columns.
+    """
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    assigned_row = np.zeros(m + 1, dtype=np.int64)  # per column, 0 = free
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        assigned_row[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = assigned_row[j0]
+            free = ~used[1:]
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = free & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            masked = np.where(free, minv[1:], np.inf)
+            j1 = int(np.argmin(masked)) + 1
+            delta = masked[j1 - 1]
+            u[assigned_row[used]] += delta
+            v[used] -= delta
+            minv[1:][free] -= delta
+            j0 = j1
+            if assigned_row[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            assigned_row[j0] = assigned_row[j1]
+            j0 = j1
+    col_of_row = np.zeros(n, dtype=np.int64)
+    for j in range(1, m + 1):
+        if assigned_row[j] > 0:
+            col_of_row[assigned_row[j] - 1] = j - 1
+    return col_of_row, u[1:], v[1:]
+
+
 def reference_hungarian(costs: np.ndarray, accepted: list | None = None) -> np.ndarray:
     """Reference: the tie pass that rebuilds its candidates and trial arrays for every row and trial.
 
@@ -89,7 +134,7 @@ def reference_hungarian(costs: np.ndarray, accepted: list | None = None) -> np.n
     real = arr[:, :g] - arr[:, -1:]
     match = np.full(n, -1, dtype=np.int64)
     if g:
-        col_rows, u, v = _shortest_paths(real.T)
+        col_rows, u, v = reference_shortest_paths(real.T)
         match[col_rows] = np.arange(g)
         rows = np.arange(n)
         total = float(arr[rows, match].sum())
@@ -104,7 +149,7 @@ def reference_hungarian(costs: np.ndarray, accepted: list | None = None) -> np.n
                 trial = match.copy()
                 trial[i] = j
                 trial[i + 1 :] = -1
-                sub_rows, _, _ = _shortest_paths(real[i + 1 :, rest].T)
+                sub_rows, _, _ = reference_shortest_paths(real[i + 1 :, rest].T)
                 trial[i + 1 + sub_rows] = rest
                 trial_total = float(arr[rows, trial].sum())
                 if trial_total <= total:
@@ -285,6 +330,20 @@ class TestCostMatrix:
             build_cost_matrix(preds, good, W)
 
 
+def _tie_heavy_matrices() -> list[np.ndarray]:
+    """2,400 small integer matrices with many equal-total optima, each with some padding columns."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(2400):
+        n = int(rng.integers(1, 9))
+        g = int(rng.integers(0, n + 1))  # columns from g on share one padding column
+        high = int(rng.integers(1, 4))
+        cost = rng.integers(0, high + 1, size=(n, n)).astype(np.float64)
+        cost[:, g:] = rng.integers(0, high + 1, size=(n, 1))
+        cases.append(cost)
+    return cases
+
+
 class TestHungarian:
     def test_zero_diagonal_identity(self):
         cost = np.ones((4, 4)) + np.eye(4) * -1.0
@@ -342,19 +401,11 @@ class TestHungarian:
             assert np.array_equal(hungarian(cost), hungarian(cost * 7.5))
 
     def test_tie_pass_equals_the_reference(self, desk_records):
-        rng = np.random.default_rng(14)
-        cases = []
-        for _ in range(2400):
-            n = int(rng.integers(1, 9))
-            g = int(rng.integers(0, n + 1))  # columns from g on share one padding column
-            high = int(rng.integers(1, 4))
-            cost = rng.integers(0, high + 1, size=(n, n)).astype(np.float64)
-            cost[:, g:] = rng.integers(0, high + 1, size=(n, 1))
-            cases.append(cost)
+        cases = _tie_heavy_matrices()
         for mode in ("average", "off"):
             boxes, scores = _desk_heads(desk_records, mode, np.float64)
             crops = _desk_crops(desk_records)
-            cases += cost_matrices(boxes, scores[:, :, 0], [[c for c in gts if c.mos >= 4.0] for gts in crops], W)
+            cases.extend(cost_matrices(boxes, scores[:, :, 0], [[c for c in gts if c.mos >= 4.0] for gts in crops], W))
         with_accepted = 0
         for cost in cases:
             accepted = []
@@ -372,6 +423,85 @@ class TestHungarian:
         bad[0, 1] = np.nan
         with pytest.raises(NonFinite):
             hungarian(bad)
+
+
+class TestHungarianBatch:
+    """One stacked solve gives every matrix the perm, u and v of its own solve."""
+
+    @staticmethod
+    def _assert_per_image(stack):
+        perms = _match(stack)
+        for cost, perm in zip(stack, perms):
+            assert perm.tobytes() == reference_hungarian(cost).tobytes()
+            assert perm.tobytes() == hungarian(cost).tobytes()
+
+    def test_duals_and_columns_equal_the_oracle(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n_b, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            rows = rng.integers(0, m + 1, size=n_b)
+            rows[int(rng.integers(n_b))] = m  # a square problem: its path may use every column
+            shape = (n_b, m, m)
+            cost = rng.integers(0, 3, size=shape).astype(np.float64) if trial % 2 else rng.uniform(-2, 2, size=shape)
+            row_of_col, u, v = _shortest_paths(cost, rows)
+            assert row_of_col.shape == v.shape == (n_b, m) and u.shape == (n_b, m)
+            for b, r in enumerate(rows.tolist()):
+                col_of_row, ref_u, ref_v = reference_shortest_paths(cost[b, :r])
+                expected = np.full(m, -1)
+                expected[col_of_row] = np.arange(r)
+                assert row_of_col[b].tolist() == expected.tolist()
+                assert u[b, :r].tobytes() == ref_u.tobytes()
+                assert v[b].tobytes() == ref_v.tobytes()
+
+    def test_tie_heavy_batches_of_mixed_g(self):
+        by_size: dict[int, list] = {}
+        for cost in _tie_heavy_matrices():
+            by_size.setdefault(cost.shape[0], []).append(cost)
+        # each matrix draws its own g, so a stack of 16 mixes them
+        for cases in by_size.values():
+            for at in range(0, len(cases), 16):
+                self._assert_per_image(np.stack(cases[at : at + 16]))
+
+    def test_no_padding_column_and_only_padding_columns(self):
+        rng = np.random.default_rng(22)
+        for n in (1, 2, 5, 8):
+            only_padding = np.repeat(rng.uniform(size=(n, 1)), n, axis=1)  # g = 0
+            no_padding = rng.uniform(size=(n, n))  # g = N: the last real column is read as padding
+            ties = rng.integers(0, 2, size=(n, n)).astype(np.float64)
+            self._assert_per_image(np.stack([only_padding, no_padding, ties]))
+            assert _match(only_padding[None])[0].tolist() == list(range(n))
+
+    def test_a_real_column_equal_to_the_padding_column(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(3, 9))
+            g = int(rng.integers(2, n))
+            base = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            base[:, g:] = rng.integers(0, 3, size=(n, 1))
+            inner = base.copy()
+            inner[:, 0] = base[:, -1]  # a real column inside the block stays real
+            trailing = base.copy()
+            trailing[:, g - 1] = base[:, -1]  # the trailing run grows: g - 1 real columns are solved
+            self._assert_per_image(np.stack([base, inner, trailing]))
+
+    def test_batch_of_one_and_bad_input(self, desk_records):
+        boxes, scores = _desk_heads(desk_records[:3], "average", np.float64)
+        goods = [[c for c in gts if c.mos >= 4.0] for gts in _desk_crops(desk_records[:3])]
+        stack = cost_matrices(boxes, scores[:, :, 0], goods, W)
+        assert stack.shape == (3, 16, 16)
+        for cost in stack:
+            self._assert_per_image(cost[None])
+        bad = stack.copy()
+        bad[2, 4, 1] = np.nan
+        with pytest.raises(NonFinite):
+            _match(bad)
+        bad[2, 4, 1] = -np.inf
+        with pytest.raises(NonFinite):
+            _match(bad)
+        with pytest.raises(NonSquare):
+            hungarian(stack)
+        with pytest.raises(NonSquare):
+            hungarian(stack[0, :, :3])
 
 
 class TestAssign:

@@ -91,6 +91,26 @@ class TestLinear:
             tol = 1e-12 if dtype == np.float64 else 2 * np.finfo(dtype).eps
             np.testing.assert_allclose(b.grad, rb.grad, rtol=tol, atol=tol)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_constant_input_gets_no_adjoint(self, dtype, x_shape):
+        rng = np.random.default_rng(3)
+        x_data, w_data, b_data = (rng.normal(size=s) for s in (x_shape, (4, 5), (1, 5)))
+        upstream = rng.normal(size=x_shape[:-1] + (5,)).astype(dtype)
+        grads = []
+        for x_needs_grad in (False, True):
+            x = Tensor(x_data, dtype=dtype, requires_grad=x_needs_grad)
+            w, b = (Tensor(a, dtype=dtype, requires_grad=True) for a in (w_data, b_data))
+            out = T.linear(x, w, b)
+            gx = out._vjp(upstream)[0]
+            assert (gx is None) != x_needs_grad
+            loss = T.sum_all(T.mul(out, T.constant(upstream)))
+            T.backward(T.sum_batch(loss) if len(x_shape) == 3 else loss)
+            grads.append((w.grad.tobytes(), b.grad.tobytes()))
+        # the leaf input still gets g w^T
+        assert x.grad.tobytes() == (upstream @ w.data.T).tobytes()
+        assert grads[0] == grads[1]
+
     def test_shape_and_dtype_checks(self):
         x = T.zeros((2, 4))
         with pytest.raises(DimMismatch):
