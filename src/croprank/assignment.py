@@ -132,14 +132,18 @@ def empty_cost(pred: Prediction, w: LossWeights) -> float:
     return w.focal_weight * focal(pred.score, 0.0, w.focal_gamma)
 
 
+def _prefix_mask(counts: np.ndarray) -> np.ndarray:
+    """(B, C) mask of row b's first counts[b] columns; C is the largest count, at least 1."""
+    return np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+
+
 def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, C, 4) boxes and (B, C) normalized MOS of B crop lists padded to the longest, and which are real.
 
     A padding entry is the box (1, 1, 1, 1) with MOS 1; no result reads
     it. C is at least 1, so a batch without any crop still has a column.
     """
-    counts = np.array([len(crops) for crops in crop_lists], dtype=np.int64)
-    real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+    real = _prefix_mask(np.array([len(crops) for crops in crop_lists], dtype=np.int64))
     boxes = np.ones(real.shape + (4,))
     rows = [(c.box.cx, c.box.cy, c.box.w, c.box.h) for crops in crop_lists for c in crops]
     boxes[real] = np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -160,16 +164,27 @@ def cost_matrices(
     list, G; image b's matrix is its real block, then its padding cost
     (focal toward 0) in every column left.
     """
+    return _cost_stack(boxes, scores, *_crop_arrays(targets), w)
+
+
+def _cost_stack(
+    boxes: np.ndarray, scores: np.ndarray, tgt_boxes: np.ndarray, v: np.ndarray, is_target: np.ndarray,
+    w: LossWeights,
+) -> np.ndarray:
+    """``cost_matrices`` on target arrays laid out as ``_crop_arrays`` returns them.
+
+    Image b's targets are the columns where ``is_target[b]`` holds, a
+    prefix of its row; the values in the other columns are never read.
+    """
     n = boxes.shape[1]
-    for tgts in targets:
-        if len(tgts) > n:
-            raise CardinalityMismatch(f"{len(tgts)} matchable targets but only {n} predictions")
-    tgt_boxes, v, is_target = _crop_arrays(targets)
+    most = int(is_target.sum(axis=1).max(initial=0))
+    if most > n:
+        raise CardinalityMismatch(f"{most} matchable targets but only {n} predictions")
     l1 = np.abs(boxes[:, :, None, :] - tgt_boxes[:, None, :, :]).sum(axis=3)
     gi = giou_matrix(boxes, tgt_boxes)
     fo = _focal_np(scores[:, :, None], v[:, None, :], w.focal_gamma)
     real = l1 + w.giou_weight * (1.0 - gi) + w.focal_weight * fo
-    costs = np.empty((len(targets), n, n))
+    costs = np.empty((len(is_target), n, n))
     costs[...] = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)[:, :, None]
     np.copyto(costs[:, :, : real.shape[2]], real, where=is_target[:, None, :])
     return costs
@@ -386,13 +401,18 @@ def assign_batch(
     if len(ground_truths) != n_images:
         raise CardinalityMismatch(f"{len(ground_truths)} crop lists for {n_images} images")
     good_indices = [tuple(i for i, g in enumerate(gts) if g.mos >= 4.0) for gts in ground_truths]
-    costs = cost_matrices(boxes, scores, [[gts[i] for i in gi] for gts, gi in zip(ground_truths, good_indices)], w)
     crop_boxes, crop_v, real_crop = _crop_arrays(ground_truths)
+    # the good targets gathered from every crop's arrays: column j of image b is its j-th good crop
+    is_good = _prefix_mask(np.array([len(good) for good in good_indices], dtype=np.int64))
+    take = np.zeros(is_good.shape, dtype=np.int64)
+    take[is_good] = [i for good in good_indices for i in good]
+    rows = np.arange(n_images)[:, None]
+    costs = _cost_stack(boxes, scores, crop_boxes[rows, take], crop_v[rows, take], is_good, w)
     # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
     ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
     neighbor = ious.argmax(axis=2)
     overlap = ious.max(axis=2)
-    soft = crop_v[np.arange(n_images)[:, None], neighbor] * overlap
+    soft = crop_v[rows, neighbor] * overlap
     is_soft = overlap >= w.soft_iou_threshold
     perms = _match(costs)
     out = []

@@ -459,13 +459,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     gain and bias are (1, n) tensors applied to every row; the op is
     fused so the backward pass is a single closed-form expression.
+    A row mean is the row sum divided by n, the bytes of ``.mean``
+    without its wrapper: for f32, ``.mean`` divides in f64 and rounds
+    to f32, which equals the f32 quotient (53 >= 2 * 24 + 2 bits).
     """
     n = matrix_dims(x)[1]
     if matrix_dims(gain) != (1, n) or matrix_dims(bias) != (1, n):
         raise DimMismatch(f"layer_norm: affine params must be (1, {n}), got {gain.dims} and {bias.dims}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
@@ -473,14 +476,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def vjp(g: Array):
         gy = g * gain.data
         # d/dx of (x - mu) * inv with mu, inv both functions of the row
-        mean_gy = gy.mean(axis=-1, keepdims=True)
-        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+        mean_gy = np.add.reduce(gy, axis=-1, keepdims=True) / n
+        mean_gy_xhat = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
         gx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
         ggain = (g * xhat).sum(axis=-2, keepdims=True)
         gbias = g.sum(axis=-2, keepdims=True)
         return gx, ggain, gbias
 
     return Tensor._from_op(out, (x, gain, bias), vjp, "layer_norm")
+
+
+def _heads(x: Array, n_heads: int) -> Array:
+    """(…, rows, H·w) -> a C-contiguous (…, H, rows, w) stack: column block i is head i."""
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2).copy()
+
+
+def _merged(x: Array) -> Array:
+    """(…, H, rows, w) -> a C-contiguous (…, rows, H·w), whatever x's strides: ``_heads`` undone."""
+    *lead, n_heads, rows, w = x.shape
+    return x.swapaxes(-3, -2).copy().reshape((*lead, rows, n_heads * w))
 
 
 def attention(
@@ -500,11 +514,20 @@ def attention(
     ``weights_out`` to capture one detached (m, n) weight array per
     head, in head order ((B, m, n) for a batch).
 
-    The op is fused so the backward pass is closed form per head:
-    gV = A^T g, gA = g V^T, gS = c A (gA - rowsum(gA A)), gQ = gS K and
-    gK = gS^T Q, with c = 1/sqrt(d_h). Each head keeps the operand
-    order and memory layout of the unfused slice/transpose/matmul/
-    softmax chain, so its values match that chain bit for bit.
+    The heads are one array axis. q, k and v are split once into
+    C-contiguous stacks Q (…, H, m, d_h), K^T (…, H, d_h, n) and
+    V (…, H, n, d_v), so one product gives every head's logits and
+    one max, exp and sum give every head's softmax, done in place in
+    the logits buffer. The backward pass is closed form: gV = A^T g,
+    gA = g V^T, gS = c A (gA - rowsum(gA A)), gQ = gS K and
+    gK = (Q^T gS)^T, with c = 1/sqrt(d_h), gS formed in place in gA.
+
+    Layout rule: each head's operands have the shape and memory layout
+    that the unfused slice/transpose/matmul/softmax chain gives them,
+    so BLAS and the elementwise loops return that chain's bytes. The
+    output and the three adjoints are merged back into fresh
+    C-contiguous arrays: a strided adjoint would keep its layout
+    through ``backward`` and reach a later product transposed.
     """
     (_, d), (n, dk), (nv, dv_all) = matrix_dims(q), matrix_dims(k), matrix_dims(v)
     if dk != d:
@@ -520,36 +543,36 @@ def attention(
     ):
         raise DimMismatch(f"attention: log_bias must be (1, {n}) {q.data.dtype} rows, got {log_bias.shape}")
     _batch("attention", q.data, k.data, v.data, *([] if log_bias is None else [log_bias]))
-    dh, dv = d // n_heads, dv_all // n_heads
+    dh = d // n_heads
     # a Python float: a numpy scalar would promote f32 logits to f64
     c = 1.0 / math.sqrt(dh)
-    heads = []
-    for i in range(n_heads):
-        qh = q.data[..., i * dh : (i + 1) * dh].copy()
-        kt = k.data[..., i * dh : (i + 1) * dh].swapaxes(-1, -2).copy()
-        vh = v.data[..., i * dv : (i + 1) * dv].copy()
-        logits = (qh @ kt) * c
-        if log_bias is not None:
-            logits = logits + log_bias
-        if not np.all(np.isfinite(logits)):
-            raise NonFinite("attention: logits contain NaN or infinity")
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        a = e / e.sum(axis=-1, keepdims=True)
-        if weights_out is not None:
-            weights_out.append(a.copy())
-        heads.append((qh, kt, vh, a))
-    out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=-1)
+    qs, vs = _heads(q.data, n_heads), _heads(v.data, n_heads)
+    kts = k.data.swapaxes(-1, -2).reshape(k.data.shape[:-2] + (n_heads, dh, n)).copy()
+    a = qs @ kts
+    a *= c
+    if log_bias is not None:
+        bias = log_bias[..., None, :, :]  # one row for every head and query
+        # an unbatched a meets a (B, 1, n) bias: the sum is the first batched array
+        a = a + bias if a.ndim < bias.ndim else np.add(a, bias, out=a)
+    if not np.isfinite(a).all():
+        raise NonFinite("attention: logits contain NaN or infinity")
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    if weights_out is not None:
+        weights_out.extend(np.moveaxis(a, -3, 0).copy())
+    out = _merged(a @ vs)
 
     def vjp(g: Array):
-        # an operand computed once for the whole batch gets one gradient per entry
-        gq, gk, gv = (np.empty(g.shape[:-2] + t.data.shape[-2:], dtype=t.data.dtype) for t in (q, k, v))
-        for i, (qh, kt, vh, a) in enumerate(heads):
-            gh = g[..., i * dv : (i + 1) * dv].copy()
-            ga = gh @ vh.swapaxes(-1, -2)
-            gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * c
-            gq[..., i * dh : (i + 1) * dh] = gs @ kt.swapaxes(-1, -2)
-            gk[..., i * dh : (i + 1) * dh] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-            gv[..., i * dv : (i + 1) * dv] = a.swapaxes(-1, -2) @ gh
+        # g may carry a batch axis the operands lack: each product then gives one gradient per entry
+        gh = _heads(g, n_heads)
+        gs = gh @ vs.swapaxes(-1, -2)  # gA, turned into gS in place
+        gs -= (gs * a).sum(axis=-1, keepdims=True)
+        gs *= a
+        gs *= c
+        gq = _merged(gs @ kts.swapaxes(-1, -2))
+        gk = _merged((qs.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        gv = _merged(a.swapaxes(-1, -2) @ gh)
         return gq, gk, gv
 
     return Tensor._from_op(out, (q, k, v), vjp, "attention")

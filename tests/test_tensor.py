@@ -1,4 +1,5 @@
 """Autodiff core: op semantics, backward mechanics, optimizers."""
+import itertools
 import math
 import zlib
 
@@ -151,6 +152,128 @@ class TestSoftmax:
         bad[0, 0] = np.nan
         with pytest.raises(NonFinite):
             T.softmax_rows(T.constant(bad))
+
+
+def reference_attention(q, k, v, n_heads, log_bias=None):
+    """The per-head loop that ``tensor.attention`` replaced, on arrays: (out, weights, vjp).
+
+    Head i slices its column blocks into fresh arrays, softmaxes its
+    scaled (and biased) logits and writes its slice of every result.
+    """
+    dh, dv = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    c = 1.0 / math.sqrt(dh)
+    heads = []
+    for i in range(n_heads):
+        qh = q[..., i * dh : (i + 1) * dh].copy()
+        kt = k[..., i * dh : (i + 1) * dh].swapaxes(-1, -2).copy()
+        vh = v[..., i * dv : (i + 1) * dv].copy()
+        logits = (qh @ kt) * c
+        if log_bias is not None:
+            logits = logits + log_bias
+        if not np.all(np.isfinite(logits)):
+            raise NonFinite("reference_attention: logits contain NaN or infinity")
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads.append((qh, kt, vh, e / e.sum(axis=-1, keepdims=True)))
+    out = np.concatenate([a @ vh for _, _, vh, a in heads], axis=-1)
+
+    def vjp(g):
+        gq, gk, gv = (np.empty(g.shape[:-2] + x.shape[-2:], dtype=x.dtype) for x in (q, k, v))
+        for i, (qh, kt, vh, a) in enumerate(heads):
+            gh = g[..., i * dv : (i + 1) * dv].copy()
+            ga = gh @ vh.swapaxes(-1, -2)
+            gs = (ga - (ga * a).sum(axis=-1, keepdims=True)) * a * c
+            gq[..., i * dh : (i + 1) * dh] = gs @ kt.swapaxes(-1, -2)
+            gk[..., i * dh : (i + 1) * dh] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+            gv[..., i * dv : (i + 1) * dv] = a.swapaxes(-1, -2) @ gh
+        return gq, gk, gv
+
+    return out, [a.copy() for *_, a in heads], vjp
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # tobytes() reads in C order whatever the layout; a strided result would reach a later product transposed
+    assert got.flags.c_contiguous and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAttention:
+    """The head-axis op equals the per-head loop: bytes, dtype, shape and layout."""
+
+    BATCH = 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_equals_the_per_head_loop(self, n_heads, dtype):
+        rng = np.random.default_rng(700 + n_heads)
+        for batched, bias in itertools.product(itertools.product((False, True), repeat=3), (None, "row", "rows")):
+            m, n, dh, dv = (int(x) for x in rng.integers(1, 12, size=4))
+            shapes = ((m, n_heads * dh), (n, n_heads * dh), (n, n_heads * dv))
+            q, k, v = (rng.normal(size=(self.BATCH,) * b + s).astype(dtype) for b, s in zip(batched, shapes))
+            log_bias = None if bias is None else np.log(
+                rng.uniform(0.05, 1.0, size=(1, n) if bias == "row" else (self.BATCH, 1, n))).astype(dtype)
+            want, want_weights, want_vjp = reference_attention(q, k, v, n_heads, log_bias)
+            weights: list = []
+            out = T.attention(*(Tensor(x, dtype=dtype, requires_grad=True) for x in (q, k, v)),
+                              n_heads, log_bias, weights)
+            assert len(weights) == n_heads
+            for got, ref in zip([out.data, *weights], [want, *want_weights]):
+                _same_array(got, ref)
+            # an unbatched output used once per batch entry gets a batched adjoint
+            g_shapes = [want.shape] + ([(self.BATCH, *want.shape)] if want.ndim == 2 else [])
+            for g_shape in g_shapes:
+                g = rng.normal(size=g_shape).astype(dtype)
+                got_grads, want_grads = out._vjp(g), want_vjp(g)
+                assert len(got_grads) == 3
+                for got, ref in zip(got_grads, want_grads):
+                    _same_array(got, ref)
+
+    @pytest.mark.parametrize("where", ["query", "bias"])
+    def test_non_finite_logit_raises(self, where):
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(self.BATCH, 4, 8)) for _ in range(3))
+        log_bias = np.zeros((self.BATCH, 1, 4))
+        if where == "query":
+            q[1, 2, 5] = np.nan
+        else:
+            log_bias[2, 0, 1] = -np.inf
+        with pytest.raises(NonFinite):
+            reference_attention(q, k, v, 2, log_bias)
+        with pytest.raises(NonFinite):
+            T.attention(T.constant(q), T.constant(k), T.constant(v), 2, log_bias)
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    """``layer_norm`` with numpy's ``.mean`` for its four row means: (out, vjp)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
+
+    def vjp(g):
+        gy = g * gain
+        mean_gy = gy.mean(axis=-1, keepdims=True)
+        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
+        return gx, (g * xhat).sum(axis=-2, keepdims=True), g.sum(axis=-2, keepdims=True)
+
+    return xhat * gain + bias, vjp
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 6, 32), (1, 1), (2, 3, 1)])
+    def test_row_means_equal_numpy_mean(self, shape, dtype):
+        rng = np.random.default_rng(zlib.crc32(repr((shape, dtype)).encode()))
+        for _ in range(20):
+            x = (rng.normal(size=shape) * rng.uniform(0.01, 100.0) + rng.normal()).astype(dtype)
+            gain, bias = (rng.normal(size=(1, shape[-1])).astype(dtype) for _ in range(2))
+            want, want_vjp = reference_layer_norm(x, gain, bias)
+            out = T.layer_norm(*(Tensor(a, dtype=dtype, requires_grad=True) for a in (x, gain, bias)))
+            assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+            g = rng.normal(size=(2, *shape) if len(shape) == 2 else shape).astype(dtype)
+            for got, ref in zip(out._vjp(g), want_vjp(g)):
+                assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 class TestElementwise:
