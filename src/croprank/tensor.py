@@ -497,6 +497,16 @@ def _merged(x: Array) -> Array:
     return x.swapaxes(-3, -2).copy().reshape((*lead, rows, n_heads * w))
 
 
+def _merged_matmul(x: Array, y: Array) -> Array:
+    """``_merged(x @ y)`` for two (…, H, ·, ·) stacks, each head's product written straight into its columns."""
+    *lead, n_heads = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    rows, w = x.shape[-2], y.shape[-1]
+    out = np.empty((*lead, rows, n_heads * w), dtype=x.dtype)
+    # each head's block of out has unit column stride, so BLAS writes it as it would a fresh array
+    np.matmul(x, y, out=out.reshape((*lead, rows, n_heads, w)).swapaxes(-3, -2))
+    return out
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -514,20 +524,21 @@ def attention(
     ``weights_out`` to capture one detached (m, n) weight array per
     head, in head order ((B, m, n) for a batch).
 
-    The heads are one array axis. q, k and v are split once into
+    The heads are one array axis. q, k and v are split into
     C-contiguous stacks Q (…, H, m, d_h), K^T (…, H, d_h, n) and
     V (…, H, n, d_v), so one product gives every head's logits and
     one max, exp and sum give every head's softmax, done in place in
     the logits buffer. The backward pass is closed form: gV = A^T g,
     gA = g V^T, gS = c A (gA - rowsum(gA A)), gQ = gS K and
     gK = (Q^T gS)^T, with c = 1/sqrt(d_h), gS formed in place in gA.
+    Only the weights A are kept for it; the stacks are split again.
 
     Layout rule: each head's operands have the shape and memory layout
     that the unfused slice/transpose/matmul/softmax chain gives them,
     so BLAS and the elementwise loops return that chain's bytes. The
-    output and the three adjoints are merged back into fresh
-    C-contiguous arrays: a strided adjoint would keep its layout
-    through ``backward`` and reach a later product transposed.
+    output and the three adjoints are fresh C-contiguous arrays: a
+    strided adjoint would keep its layout through ``backward`` and
+    reach a later product transposed.
     """
     (_, d), (n, dk), (nv, dv_all) = matrix_dims(q), matrix_dims(k), matrix_dims(v)
     if dk != d:
@@ -546,8 +557,12 @@ def attention(
     dh = d // n_heads
     # a Python float: a numpy scalar would promote f32 logits to f64
     c = 1.0 / math.sqrt(dh)
-    qs, vs = _heads(q.data, n_heads), _heads(v.data, n_heads)
-    kts = k.data.swapaxes(-1, -2).reshape(k.data.shape[:-2] + (n_heads, dh, n)).copy()
+
+    def split():
+        kts = k.data.swapaxes(-1, -2).reshape(k.data.shape[:-2] + (n_heads, dh, n)).copy()
+        return _heads(q.data, n_heads), kts, _heads(v.data, n_heads)
+
+    qs, kts, vs = split()
     a = qs @ kts
     a *= c
     if log_bias is not None:
@@ -561,19 +576,20 @@ def attention(
     a /= a.sum(axis=-1, keepdims=True)
     if weights_out is not None:
         weights_out.extend(np.moveaxis(a, -3, 0).copy())
-    out = _merged(a @ vs)
+    out = _merged_matmul(a, vs)
 
     def vjp(g: Array):
+        # split again, not kept: q, k and v stay alive with the graph, and kept stacks would double them
+        qs, kts, vs = split()
         # g may carry a batch axis the operands lack: each product then gives one gradient per entry
         gh = _heads(g, n_heads)
         gs = gh @ vs.swapaxes(-1, -2)  # gA, turned into gS in place
         gs -= (gs * a).sum(axis=-1, keepdims=True)
         gs *= a
         gs *= c
-        gq = _merged(gs @ kts.swapaxes(-1, -2))
+        gq = _merged_matmul(gs, kts.swapaxes(-1, -2))
         gk = _merged((qs.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
-        gv = _merged(a.swapaxes(-1, -2) @ gh)
-        return gq, gk, gv
+        return gq, gk, _merged_matmul(a.swapaxes(-1, -2), gh)
 
     return Tensor._from_op(out, (q, k, v), vjp, "attention")
 
