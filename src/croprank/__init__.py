@@ -13,13 +13,8 @@ from .assignment import (
     Role,
     TrainExample,
     assign,
-    build_cost_matrix,
-    empty_cost,
-    focal,
     hungarian,
-    match_cost,
     normalize_mos,
-    select_good,
     train_step,
     training_loss,
 )

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .decoder import HeadOutputs, ModelState, Prediction, check_heads, forward_train
 from .errors import CardinalityMismatch, DomainError, NonFinite, NonSquare, OutOfRange
-from .geometry import ScoredCrop, boxes_array, giou, giou_matrix, giou_pairs, iou_matrix, l1_box, l1_pairs
+from .geometry import ScoredCrop, boxes_array, giou_matrix, giou_pairs, iou_matrix, l1_pairs
 from .tensor import Tensor
 
 SCORE_CLAMP = 1e-7
@@ -36,7 +36,7 @@ SCORE_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Loss/matching weights: both paths share the same lambdas."""
+    """Loss and matching weights: the cost matrices and the training loss share the same lambdas."""
 
     giou_weight: float = 0.4
     focal_weight: float = 0.4
@@ -72,11 +72,6 @@ class Assignment:
         return len(self.good_indices)
 
 
-def select_good(ground_truths: list[ScoredCrop]) -> list[ScoredCrop]:
-    """Crops with MOS >= 4, original order preserved (may be empty)."""
-    return [g for g in ground_truths if g.mos >= 4.0]
-
-
 def normalize_mos(s: float) -> float:
     """Map the 1..5 opinion scale onto [0, 1] linearly: (s - 1) / 4."""
     if not (1.0 <= s <= 5.0):
@@ -85,21 +80,11 @@ def normalize_mos(s: float) -> float:
 
 
 def _focal_np(v_hat: np.ndarray, v: np.ndarray | float, gamma: float) -> np.ndarray:
+    """Quality-focal penalty -|v - v_hat|^gamma [v log v_hat + (1-v) log(1-v_hat)], v_hat clamped off 0 and 1."""
     # np.minimum(np.maximum(...)) is np.clip's result in half its time on a few entries
     vc = np.minimum(np.maximum(v_hat, SCORE_CLAMP), 1.0 - SCORE_CLAMP)
     ce = -(v * np.log(vc) + (1.0 - v) * np.log1p(-vc))
     return np.abs(v - vc) ** gamma * ce
-
-
-def focal(v_hat: float, v: float, gamma: float = 2.0) -> float:
-    """Quality-focal penalty -|v - v_hat|^gamma [v log v_hat + (1-v) log(1-v_hat)].
-
-    v_hat is clamped to [1e-7, 1 - 1e-7]; zero exactly when the clamped
-    prediction equals the target.
-    """
-    if not (0.0 <= v <= 1.0):
-        raise OutOfRange(f"target score {v} outside [0, 1]")
-    return float(_focal_np(np.float64(v_hat), np.float64(v), gamma))
 
 
 def focal_terms(v_hat: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
@@ -115,21 +100,6 @@ def focal_terms(v_hat: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
     )
     gap = T.absolute(T.sub(vc, T.constant(tv)))
     return T.mul(T.pow_const(gap, gamma), ce)
-
-
-def match_cost(pred: Prediction, target: ScoredCrop, w: LossWeights) -> float:
-    """L1 + lambda_giou (1 - giou) + lambda_focal focal(v_hat, v)."""
-    v = normalize_mos(target.mos)
-    return (
-        l1_box(pred.box, target.box)
-        + w.giou_weight * (1.0 - giou(pred.box, target.box))
-        + w.focal_weight * focal(pred.score, v, w.focal_gamma)
-    )
-
-
-def empty_cost(pred: Prediction, w: LossWeights) -> float:
-    """Cost of assigning a prediction to a padding target: focal vs 0 only."""
-    return w.focal_weight * focal(pred.score, 0.0, w.focal_gamma)
 
 
 def _prefix_mask(counts: np.ndarray) -> np.ndarray:
@@ -188,16 +158,6 @@ def _cost_stack(
     costs[...] = w.focal_weight * _focal_np(scores, 0.0, w.focal_gamma)[:, :, None]
     np.copyto(costs[:, :, : real.shape[2]], real, where=is_target[:, None, :])
     return costs
-
-
-def _prediction_arrays(preds: list[Prediction]) -> tuple[np.ndarray, np.ndarray]:
-    """One image's predictions as (1, N, 4) boxes and (1, N) scores."""
-    return boxes_array([p.box for p in preds])[None], np.array([[p.score for p in preds]], dtype=np.float64)
-
-
-def build_cost_matrix(preds: list[Prediction], good: list[ScoredCrop], w: LossWeights) -> np.ndarray:
-    """(N, N) padded cost matrix; columns beyond len(good) are padding."""
-    return cost_matrices(*_prediction_arrays(preds), [good], w)[0]
 
 
 # -- Hungarian solver -----------------------------------------------------------
@@ -430,7 +390,8 @@ def assign_batch(
 
 def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:
     """``assign_batch`` for one image's predictions."""
-    return assign_batch(*_prediction_arrays(preds), [ground_truths], w)[0]
+    boxes, scores = boxes_array([p.box for p in preds])[None], np.array([[p.score for p in preds]])
+    return assign_batch(boxes, scores, [ground_truths], w)[0]
 
 
 def training_loss(

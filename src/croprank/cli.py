@@ -202,6 +202,8 @@ def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, di
         raise ParseError(f"optimizer {train['optimizer']!r} not one of sgd/adam", field="train.optimizer")
     lr = float(train["lr"])
     batch_size = int(train["batch_size"])
+    if batch_size < 1:
+        raise ParseError(f"batch_size must be at least 1, got {batch_size}", field="train.batch_size")
     step_losses: list[float] = []
     epoch_losses: list[float] = []
     started = time.perf_counter()

@@ -63,6 +63,8 @@ class ModelConfig:
         # operational configs use >= 1
         if self.n_layers < 0:
             raise DimMismatch(f"n_layers must be >= 0, got {self.n_layers}")
+        if self.n_heads < 1:
+            raise DimMismatch(f"n_heads must be >= 1, got {self.n_heads}")
         if self.model_dim < 1 or self.model_dim % self.n_heads != 0:
             raise DimMismatch(f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}")
         if self.model_dim % 4 != 0:

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .assignment import LossWeights, assign, focal_terms, training_loss
 from .composition import CompositionPrior, biased_cross_attention
-from .decoder import ModelConfig, forward_train, init_state
+from .decoder import ModelConfig, forward_train, init_state, sinusoidal_grid_encoding
 from .errors import NotScalar
 from .geometry import ScoredCrop, CropBox, giou_pairs, l1_pairs
 from .tensor import Tensor
@@ -93,6 +93,10 @@ def _leaf(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
 
 
+def _fixed(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
+    return T.constant(rng.uniform(lo, hi, size=shape))
+
+
 def _weigh(x: Tensor, seed: int) -> Tensor:
     """Reduce to a scalar through a weighting fixed by ``seed``.
 
@@ -106,23 +110,10 @@ def _weigh(x: Tensor, seed: int) -> Tensor:
 
 def _mid_boxes(x: Tensor) -> Tensor:
     """Map a raw (m, 4) tensor into boxes whose corners avoid the unit-square clamp."""
-    s = T.sigmoid(x)
-    cx = T.add_const(T.scale(T.slice_cols(s, 0, 1), 0.30), 0.35)
-    cy = T.add_const(T.scale(T.slice_cols(s, 1, 2), 0.30), 0.35)
-    w = T.add_const(T.scale(T.slice_cols(s, 2, 3), 0.20), 0.10)
-    h = T.add_const(T.scale(T.slice_cols(s, 3, 4), 0.20), 0.10)
-    return T.concat_cols([cx, cy, w, h])
-
-
-def _scn_matmul(rng):
-    a = _leaf(rng, (3, 4))
-    b = _leaf(rng, (4, 2))
-    return [a, b], lambda: _weigh(T.matmul(a, b), 7)
-
-
-def _scn_transpose(rng):
-    a = _leaf(rng, (3, 5))
-    return [a], lambda: _weigh(T.matmul(T.transpose(a), a), 11)
+    rows = T.matrix_dims(x)[0]
+    # column by column: (cx, cy) in (0.35, 0.65) and (w, h) in (0.10, 0.30)
+    scale, offset = (T.constant(np.tile(c, (rows, 1))) for c in ([0.30, 0.30, 0.20, 0.20], [0.35, 0.35, 0.10, 0.10]))
+    return T.add(T.mul(T.sigmoid(x), scale), offset)
 
 
 def _scn_elementwise(rng):
@@ -168,11 +159,6 @@ def _scn_sigmoid_exp_log(rng):
     return [a], lambda: _weigh(T.log(T.add_const(T.sigmoid(a), 0.1)), 23)
 
 
-def _scn_softmax(rng):
-    a = _leaf(rng, (3, 6), -2.0, 2.0)
-    return [a], lambda: _weigh(T.softmax_rows(a), 29)
-
-
 def _scn_layer_norm(rng):
     x = _leaf(rng, (4, 6))
     g = _leaf(rng, (1, 6), 0.5, 1.5)
@@ -188,13 +174,38 @@ def _scn_structural(rng):
 
     def fn():
         x = T.linear(a, w, v)
-        left = T.slice_cols(x, 0, 3)
-        right = T.slice_cols(x, 3, 6)
-        x = T.concat_cols([right, left])
+        x = T.add(T.slice_cols(x, 3, 6), T.slice_cols(x, 0, 3))
         x = T.gather_rows(x, [4, 0, 2, 2])  # repeated row exercises accumulation
         return T.sum_all(T.mul(T.sum_cols(x), T.constant(col_weights)))
 
     return [a, w, v], fn
+
+
+def _scn_encoder(rng):
+    patches = _fixed(rng, (4, 6), 0.0, 1.0)
+    position = T.constant(sinusoidal_grid_encoding(2, 2, 4))
+    w = _leaf(rng, (6, 4))
+    b = _leaf(rng, (1, 4), -0.5, 0.5)
+    g, beta = _fixed(rng, (1, 4), 0.5, 1.5), _fixed(rng, (1, 4), -0.5, 0.5)
+
+    def fn():
+        # as in decoder.encode: the patches need no gradient, so linear forms no adjoint for them
+        memory = T.add(T.linear(patches, w, b), position)
+        return _weigh(T.layer_norm(memory, g, beta), 83)
+
+    return [w, b], fn
+
+
+def _scn_self_attention(rng):
+    x = _leaf(rng, (3, 8))
+    proj = [(_leaf(rng, (8, 8)), _fixed(rng, (1, 8), -0.5, 0.5)) for _ in range(3)]
+
+    def fn():
+        # x reaches the loss four times: through q, k and v and through the residual
+        q, k, v = (T.linear(x, w, b) for w, b in proj)
+        return _weigh(T.add(x, biased_cross_attention(q, k, v, n_heads=4)), 89)
+
+    return [x, *(w for w, _ in proj)], fn
 
 
 def _scn_attention_bias(rng):
@@ -209,6 +220,22 @@ def _scn_attention_bias(rng):
         return T.add(two_heads, _weigh(biased_cross_attention(q, k, v), 37))
 
     return [q, k, v], fn
+
+
+def _scn_heads(rng):
+    x = _leaf(rng, (3, 4))
+    g, beta = _fixed(rng, (1, 4), 0.5, 1.5), _fixed(rng, (1, 4), -0.5, 0.5)
+    wb, bb = _fixed(rng, (4, 4)), _fixed(rng, (1, 4), -0.5, 0.5)
+    ws, bs = _fixed(rng, (4, 1)), _fixed(rng, (1, 1), -0.5, 0.5)
+
+    def fn():
+        # the final layer norm feeds the last box layer and the score head, each through a sigmoid
+        decoded = T.layer_norm(x, g, beta)
+        boxes = T.sigmoid(T.linear(decoded, wb, bb))
+        scores = T.sigmoid(T.linear(decoded, ws, bs))
+        return T.add(_weigh(boxes, 97), _weigh(scores, 101))
+
+    return [x], fn
 
 
 def _scn_iou_giou(rng):
@@ -292,16 +319,16 @@ def _scn_training_loss(rng):
 
 
 SCENARIOS: dict[str, Callable] = {
-    "matmul": _scn_matmul,
-    "transpose": _scn_transpose,
     "elementwise": _scn_elementwise,
     "minmax": _scn_minmax,
     "relu_abs_clamp_pow": _scn_relu_abs_clamp_pow,
     "sigmoid_exp_log": _scn_sigmoid_exp_log,
-    "softmax": _scn_softmax,
     "layer_norm": _scn_layer_norm,
     "structural": _scn_structural,
+    "encoder": _scn_encoder,
+    "self_attention": _scn_self_attention,
     "attention_bias": _scn_attention_bias,
+    "heads": _scn_heads,
     "iou_giou": _scn_iou_giou,
     "l1_pairs": _scn_l1_pairs,
     "focal": _scn_focal,

@@ -9,9 +9,8 @@ Affine layers (``linear``), layer norm and multi-head attention are
 each one op with a closed-form backward pass.
 
 Broadcasting is restricted on purpose: elementwise ops demand equal
-shapes, and scalars enter through ``scale``/``add_const`` (or a bare
-Python float on the operator sugar). Anything fancier raises
-DimMismatch instead of silently broadcasting.
+shapes, and scalars enter through ``scale``/``add_const``. Anything
+fancier raises DimMismatch instead of silently broadcasting.
 
 One exception: every op accepts a leading batch axis, so a (B, m, n)
 operand stands for B separate (m, n) matrices and may meet an
@@ -137,10 +136,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    @property
     def numel(self) -> int:
         return self.data.size
 
@@ -153,40 +148,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.dims}, dtype={self.data.dtype.name}{flag}, op={self._op})"
 
-    # -- operator sugar (thin wrappers over the module-level ops) --------------
-
-    def __add__(self, other):
-        return add_const(self, float(other)) if _is_number(other) else add(self, other)
-
-    def __radd__(self, other):
-        return add_const(self, float(other))
-
-    def __sub__(self, other):
-        return add_const(self, -float(other)) if _is_number(other) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, float(other)) if _is_number(other) else mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / float(other)) if _is_number(other) else div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.floating, np.integer))
-
-
-def tensor(data, dtype=np.float64, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, dtype=dtype, requires_grad=requires_grad)
-
 
 def constant(data, dtype=None) -> Tensor:
     """Wrap values as a non-trainable tensor, inheriting dtype unless given."""
@@ -194,14 +155,6 @@ def constant(data, dtype=None) -> Tensor:
     if dtype is None:
         dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
     return Tensor(arr, dtype=dtype, requires_grad=False)
-
-
-def zeros(shape: Sequence[int], dtype=np.float64, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), dtype=dtype, requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int], dtype=np.float64, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), dtype=dtype, requires_grad=requires_grad)
 
 
 # -- shape/dtype guards --------------------------------------------------------
@@ -236,22 +189,6 @@ def _batch(op: str, *arrays: Array) -> tuple[int, ...]:
 # -- core ops ------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if matrix_dims(a)[1] != matrix_dims(b)[0]:
-        raise DimMismatch(f"matmul: inner dims {a.dims} x {b.dims}")
-    if a.data.dtype != b.data.dtype:
-        raise DimMismatch(f"matmul: dtypes {a.data.dtype} and {b.data.dtype} differ")
-    try:
-        out = a.data @ b.data
-    except ValueError as e:  # the dims are checked, so only the batch sizes can differ
-        raise DimMismatch(f"matmul: batch sizes of {a.dims} and {b.dims} differ") from e
-
-    def vjp(g: Array):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
-
-    return Tensor._from_op(out, (a, b), vjp, "matmul")
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b, with b a (1, n) row added to every row.
 
@@ -276,15 +213,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, x.data.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
     return Tensor._from_op(out, (x, w, b), vjp, "linear")
-
-
-def transpose(x: Tensor) -> Tensor:
-    matrix_dims(x)
-
-    def vjp(g: Array):
-        return (g.swapaxes(-1, -2).copy(),)
-
-    return Tensor._from_op(x.data.swapaxes(-1, -2).copy(), (x,), vjp, "transpose")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -438,22 +366,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(np.where(take_a, a.data, b.data), (a, b), vjp, "maximum")
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction; rejects non-finite logits."""
-    matrix_dims(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NonFinite("softmax_rows: logits contain NaN or infinity")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g: Array):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
-
-    return Tensor._from_op(out, (x,), vjp, "softmax_rows")
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization followed by elementwise affine.
 
@@ -534,8 +446,8 @@ def attention(
     Only the weights A are kept for it; the stacks are split again.
 
     Layout rule: each head's operands have the shape and memory layout
-    that the unfused slice/transpose/matmul/softmax chain gives them,
-    so BLAS and the elementwise loops return that chain's bytes. The
+    that a per-head loop over fresh column slices gives them, so BLAS
+    and the elementwise loops return that loop's bytes. The
     output and the three adjoints are fresh C-contiguous arrays: a
     strided adjoint would keep its layout through ``backward`` and
     reach a later product transposed.
@@ -663,31 +575,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         return (gx,)
 
     return Tensor._from_op(out, (x,), vjp, "slice_cols")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimMismatch("concat_cols: empty input")
-    dims = [matrix_dims(p) for p in parts]
-    if len({rows for rows, _ in dims}) > 1:
-        raise DimMismatch("concat_cols: row counts differ")
-    if len({p.data.dtype for p in parts}) > 1:
-        raise DimMismatch("concat_cols: dtypes differ")
-    widths = [cols for _, cols in dims]
-    lead = _batch("concat_cols", *(p.data for p in parts))
-    # an unbatched part counts for every batch entry: broadcast its leading axis only
-    blocks = [np.broadcast_to(p.data, (*lead, *d)) for p, d in zip(parts, dims)]
-    out = np.concatenate(blocks, axis=-1)
-
-    def vjp(g: Array):
-        grads = []
-        at = 0
-        for w in widths:
-            grads.append(g[..., at : at + w])
-            at += w
-        return tuple(grads)
-
-    return Tensor._from_op(out, tuple(parts), vjp, "concat_cols")
 
 
 def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:

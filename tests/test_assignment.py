@@ -18,15 +18,10 @@ from croprank.assignment import (
     _shortest_paths,
     assign,
     assign_batch,
-    build_cost_matrix,
     cost_matrices,
-    empty_cost,
-    focal,
     focal_terms,
     hungarian,
-    match_cost,
     normalize_mos,
-    select_good,
     train_step,
     training_loss,
 )
@@ -55,6 +50,7 @@ from croprank.geometry import (
     l1_box,
     l1_pairs,
 )
+from croprank.tensor import Tensor
 
 W = LossWeights()
 
@@ -208,8 +204,19 @@ def reference_assign(preds: list, ground_truths: list, w: LossWeights) -> tuple[
 
 
 class TestSelection:
+    """The matchable targets are the crops with MOS >= 4, in list order: ``assign_batch``'s ``good_indices``."""
+
+    @staticmethod
+    def _good_indices(crop_lists, seed=0):
+        rng = np.random.default_rng(seed)
+        n = max(map(len, crop_lists)) + 1
+        boxes = np.concatenate([rng.uniform(0.3, 0.7, (len(crop_lists), n, 2)),
+                                rng.uniform(0.1, 0.3, (len(crop_lists), n, 2))], axis=2)
+        scores = rng.uniform(0.1, 0.9, (len(crop_lists), n))
+        return [a.good_indices for a in assign_batch(boxes, scores, crop_lists, W)]
+
     def test_empty(self):
-        assert select_good([]) == []
+        assert self._good_indices([[]]) == [()]
 
     def test_threshold_is_inclusive_at_four(self):
         crops = [
@@ -217,15 +224,16 @@ class TestSelection:
             _crop(0.3, 0.3, 0.2, 0.2, 3.9),
             _crop(0.6, 0.6, 0.3, 0.3, 5.0),
         ]
-        assert select_good(crops) == [crops[0], crops[2]]
+        assert self._good_indices([crops]) == [(0, 2)]
 
     def test_matches_naive_filter_on_large_fixture(self):
         rng = np.random.default_rng(0)
-        crops = [
-            _crop(0.5, 0.5, 0.2 + 0.1 * rng.uniform(), 0.2, float(rng.uniform(1.0, 5.0)))
-            for _ in range(90)
+        crop_lists = [
+            [_crop(0.5, 0.5, 0.2 + 0.1 * rng.uniform(), 0.2, float(rng.uniform(1.0, 5.0))) for _ in range(size)]
+            for size in (90, 0, 31)
         ]
-        assert select_good(crops) == [c for c in crops if c.mos >= 4.0]
+        want = [tuple(i for i, c in enumerate(crops) if c.mos >= 4.0) for crops in crop_lists]
+        assert self._good_indices(crop_lists) == want
 
 
 class TestNormalizeMos:
@@ -246,58 +254,59 @@ class TestNormalizeMos:
             normalize_mos(5.1)
 
 
+def _focal_values(v_hat, v, gamma=2.0):
+    """``focal_terms`` of a column of scores against a column of targets, as a list."""
+    column = np.asarray(v_hat, dtype=np.float64).reshape(-1, 1)
+    return focal_terms(T.constant(column), np.reshape(v, (-1, 1)), gamma).data[:, 0].tolist()
+
+
 class TestFocal:
     def test_zero_at_target(self):
-        for v in (0.25, 0.5, 0.9):
-            assert focal(v, v) == 0.0
+        assert _focal_values([0.25, 0.5, 0.9], [0.25, 0.5, 0.9]) == [0.0, 0.0, 0.0]
 
     def test_half_versus_zero_closed_form(self):
         # |0 - 0.5|^2 * (-log(1 - 0.5)) = 0.25 * ln 2
-        assert focal(0.5, 0.0, 2.0) == pytest.approx(0.25 * math.log(2.0), abs=1e-15)
+        assert _focal_values([0.5], [0.0]) == [pytest.approx(0.25 * math.log(2.0), abs=1e-15)]
 
     def test_positive_off_target(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            v_hat = float(rng.uniform(0.01, 0.99))
-            v = float(rng.uniform(0.0, 1.0))
-            if abs(v_hat - v) > 1e-9:
-                assert focal(v_hat, v) > 0.0
+        v_hat = rng.uniform(0.01, 0.99, size=50)
+        v = rng.uniform(0.0, 1.0, size=50)
+        off = np.abs(v_hat - v) > 1e-9
+        assert all(value > 0.0 for value in np.array(_focal_values(v_hat, v))[off])
 
-    def test_target_range_check(self):
-        with pytest.raises(OutOfRange):
-            focal(0.5, -0.1)
-        with pytest.raises(OutOfRange):
-            focal(0.5, 1.2)
-
-    def test_differentiable_terms_match_scalar(self):
+    def test_differentiable_terms_match_the_cost_focal(self):
         rng = np.random.default_rng(2)
         v_hat = rng.uniform(0.05, 0.95, size=(6, 1))
         v = rng.uniform(size=(6, 1))
-        out = focal_terms(T.constant(v_hat), v, 2.0).data
-        for i in range(6):
-            assert out[i, 0] == pytest.approx(focal(float(v_hat[i, 0]), float(v[i, 0])), abs=1e-12)
+        # the matching cost and the loss price a score the same way
+        np.testing.assert_allclose(_focal_values(v_hat, v), _focal_np(v_hat, v, 2.0)[:, 0], rtol=0, atol=1e-12)
+
+
+def _one_entry(box, score, targets):
+    """The (1, 1) cost matrix of one prediction against its targets (none, or one good crop)."""
+    return cost_matrices(np.array([[box]]), np.array([[score]]), [targets], W)[0, 0, 0]
 
 
 class TestMatchCost:
     def test_zero_for_perfect_prediction(self):
         target = _crop(0.5, 0.5, 0.4, 0.4, 5.0)
-        pred = Prediction(box=target.box, score=1.0)
         # the score clamp leaves a ~1e-21 focal residue
-        assert match_cost(pred, target, W) < 1e-15
+        assert _one_entry([0.5, 0.5, 0.4, 0.4], 1.0, [target]) < 1e-15
 
     def test_term_by_term_against_scalar_helpers(self):
-        pred = Prediction(box=CropBox(0.4, 0.45, 0.3, 0.25), score=0.6)
+        box, score = CropBox(0.4, 0.45, 0.3, 0.25), 0.6
         target = _crop(0.55, 0.5, 0.35, 0.3, 4.2)
         expected = (
-            l1_box(pred.box, target.box)
-            + W.giou_weight * (1.0 - giou(pred.box, target.box))
-            + W.focal_weight * focal(pred.score, normalize_mos(target.mos))
+            l1_box(box, target.box)
+            + W.giou_weight * (1.0 - giou(box, target.box))
+            + W.focal_weight * float(_focal_np(score, normalize_mos(target.mos), W.focal_gamma))
         )
-        assert match_cost(pred, target, W) == pytest.approx(expected, abs=1e-15)
+        assert _one_entry([box.cx, box.cy, box.w, box.h], score, [target]) == pytest.approx(expected, abs=1e-15)
 
     def test_empty_cost_is_focal_to_zero(self):
-        pred = Prediction(box=CropBox(0.5, 0.5, 0.2, 0.2), score=0.3)
-        assert empty_cost(pred, W) == pytest.approx(W.focal_weight * focal(0.3, 0.0), abs=1e-15)
+        expected = W.focal_weight * _focal_values([0.3], [0.0])[0]
+        assert _one_entry([0.5, 0.5, 0.2, 0.2], 0.3, []) == pytest.approx(expected, abs=1e-15)
 
     def test_weights_validation(self):
         with pytest.raises(OutOfRange):
@@ -311,23 +320,20 @@ class TestMatchCost:
 class TestCostMatrix:
     def test_padded_layout(self):
         rng = np.random.default_rng(3)
-        preds = [
-            Prediction(box=CropBox(*rng.uniform(0.3, 0.6, size=2), 0.2, 0.2), score=float(rng.uniform(0.1, 0.9)))
-            for _ in range(4)
-        ]
+        boxes = np.column_stack([rng.uniform(0.3, 0.6, size=(4, 2)), np.full((4, 2), 0.2)])
+        scores = rng.uniform(0.1, 0.9, size=4)
         good = [_crop(0.5, 0.5, 0.3, 0.3, 4.5)]
-        costs = build_cost_matrix(preds, good, W)
+        costs = cost_matrices(boxes[None], scores[None], [good], W)[0]
         assert costs.shape == (4, 4)
-        for i, p in enumerate(preds):
-            assert costs[i, 0] == pytest.approx(match_cost(p, good[0], W), abs=1e-12)
+        for i in range(4):
+            assert costs[i, 0] == pytest.approx(_one_entry(boxes[i], scores[i], good), abs=1e-12)
             for j in (1, 2, 3):
-                assert costs[i, j] == pytest.approx(empty_cost(p, W), abs=1e-12)
+                assert costs[i, j] == pytest.approx(_one_entry(boxes[i], scores[i], []), abs=1e-12)
 
     def test_more_targets_than_predictions(self):
-        preds = [Prediction(box=CropBox(0.5, 0.5, 0.2, 0.2), score=0.5)]
         good = [_crop(0.5, 0.5, 0.3, 0.3, 4.5), _crop(0.4, 0.4, 0.3, 0.3, 4.5)]
         with pytest.raises(CardinalityMismatch):
-            build_cost_matrix(preds, good, W)
+            cost_matrices(np.array([[[0.5, 0.5, 0.2, 0.2]]]), np.array([[0.5]]), [good], W)
 
 
 def _tie_heavy_matrices() -> list[np.ndarray]:
@@ -365,7 +371,7 @@ class TestHungarian:
                 cases.append(rng.integers(0, 4, size=(n, n)).astype(np.float64))  # many ties
             else:
                 cases.append(rng.uniform(size=(n, n)))
-        # the last k columns identical, as the padding of build_cost_matrix
+        # the last k columns identical, as the padding of cost_matrices
         draws = (
             lambda size: rng.integers(0, 4, size=size).astype(np.float64),  # integer ties
             lambda size: rng.uniform(size=size),
@@ -576,7 +582,7 @@ class TestAssign:
                     assert r.kind == "negative"
             # matching is optimal under the padded cost matrix
             good = [crops[i] for i in sorted(good_set)]
-            cost = build_cost_matrix(preds, good, W)
+            cost = reference_cost_matrix(preds, good, W)
             rows, cols = linear_sum_assignment(cost)
             ours = cost[np.arange(10), a.perm].sum()
             assert ours == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
@@ -619,11 +625,10 @@ class TestTrainingLoss:
                     pb = CropBox(*boxes[i])
                     tb = crops[r.target].box
                     expected += l1_box(pb, tb) + W.giou_weight * (1.0 - giou(pb, tb))
-                    expected += W.focal_weight * focal(v_hat, normalize_mos(crops[r.target].mos))
-                elif r.kind == "soft":
-                    expected += W.focal_weight * focal(v_hat, r.soft_score)
+                    target = normalize_mos(crops[r.target].mos)
                 else:
-                    expected += W.focal_weight * focal(v_hat, 0.0)
+                    target = r.soft_score if r.kind == "soft" else 0.0
+                expected += W.focal_weight * float(_focal_np(v_hat, target, W.focal_gamma))
             expected /= len(a.roles)
             assert training_loss(head, a, crops, W).item() == pytest.approx(expected, abs=1e-12)
 
@@ -638,8 +643,8 @@ class TestTrainingLoss:
             [0.15, 0.20, 0.20, 0.10],
         ])
         scores = np.array([[0.8], [0.6], [0.3], [0.4], [0.1]])
-        head = HeadOutputs(boxes=T.tensor(boxes, dtype=dtype, requires_grad=True),
-                           scores=T.tensor(scores, dtype=dtype, requires_grad=True))
+        head = HeadOutputs(boxes=Tensor(boxes, dtype=dtype, requires_grad=True),
+                           scores=Tensor(scores, dtype=dtype, requires_grad=True))
         a = assign(head.to_predictions(), crops, W)
         assert [r.kind for r in a.roles] == ["matched", "soft", "soft", "negative", "negative"]
         return head, a, crops
@@ -673,8 +678,8 @@ class TestTrainingLoss:
         head, a, crops = self._all_roles_fixture(dtype)
         loss = training_loss(head, a, crops, W)
         T.backward(loss)
-        ref_head = HeadOutputs(boxes=T.tensor(head.boxes.data, dtype=dtype, requires_grad=True),
-                               scores=T.tensor(head.scores.data, dtype=dtype, requires_grad=True))
+        ref_head = HeadOutputs(boxes=Tensor(head.boxes.data, dtype=dtype, requires_grad=True),
+                               scores=Tensor(head.scores.data, dtype=dtype, requires_grad=True))
         ref = self._three_branch_loss(ref_head, a, crops, W)
         T.backward(ref)
         # only the order of the focal sum differs
@@ -685,14 +690,14 @@ class TestTrainingLoss:
 
     def test_finite_nonnegative_and_differentiable(self):
         rng = np.random.default_rng(9)
-        boxes = T.tensor(
+        boxes = Tensor(
             np.column_stack(
                 [rng.uniform(0.3, 0.7, size=5), rng.uniform(0.3, 0.7, size=5),
                  rng.uniform(0.1, 0.4, size=5), rng.uniform(0.1, 0.4, size=5)]
             ),
             requires_grad=True,
         )
-        scores = T.tensor(rng.uniform(0.1, 0.9, size=(5, 1)), requires_grad=True)
+        scores = Tensor(rng.uniform(0.1, 0.9, size=(5, 1)), requires_grad=True)
         head = HeadOutputs(boxes=boxes, scores=scores)
         crops = [_crop(0.5, 0.5, 0.3, 0.3, 4.5)]
         a = assign(head.to_predictions(), crops, W)

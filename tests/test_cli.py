@@ -21,7 +21,7 @@ from croprank.cli import (
 from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_checkpoint, write_tensor
 from croprank.dataio import generate_synthetic
 from croprank.decoder import ModelConfig, forward, init_state
-from croprank.errors import Degenerate, ParseError
+from croprank.errors import Degenerate, DimMismatch, ParseError
 from croprank.gradcheck import toy_config
 from croprank.metrics import EvalExample, build_report
 
@@ -348,12 +348,12 @@ class TestPipeline:
         assert pgm.read_text().startswith("P2\n")
 
     def test_gradcheck_single_scenario(self, capsys):
-        assert main(["gradcheck", "--seeds", "1", "--scenarios", "matmul"]) == 0
-        assert "[PASS] gradcheck matmul" in capsys.readouterr().out
+        assert main(["gradcheck", "--seeds", "1", "--scenarios", "encoder"]) == 0
+        assert "[PASS] gradcheck encoder" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, field", [
         (["--seeds", "0"], "seeds"),
-        (["--seeds", "1", "--scenarios", "matmul,nope"], "scenarios"),
+        (["--seeds", "1", "--scenarios", "encoder,nope"], "scenarios"),
     ])
     def test_gradcheck_without_checks_exits_2(self, flags, field, capsys):
         # zero seeds would pass on zero checks; a misspelled scenario is not a failed check
@@ -407,6 +407,26 @@ class TestPipeline:
         assert err["code"] == "non_finite"
         assert err["message"].startswith("epoch 0, step 1 (run step 1): ")
 
+    @pytest.mark.parametrize("flags, code, field", [
+        (["--model.n_heads", "0"], "dim_mismatch", "n_heads"),
+        (["--model.n_heads", "-4"], "dim_mismatch", "n_heads"),
+        (["--train.batch_size", "0"], "parse_error", "batch_size"),
+        (["--train.batch_size", "-3"], "parse_error", "batch_size"),
+    ], ids=["heads_0", "heads_-4", "batch_0", "batch_-3"])
+    def test_non_positive_head_count_or_batch_size_exits_2(self, tmp_path, capsys, flags, code, field):
+        data = _gen(tmp_path, "data")
+        capsys.readouterr()
+        argv = ["train", "--data", str(data / "train" / "data.jsonl"), "--out", str(tmp_path / "run"),
+                "--quiet", "--epochs", "1", *TINY_FLAGS, *flags]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == code and field in err["message"]
+        assert not (tmp_path / "run").exists()
+        if code == "parse_error":
+            with pytest.raises(ParseError) as raised:
+                cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[2]))
+            assert raised.value.field == "train.batch_size"
+
     def test_bad_override_value_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--data.n_candidates", "5"])
         assert code == 2
@@ -423,6 +443,18 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "parse_error"
         assert "extra" in err["message"]
+
+    def test_checkpoint_without_heads_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(ckpt, init_state(toy_config(), seed=1))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["model"]["n_heads"] = 0
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DimMismatch, match="n_heads"):
+            load_checkpoint(ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "val.jsonl")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["code"] == "dim_mismatch"
 
     @pytest.mark.parametrize("doc", ["3", "null"])
     def test_non_object_checkpoint_manifest_exits_2(self, tmp_path, capsys, doc):

@@ -64,6 +64,9 @@ class TestModelConfig:
             ModelConfig(n_queries=0)
         with pytest.raises(DimMismatch):
             ModelConfig(n_layers=-1)
+        for n_heads in (0, -4):
+            with pytest.raises(DimMismatch, match="n_heads must be >= 1"):
+                ModelConfig(n_heads=n_heads)
         with pytest.raises(DimMismatch):
             ModelConfig(model_dim=30, n_heads=4)
         with pytest.raises(DimMismatch):

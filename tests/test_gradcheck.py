@@ -50,13 +50,14 @@ class TestNumericGradient:
         rng = np.random.default_rng(3)
         w = Tensor(rng.uniform(-1.0, 1.0, size=(12, 12)), requires_grad=True)
         x = T.constant(rng.uniform(-1.0, 1.0, size=(5, 12)))
+        b = T.constant(rng.uniform(-1.0, 1.0, size=(1, 12)))
         weights = T.constant(rng.uniform(-1.0, 1.0, size=(5, 12)))
 
         seen = []
 
         def fn():
             seen.append(w.data.shape)
-            return T.sum_all(T.mul(T.sigmoid(T.matmul(x, w)), weights))
+            return T.sum_all(T.mul(T.sigmoid(T.linear(x, w, b)), weights))
 
         batched = numeric_gradient(fn, w)
         assert seen == [(256, 12, 12), (32, 12, 12)]
@@ -104,29 +105,33 @@ def _batched(shape, batch=3):
     return T.constant(np.random.default_rng(0).uniform(size=(batch, *shape)))
 
 
+def _zeros(*shape):
+    return T.constant(np.zeros(shape))
+
+
 class TestBatchAxis:
     def test_rank_checked_ops_take_rank_3_and_reject_rank_4_in_both_modes(self):
         x = _batched((3, 4))
         w = Tensor(np.zeros((4, 2)), requires_grad=True)
         rank4 = T.constant(np.zeros((2, 3, 3, 4)))
         boxes4 = T.constant(np.full((2, 3, 3, 4), 0.5))
+        ones = T.constant(np.ones((1, 4)))
         for recording in (True, False):
             with contextlib.nullcontext() if recording else T.no_grad():
-                assert T.matmul(x, w).dims == (3, 3, 2)
-                assert T.matmul(x, w).requires_grad == recording
-                assert T.add(x, T.zeros((3, 4))).dims == (3, 3, 4)
-                assert T.linear(T.zeros((3, 4)), w, _batched((1, 2))).dims == (3, 3, 2)
-                assert T.layer_norm(x, T.ones((1, 4)), T.zeros((1, 4))).dims == (3, 3, 4)
-                assert T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2).dims == (3, 3, 4)
+                assert T.linear(x, w, _zeros(1, 2)).dims == (3, 3, 2)
+                assert T.linear(x, w, _zeros(1, 2)).requires_grad == recording
+                assert T.add(x, _zeros(3, 4)).dims == (3, 3, 4)
+                assert T.linear(_zeros(3, 4), w, _batched((1, 2))).dims == (3, 3, 2)
+                assert T.layer_norm(x, ones, _zeros(1, 4)).dims == (3, 3, 4)
+                assert T.attention(x, _zeros(5, 4), _zeros(5, 4), 2).dims == (3, 3, 4)
                 assert giou_pairs(_batched((3, 4)), _batched((3, 4))).dims == (3, 3, 1)
                 for op in (
-                    lambda: T.matmul(rank4, w),
-                    lambda: T.linear(rank4, w, T.zeros((1, 2))),
-                    lambda: T.add(rank4, T.zeros((3, 4))),
-                    lambda: T.layer_norm(rank4, T.ones((1, 4)), T.zeros((1, 4))),
-                    lambda: T.attention(rank4, T.zeros((5, 4)), T.zeros((5, 4)), 2),
+                    lambda: T.linear(rank4, w, _zeros(1, 2)),
+                    lambda: T.add(rank4, _zeros(3, 4)),
+                    lambda: T.layer_norm(rank4, ones, _zeros(1, 4)),
+                    lambda: T.attention(rank4, _zeros(5, 4), _zeros(5, 4), 2),
                     lambda: T.sum_all(rank4),
-                    lambda: T.softmax_rows(rank4),
+                    lambda: T.slice_cols(rank4, 0, 2),
                     lambda: giou_pairs(boxes4, boxes4),
                     lambda: l1_pairs(boxes4, boxes4),
                 ):
@@ -138,31 +143,25 @@ class TestBatchAxis:
         rank4 = T.constant(np.zeros((2, 3, 3, 4)))
         with T.no_grad():
             with pytest.raises(DimMismatch):
-                T.matmul(x, T.zeros((5, 2)))
-            with pytest.raises(DimMismatch):
-                T.add(x, T.zeros((3, 5)))
+                T.add(x, _zeros(3, 5))
             with pytest.raises(DimMismatch):
                 T.add(x, _batched((3, 4), batch=2))
             with pytest.raises(DimMismatch):
-                T.layer_norm(x, T.ones((1, 5)), T.zeros((1, 4)))
+                T.layer_norm(x, T.constant(np.ones((1, 5))), _zeros(1, 4))
             with pytest.raises(DimMismatch):
-                T.attention(x, T.zeros((5, 6)), T.zeros((5, 4)), 2)
+                T.attention(x, _zeros(5, 6), _zeros(5, 4), 2)
             with pytest.raises(DimMismatch):
-                T.linear(x, T.zeros((5, 2)), T.zeros((1, 2)))
+                T.linear(x, _zeros(5, 2), _zeros(1, 2))
             with pytest.raises(DimMismatch):
-                T.linear(x, T.zeros((4, 2)), _batched((1, 3)))
+                T.linear(x, _zeros(4, 2), _batched((1, 3)))
             with pytest.raises(DimMismatch):
-                T.concat_cols([x, _batched((3, 2), batch=2)])
+                T.add(rank4, _zeros(3, 4))
             with pytest.raises(DimMismatch):
-                T.matmul(rank4, T.zeros((4, 2)))
+                T.layer_norm(rank4, T.constant(np.ones((1, 4))), _zeros(1, 4))
             with pytest.raises(DimMismatch):
-                T.add(rank4, T.zeros((3, 4)))
+                T.attention(rank4, _zeros(5, 4), _zeros(5, 4), 2)
             with pytest.raises(DimMismatch):
-                T.layer_norm(rank4, T.ones((1, 4)), T.zeros((1, 4)))
-            with pytest.raises(DimMismatch):
-                T.attention(rank4, T.zeros((5, 4)), T.zeros((5, 4)), 2)
-            with pytest.raises(DimMismatch):
-                T.linear(rank4, T.zeros((4, 2)), T.zeros((1, 2)))
+                T.linear(rank4, _zeros(4, 2), _zeros(1, 2))
             with pytest.raises(DimMismatch):
                 T.sum_all(rank4)
 
@@ -171,7 +170,7 @@ class TestBatchAxis:
         rank4 = T.constant(np.zeros((2, 3, 3, 4)))
         for mode in (contextlib.nullcontext(), T.no_grad()):
             with mode:
-                assert T.matrix_dims(T.zeros((3, 4))) == (3, 4)
+                assert T.matrix_dims(_zeros(3, 4)) == (3, 4)
                 assert T.matrix_dims(x) == (3, 4)
                 with pytest.raises(DimMismatch):
                     T.matrix_dims(rank4)
@@ -181,26 +180,20 @@ class TestBatchAxis:
     def test_differing_batch_sizes_raise(self):
         x, other = _batched((3, 4)), _batched((4, 2), batch=2)
         with pytest.raises(DimMismatch):
-            T.matmul(x, other)
-        with pytest.raises(DimMismatch):
-            T.linear(x, other, T.zeros((1, 2)))
+            T.linear(x, other, _zeros(1, 2))
         with pytest.raises(DimMismatch):
             T.attention(x, _batched((5, 4), batch=2), _batched((5, 4), batch=2), 2)
         with pytest.raises(DimMismatch):
-            T.attention(x, T.zeros((5, 4)), T.zeros((5, 4)), 2, np.zeros((2, 1, 5)))
+            T.attention(x, _zeros(5, 4), _zeros(5, 4), 2, np.zeros((2, 1, 5)))
 
     def test_ops_act_on_each_batch_entry(self):
         x = _batched((3, 4))
         w = T.constant(np.random.default_rng(1).uniform(size=(4, 4)))
-        c = T.constant(np.random.default_rng(2).uniform(size=(3, 2)))
         with T.no_grad():
             cases = [
-                (T.matmul(x, w), lambda e: T.matmul(e, w)),
                 (T.sum_all(x), T.sum_all),
-                (T.softmax_rows(x), T.softmax_rows),
-                (T.transpose(x), T.transpose),
                 (T.gather_rows(x, [2, 0, 2]), lambda e: T.gather_rows(e, [2, 0, 2])),
-                (T.concat_cols([T.slice_cols(x, 2, 4), c]), lambda e: T.concat_cols([T.slice_cols(e, 2, 4), c])),
+                (T.slice_cols(x, 2, 4), lambda e: T.slice_cols(e, 2, 4)),
                 (T.attention(x, w, w, 2), lambda e: T.attention(e, w, w, 2)),
             ]
             for batched, single in cases:
