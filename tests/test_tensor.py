@@ -99,6 +99,70 @@ class TestLinear:
         with pytest.raises(DimMismatch):
             T.linear(x, T.constant(np.zeros((4, 2), dtype=np.float32)), _zeros(1, 2))
 
+    def test_identity(self):
+        rng = np.random.default_rng(0)
+        x = T.constant(rng.uniform(size=(3, 4)))
+        assert np.array_equal(T.linear(x, T.constant(np.eye(4)), _zeros(1, 4)).data, x.data)
+
+    def test_hand_oracle(self):
+        a = T.constant([[1.0, 2.0], [3.0, 4.0]])
+        b = T.constant([[1.0], [1.0]])
+        assert np.array_equal(T.linear(a, b, T.constant([[0.5]])).data, [[3.5], [7.5]])
+
+    def test_inner_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            T.linear(_zeros(2, 3), _zeros(2, 3), _zeros(1, 3))
+
+    def test_backward_matches_closed_form(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.uniform(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.uniform(size=(1, 2)), requires_grad=True)
+        T.backward(T.sum_all(T.linear(x, w, b)))
+        ones = np.ones((3, 2))
+        np.testing.assert_allclose(x.grad, ones @ w.data.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w.grad, x.data.T @ ones, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(b.grad, [[3.0, 3.0]])
+
+
+def _softmax_rows(x):
+    """Row softmax of x (m, n) through ``attention``: each row is one batch entry's log_bias.
+
+    The query and keys are zero, so the logits are the bias row itself,
+    and the identity values return the weights unchanged.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m, n = x.shape
+    out = T.attention(_zeros(1, 1), _zeros(n, 1), T.constant(np.eye(n)), 1, x.reshape(m, 1, n))
+    return out.data.reshape(m, n)
+
+
+class TestAttentionSoftmax:
+    """The softmax inside ``attention``, seen through a one-head call that returns its weights."""
+
+    def test_constant_row_is_uniform(self):
+        np.testing.assert_allclose(_softmax_rows(np.full((2, 4), 3.7)), 0.25, rtol=0, atol=1e-15)
+
+    def test_closed_form_row(self):
+        np.testing.assert_allclose(_softmax_rows([[0.0, math.log(3.0)]]), [[0.25, 0.75]], rtol=0, atol=1e-12)
+
+    def test_rows_sum_to_one(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            sums = _softmax_rows(rng.normal(scale=20.0, size=(5, 7))).sum(axis=1)
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-9)
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 6))
+        np.testing.assert_allclose(_softmax_rows(x + 123.456), _softmax_rows(x), rtol=0, atol=1e-12)
+
+    def test_nan_rejected(self):
+        bad = np.ones((2, 2))
+        bad[0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            _softmax_rows(bad)
+
 
 def reference_attention(q, k, v, n_heads, log_bias=None):
     """The per-head loop that ``tensor.attention`` replaced, on arrays: (out, weights, vjp).
@@ -376,6 +440,8 @@ def _fresh(arrays, dtype):
 _BATCH_CASES = {
     "linear": ([(3, 4), (4, 5), (1, 5)], (3, 4), (3, 5), lambda L, c: T.linear(T.sub(L[0], c), L[1], L[2])),
     "linear_once": ([(3, 4), (4, 5), (1, 5)], (3, 5), (3, 5), lambda L, c: T.mul(T.linear(*L), c)),
+    "linear_weight": ([(3, 4), (4, 5), (1, 5)], (4, 5), (3, 5), lambda L, c: T.linear(L[0], T.mul(L[1], c), L[2])),
+    "linear_bias": ([(3, 4), (4, 5), (1, 5)], (1, 5), (3, 5), lambda L, c: T.linear(L[0], L[1], T.add(L[2], c))),
     "layer_norm": ([(4, 6), (1, 6), (1, 6)], (4, 6), (4, 6), lambda L, c: T.layer_norm(T.add(L[0], c), L[1], L[2])),
     "layer_norm_once": ([(4, 6), (1, 6), (1, 6)], (4, 6), (4, 6), lambda L, c: T.mul(T.layer_norm(*L), c)),
     "attention": ([(3, 4), (5, 4), (5, 4)], (5, 4), (3, 4),
@@ -383,6 +449,12 @@ _BATCH_CASES = {
     "attention_bias": ([(3, 4), (5, 4), (5, 4)], (1, 5), (3, 4),
                        lambda L, c: T.attention(L[0], L[1], L[2], 2, c.data)),
     "attention_once": ([(3, 4), (5, 4), (5, 4)], (3, 4), (3, 4), lambda L, c: T.mul(T.attention(*L, 2), c)),
+    "attention_queries": ([(3, 4), (5, 4), (5, 4)], (3, 4), (3, 4),
+                          lambda L, c: T.attention(T.mul(L[0], c), L[1], L[2], 2)),
+    "attention_values": ([(3, 4), (5, 4), (5, 4)], (5, 4), (3, 4),
+                         lambda L, c: T.attention(L[0], L[1], T.sub(L[2], c), 2)),
+    "attention_one_head": ([(3, 5), (4, 5), (4, 5)], (3, 5), (3, 5),
+                           lambda L, c: T.attention(T.add(L[0], c), L[1], L[2], 1)),
     "sum_cols": ([(3, 4)], (3, 4), (3, 1),
                  lambda L, c: T.add(T.sum_cols(T.mul(L[0], c)), T.sum_cols(T.scale(L[0], 0.5)))),
     "slice_cols": ([(3, 4), (3, 2)], (3, 4), (3, 2), lambda L, c: T.add(T.slice_cols(T.add(L[0], c), 1, 3), L[1])),
