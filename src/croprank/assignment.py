@@ -487,9 +487,8 @@ def train_step(state: ModelState, batch: list[TrainExample], w: LossWeights, lr:
     loss = T.scale(T.sum_batch(training_loss(head, assignments, crops, w)), 1.0 / len(batch))
     value = loss.item()
     T.backward(loss)
-    params = state.parameters()
     if optimizer is None:
-        T.sgd_step(params, lr)
+        T.sgd_step(state.data, state.grad, lr)
     else:
-        optimizer.step(params, lr)
+        optimizer.step(state.data, state.grad, lr)
     return value

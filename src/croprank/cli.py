@@ -189,26 +189,34 @@ def prepare_examples(records, model: ModelConfig, mode: str, dtype) -> list[Trai
     return out
 
 
+def _whole(train: dict, name: str) -> int:
+    """``train[name]`` as an int: an int or an integral float, never a bool, string or fraction."""
+    value = train[name]
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ParseError(f"train.{name} must be an integer, got {value!r}", field=f"train.{name}")
+    return int(value)
+
+
 def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, dict]:
     """Train from scratch on the given records; returns (state, history)."""
     model = cfg.model
     weights = cfg.loss
     train = cfg["train"]
-    state = init_state(model, seed=int(train["seed"]), dtype=cfg.dtype)
+    seed, batch_size, epochs, decay_epoch = (_whole(train, k) for k in ("seed", "batch_size", "epochs", "decay_epoch"))
+    if batch_size < 1:
+        raise ParseError(f"batch_size must be at least 1, got {batch_size}", field="train.batch_size")
+    state = init_state(model, seed=seed, dtype=cfg.dtype)
     examples = prepare_examples(records, model, cfg.mcab, cfg.dtype)
-    rng = np.random.default_rng([int(train["seed"]), 1])
+    rng = np.random.default_rng([seed, 1])
     optimizer = Adam() if train["optimizer"] == "adam" else None
     if train["optimizer"] not in ("sgd", "adam"):
         raise ParseError(f"optimizer {train['optimizer']!r} not one of sgd/adam", field="train.optimizer")
     lr = float(train["lr"])
-    batch_size = int(train["batch_size"])
-    if batch_size < 1:
-        raise ParseError(f"batch_size must be at least 1, got {batch_size}", field="train.batch_size")
     step_losses: list[float] = []
     epoch_losses: list[float] = []
     started = time.perf_counter()
-    for epoch in range(int(train["epochs"])):
-        if epoch == int(train["decay_epoch"]):
+    for epoch in range(epochs):
+        if epoch == decay_epoch:
             lr *= float(train["decay_factor"])
         order = rng.permutation(len(examples))
         epoch_sum = 0.0

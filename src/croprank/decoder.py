@@ -187,12 +187,24 @@ def sinusoidal_grid_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float6
 
 
 class ModelState:
-    """Named parameter store for one encoder/decoder instance."""
+    """Named parameter store for one encoder/decoder instance.
+
+    ``data`` and ``grad`` are flat vectors of every parameter's values
+    and gradient, in ``params`` order; each parameter's ``data`` and
+    ``grad`` are C-contiguous views into them, written in place.
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor], dtype: np.dtype):
         self.config = config
         self.params = params
         self.dtype = np.dtype(dtype)
+        self.data = np.concatenate([p.data.reshape(-1) for p in params.values()], dtype=self.dtype)
+        self.grad = np.zeros_like(self.data)
+        at = 0
+        for p in params.values():
+            end = at + p.data.size
+            p.data, p.grad = self.data[at:end].reshape(p.data.shape), self.grad[at:end].reshape(p.data.shape)
+            at = end
         self.position = T.constant(sinusoidal_grid_encoding(config.grid_h, config.grid_w, config.model_dim, dtype))
 
     def parameters(self) -> list[Tensor]:

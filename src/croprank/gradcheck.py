@@ -21,6 +21,7 @@ discards the draw and checks the next one from the same stream.
 """
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -97,15 +98,22 @@ def _fixed(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return T.constant(rng.uniform(lo, hi, size=shape))
 
 
+@functools.lru_cache(maxsize=None)
+def _weighting(seed: int, dims: tuple[int, int]) -> np.ndarray:
+    """What a fresh generator seeded with ``seed`` draws for ``dims``: drawn once, read-only."""
+    r = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dims)
+    r.flags.writeable = False
+    return r
+
+
 def _weigh(x: Tensor, seed: int) -> Tensor:
     """Reduce to a scalar through a weighting fixed by ``seed``.
 
-    A fresh generator per call keeps the loss function identical
-    across the repeated evaluations finite differencing needs.
+    The weighting depends on the seed and the matrix dims alone, so it
+    is the same across the repeated evaluations finite differencing needs.
     """
     # matrix dims only: a probe batch must be weighed like each of its entries
-    r = T.constant(np.random.default_rng(seed).uniform(-1.0, 1.0, size=T.matrix_dims(x)))
-    return T.sum_all(T.mul(x, r))
+    return T.sum_all(T.mul(x, T.constant(_weighting(seed, T.matrix_dims(x)))))
 
 
 def _mid_boxes(x: Tensor) -> Tensor:

@@ -33,7 +33,9 @@ order: the order a loop would have used that records one graph per
 image, adds the losses with ``add`` and backpropagates the sum.
 
 Gradient buffers live on leaves only: ``backward`` keeps op outputs'
-adjoints in a local table and adds into ``.grad`` at the leaves.
+adjoints in a local table and adds into ``.grad`` at the leaves. A
+model's leaves hold views into ``decoder.ModelState``'s two flat
+vectors, on which ``Adam`` and ``sgd_step`` update every parameter.
 """
 from __future__ import annotations
 
@@ -97,9 +99,10 @@ class Tensor:
     ``matrix_dims`` reads past that leading axis. ``grad`` is a buffer
     (zeros, same shape/dtype as ``data``) exactly on leaves made with
     ``requires_grad=True``, and None otherwise; a recorded op output
-    requires grad but holds no buffer. The finite-difference probe
-    swaps a (B, *shape) stack into a leaf's ``data`` under ``no_grad``
-    and puts the original array back afterwards.
+    requires grad but holds no buffer; a model parameter's two are
+    C-contiguous views into its ``ModelState``'s flat vectors. The
+    finite-difference probe swaps a (B, *shape) stack into a leaf's
+    ``data`` under ``no_grad`` and puts the original array back after.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
@@ -483,7 +486,7 @@ def attention(
         a = a + bias if a.ndim < bias.ndim else np.add(a, bias, out=a)
     if not np.isfinite(a).all():
         raise NonFinite("attention: logits contain NaN or infinity")
-    a -= a.max(axis=-1, keepdims=True)
+    a -= np.fmax.reduce(a, axis=-1, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     if weights_out is not None:
@@ -637,9 +640,17 @@ def _fold(parts: list[Array], leaf: Tensor) -> Array:
 
     A part with one axis more than the leaf holds one contribution per
     batch entry; a part without it counts as entry 0 only. The terms are
-    added one at a time, as a per-image loop would have added them;
-    ``.sum(axis=0)`` would pair terms up for a (1, 1) leaf.
+    added one at a time, as a per-image loop would have added them. A
+    lone batched part of the leaf's dtype is one ``np.add.reduce`` over
+    its leading axis, which adds the entries in order when the stack is
+    C-contiguous and the leaf has more than one element (a (1, 1) sum,
+    or a broadcast stack's, would be pairwise); its ``initial`` -0.0
+    keeps a sum of -0.0 terms -0.0, as the loop does.
     """
+    one = parts[0]
+    lone_stack = len(parts) == 1 and one.ndim > leaf.data.ndim
+    if lone_stack and leaf.data.size > 1 and one.dtype == leaf.data.dtype and one.flags.c_contiguous:
+        return np.add.reduce(one, axis=0, initial=-0.0)
     stacks = [p if p.ndim > leaf.data.ndim else p[None] for p in parts]
     terms = [s[e] for e in range(max(map(len, stacks))) for s in stacks if e < len(s)]
     total = terms[0].astype(leaf.data.dtype, copy=True)
@@ -681,43 +692,44 @@ def backward(loss: Tensor) -> None:
                 acc += pg
 
 
-def sgd_step(params: Sequence[Tensor], lr: float) -> None:
-    """In-place p <- p - lr * grad(p); grads are zeroed afterwards."""
-    for p in params:
-        if p.grad is None:
-            raise MissingGrad("sgd_step: parameter has no gradient buffer")
-        p.data -= lr * p.grad
-        p.grad[...] = 0.0
+def sgd_step(data: Array, grad: Array | None, lr: float) -> None:
+    """In place data <- data - lr * grad, then grad zeroed: on ``ModelState.data``/``.grad`` or one leaf's."""
+    if grad is None:
+        raise MissingGrad("sgd_step: parameter has no gradient buffer")
+    data -= lr * grad
+    grad.fill(0.0)
 
 
 class Adam:
-    """Adam with bias correction; same call shape as sgd_step via .step()."""
+    """Adam with bias correction, on the same (data, grad, lr) arrays as sgd_step.
+
+    The moments ``m`` and ``v`` are made on the first step, shaped like
+    its ``data``, and every later step passes arrays of that shape. Each
+    step is the per-parameter update on whole vectors, with ``lr`` a
+    Python float so that f32 arrays stay f32 throughout.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[int, Array] = {}
-        self._v: dict[int, Array] = {}
+        self.m: Array | None = None
+        self.v: Array | None = None
 
-    def step(self, params: Sequence[Tensor], lr: float) -> None:
+    def step(self, data: Array, grad: Array | None, lr: float) -> None:
+        if grad is None:
+            raise MissingGrad("Adam.step: parameter has no gradient buffer")
+        if self.m is None:
+            self.m, self.v = np.zeros_like(data), np.zeros_like(data)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p in params:
-            if p.grad is None:
-                raise MissingGrad("Adam.step: parameter has no gradient buffer")
-            key = id(p)
-            m = self._m.setdefault(key, np.zeros_like(p.data))
-            v = self._v.setdefault(key, np.zeros_like(p.data))
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * (p.grad * p.grad)
-            mhat = m / (1.0 - b1**self.t)
-            vhat = v / (1.0 - b2**self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.grad[...] = 0.0
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * (grad * grad)
+        data -= lr * (m / (1.0 - b1**self.t)) / (np.sqrt(v / (1.0 - b2**self.t)) + self.eps)
+        grad.fill(0.0)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Array:

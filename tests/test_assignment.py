@@ -771,20 +771,19 @@ def reference_train_step(state, batch, w, lr, optimizer=None) -> float:
     loss = T.scale(total, 1.0 / len(batch))
     value = loss.item()
     T.backward(loss)
-    params = state.parameters()
     if optimizer is None:
-        T.sgd_step(params, lr)
+        T.sgd_step(state.data, state.grad, lr)
     else:
-        optimizer.step(params, lr)
+        optimizer.step(state.data, state.grad, lr)
     return value
 
 
 class _GradRecordingAdam(T.Adam):
-    """Adam that keeps a copy of the gradients it was handed."""
+    """Adam that keeps a copy of the gradients it was handed: every parameter's, in ``params`` order."""
 
-    def step(self, params, lr):
-        self.grads = [p.grad.tobytes() for p in params]
-        super().step(params, lr)
+    def step(self, data, grad, lr):
+        self.grads = grad.tobytes()
+        super().step(data, grad, lr)
 
 
 @pytest.fixture(scope="module")
@@ -971,8 +970,8 @@ class TestTrainStepRejectsBadHeads:
             [p.data.tobytes() for p in state.parameters()],
             [None if p.grad is None else p.grad.tobytes() for p in state.parameters()],
             optimizer.t,
-            [(k, m.tobytes()) for k, m in optimizer._m.items()],
-            [(k, v.tobytes()) for k, v in optimizer._v.items()],
+            optimizer.m.tobytes(),
+            optimizer.v.tobytes(),
         )
 
     @staticmethod

@@ -427,6 +427,27 @@ class TestPipeline:
                 cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[2]))
             assert raised.value.field == "train.batch_size"
 
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed", "decay_epoch"])
+    @pytest.mark.parametrize("value", ["x", 2.7, True], ids=["string", "fraction", "bool"])
+    def test_a_non_integer_train_count_exits_2(self, tmp_path, capsys, name, value):
+        data = _gen(tmp_path, "data")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {name: value}}))
+        capsys.readouterr()
+        argv = ["train", "--config", str(config), "--data", str(data / "train" / "data.jsonl"),
+                "--out", str(tmp_path / "run"), "--quiet", *TINY_FLAGS]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "parse_error" and f"train.{name} must be an integer" in err["message"]
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(ParseError) as raised:
+            cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[4]))
+        assert raised.value.field == f"train.{name}"
+
+    def test_an_integral_float_train_count_is_an_int(self):
+        assert cli._whole({"epochs": 3.0}, "epochs") == 3 and type(cli._whole({"epochs": 3.0}, "epochs")) is int
+        assert cli._whole({"epochs": 3}, "epochs") == 3
+
     def test_bad_override_value_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--data.n_candidates", "5"])
         assert code == 2

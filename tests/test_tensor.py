@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from croprank import tensor as T
+from croprank import dataio, tensor as T
+from croprank.assignment import LossWeights, TrainExample, train_step
+from croprank.dataio import load_checkpoint, save_checkpoint
+from croprank.decoder import ModelConfig, init_state
 from croprank.errors import (
     DimMismatch,
     DisconnectedGraph,
@@ -17,6 +20,8 @@ from croprank.errors import (
     NonFinite,
     NotScalar,
 )
+from croprank.geometry import CropBox, ScoredCrop
+from croprank.gradcheck import numeric_gradient, toy_config
 from croprank.tensor import Adam, Tensor
 
 
@@ -545,11 +550,83 @@ class TestBatchedBackward:
             T.flatten_batch(rows)
 
 
+def reference_fold(parts, leaf):
+    """Reference: a leaf's terms added one at a time, image-major, as before the one-call fold."""
+    stacks = [p if p.ndim > leaf.data.ndim else p[None] for p in parts]
+    terms = [s[e] for e in range(max(map(len, stacks))) for s in stacks if e < len(s)]
+    total = terms[0].astype(leaf.data.dtype, copy=True)
+    for t in terms[1:]:
+        total += t
+    return total
+
+
+def _leaf_shapes():
+    """Every parameter shape of the desk and toy models, and a grid of small shapes."""
+    shapes = {p.data.shape for config in (ModelConfig(), toy_config()) for p in init_state(config).parameters()}
+    return sorted(shapes | {(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (2, 2), (3, 4), (4, 3), (7, 9)})
+
+
+class TestFold:
+    """``_fold`` gives the bytes of the one-term-at-a-time loop on every kind of part list."""
+
+    @staticmethod
+    def _draw(rng, shape, dtype, zeros):
+        # magnitudes over many binades, so that any other grouping of the terms rounds differently
+        x = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+        if zeros:
+            x = np.where(rng.random(shape) < 0.7, np.where(rng.random(shape) < 0.5, -0.0, 0.0), x)
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["values", "signed_zeros"])
+    def test_equals_the_loop_bit_for_bit(self, dtype, zeros):
+        rng = np.random.default_rng(29)
+        for shape in _leaf_shapes():
+            leaf = Tensor(np.zeros(shape), dtype=dtype, requires_grad=True)
+            for b in (1, 2, 7, 16):
+                batched, other, whole = (self._draw(rng, s, dtype, zeros) for s in ((b, *shape), (3, *shape), shape))
+                cases = [
+                    [batched],
+                    [whole],
+                    [batched, whole],
+                    [whole, batched],
+                    [batched, other],
+                    [np.broadcast_to(whole, (b, *shape))],  # strided: the loop's path
+                    [batched.astype(np.float64)],  # another dtype: the loop's path
+                    [np.full((b, *shape), -0.0, dtype=dtype)],
+                ]
+                for parts in cases:
+                    got, want = T._fold(parts, leaf), reference_fold(parts, leaf)
+                    assert got.dtype == want.dtype == dtype and got.shape == shape
+                    assert got.tobytes() == want.tobytes(), (shape, b, [p.shape for p in parts])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_desk_step_folds_as_the_loop(self, dtype, monkeypatch):
+        rng = np.random.default_rng(31)
+        config = ModelConfig()
+        crops = (ScoredCrop(box=CropBox(0.5, 0.5, 0.4, 0.4), mos=4.5),
+                 ScoredCrop(box=CropBox(0.3, 0.6, 0.3, 0.2), mos=3.0))
+        batch = [TrainExample(image=rng.uniform(size=(3, 64, 64)).astype(dtype), prior=None, crops=crops)
+                 for _ in range(16)]
+        folds = []
+        real_fold = T._fold
+
+        def checked_fold(parts, leaf):
+            got = real_fold(parts, leaf)
+            folds.append(got.tobytes() == reference_fold(parts, leaf).tobytes())
+            return got
+
+        monkeypatch.setattr(T, "_fold", checked_fold)
+        state = init_state(config, seed=3, dtype=dtype)
+        train_step(state, batch, LossWeights(), 1e-3, optimizer=Adam())
+        assert len(folds) == len(state.parameters()) and all(folds)
+
+
 class TestOptimizers:
     def test_sgd_single_step(self):
         p = Tensor([[1.0]], requires_grad=True)
         p.grad[...] = 1.0
-        T.sgd_step([p], 0.1)
+        T.sgd_step(p.data, p.grad, 0.1)
         assert p.data[0, 0] == pytest.approx(0.9, abs=1e-15)
         assert np.array_equal(p.grad, [[0.0]])
 
@@ -557,12 +634,13 @@ class TestOptimizers:
         p = Tensor([[1.2345]], requires_grad=True)
         before = p.data.copy()
         p.grad[...] = 7.0
-        T.sgd_step([p], 0.0)
+        T.sgd_step(p.data, p.grad, 0.0)
         assert np.array_equal(p.data, before)
 
     def test_sgd_missing_grad(self):
+        c = T.constant([[1.0]])
         with pytest.raises(MissingGrad):
-            T.sgd_step([T.constant([[1.0]])], 0.1)
+            T.sgd_step(c.data, c.grad, 0.1)
 
     def test_sgd_converges_on_quadratic(self):
         p = Tensor(np.zeros((1, 3)), requires_grad=True)
@@ -570,7 +648,7 @@ class TestOptimizers:
         for _ in range(200):
             diff = T.sub(p, target)
             T.backward(T.sum_all(T.mul(diff, diff)))
-            T.sgd_step([p], 0.1)
+            T.sgd_step(p.data, p.grad, 0.1)
         assert np.max(np.abs(p.data - 3.0)) < 1e-6
 
     def test_adam_converges_on_quadratic(self):
@@ -580,12 +658,122 @@ class TestOptimizers:
         for _ in range(400):
             diff = T.sub(p, target)
             T.backward(T.sum_all(T.mul(diff, diff)))
-            opt.step([p], 0.1)
+            opt.step(p.data, p.grad, 0.1)
         assert np.max(np.abs(p.data - 3.0)) < 1e-3
 
     def test_adam_missing_grad(self):
+        c = T.constant([[1.0]])
         with pytest.raises(MissingGrad):
-            Adam().step([T.constant([[1.0]])], 0.1)
+            Adam().step(c.data, c.grad, 0.1)
+
+
+class ReferenceAdam:
+    """Reference: Adam as a per-parameter loop with moments keyed by ``id(p)``, as before flat storage."""
+
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+        self._m, self._v = {}, {}
+
+    def step(self, params, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p in params:
+            m = self._m.setdefault(id(p), np.zeros_like(p.data))
+            v = self._v.setdefault(id(p), np.zeros_like(p.data))
+            m *= b1
+            m += (1.0 - b1) * p.grad
+            v *= b2
+            v += (1.0 - b2) * (p.grad * p.grad)
+            mhat = m / (1.0 - b1**self.t)
+            vhat = v / (1.0 - b2**self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.grad[...] = 0.0
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_per_parameter_loop_bit_for_bit(self, dtype):
+        flat, looped = init_state(ModelConfig(), seed=3, dtype=dtype), init_state(ModelConfig(), seed=3, dtype=dtype)
+        opt, ref = Adam(), ReferenceAdam()
+        rng = np.random.default_rng(17)
+        for t in range(50):
+            # gradients over many magnitudes, with exact zeros and sign changes, and a decayed rate late on
+            g = rng.standard_normal(flat.grad.size) * 10.0 ** rng.integers(-8, 3, flat.grad.size)
+            g[rng.random(g.size) < 0.1] = 0.0
+            flat.grad[...] = g
+            looped.grad[...] = g
+            lr = 1e-3 if t < 40 else 1e-4
+            opt.step(flat.data, flat.grad, lr)
+            ref.step(looped.parameters(), lr)
+            assert flat.data.tobytes() == looped.data.tobytes()
+            assert not flat.grad.any() and not looped.grad.any()
+        params = looped.parameters()
+        assert opt.m.tobytes() == np.concatenate([ref._m[id(p)].reshape(-1) for p in params]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([ref._v[id(p)].reshape(-1) for p in params]).tobytes()
+        assert opt.m.dtype == opt.v.dtype == flat.data.dtype == dtype
+
+
+class TestFlatStorage:
+    @staticmethod
+    def _assert_views(state):
+        flat, grad, at = state.data, state.grad, 0
+        assert flat.ndim == grad.ndim == 1 and flat.flags.c_contiguous and grad.flags.c_contiguous
+        for p in state.parameters():
+            for view, whole in ((p.data, flat), (p.grad, grad)):
+                assert view.base is whole and view.flags.c_contiguous and view.dtype == state.dtype
+                assert view.ctypes.data == whole.ctypes.data + at * whole.itemsize
+            at += p.data.size
+        assert at == flat.size == grad.size
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("config", [ModelConfig(), toy_config()], ids=["desk", "toy"])
+    def test_every_parameter_is_a_view_in_order(self, config, dtype):
+        state = init_state(config, seed=2, dtype=dtype)
+        self._assert_views(state)
+        state.data[...] = np.arange(state.data.size)
+        state.grad[...] = -np.arange(state.grad.size)
+        at = 0
+        for p in state.parameters():
+            assert np.array_equal(p.data.reshape(-1), np.arange(at, at + p.data.size))
+            assert np.array_equal(p.grad.reshape(-1), -np.arange(at, at + p.data.size))
+            at += p.data.size
+
+    def test_load_checkpoint_writes_into_the_views(self, tmp_path, monkeypatch):
+        saved = init_state(toy_config(), seed=4, dtype=np.float32)
+        saved.data[...] = np.random.default_rng(4).standard_normal(saved.data.size)
+        save_checkpoint(tmp_path / "ck", saved)
+        made = []
+
+        def recording_init_state(*args, **kwargs):
+            state = init_state(*args, **kwargs)
+            made.append((state, [p.data for p in state.parameters()], [p.grad for p in state.parameters()]))
+            return state
+
+        monkeypatch.setattr(dataio, "init_state", recording_init_state)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        (state, datas, grads), = made
+        assert state is loaded and loaded.data.tobytes() == saved.data.tobytes()
+        assert all(p.data is d and p.grad is g for p, d, g in zip(loaded.parameters(), datas, grads))
+        self._assert_views(loaded)
+
+    def test_numeric_gradient_puts_the_view_back(self):
+        state = init_state(toy_config(), seed=5)
+        p = state["score.w"]
+        view = p.data
+
+        def loss():
+            return T.sum_all(T.mul(p, p))
+
+        assert np.allclose(numeric_gradient(loss, p), 2.0 * view)
+        assert p.data is view
+
+        def broken():
+            raise NonFinite("probe failed")
+
+        with pytest.raises(NonFinite):
+            numeric_gradient(broken, p)
+        assert p.data is view
+        self._assert_views(state)
 
 
 class TestXavier:
