@@ -150,9 +150,6 @@ def resolve_config(preset: str, config_path: str | None, overrides: dict) -> Run
         raise ParseError(f"preset {preset!r} not one of {sorted(PRESETS)}", field="preset")
     base = PRESETS[preset]
     merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for section in list(merged):
-        if isinstance(merged[section], dict):
-            merged[section] = dict(merged[section])
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -182,11 +179,8 @@ def build_prior(record: DatasetRecord, model: ModelConfig, mode: str):
 
 
 def prepare_examples(records, model: ModelConfig, mode: str, dtype) -> list[TrainExample]:
-    out = []
-    for r in records:
-        image = r.load_image().astype(dtype)
-        out.append(TrainExample(image=image, prior=build_prior(r, model, mode), crops=r.crops))
-    return out
+    return [TrainExample(image=r.load_image().astype(dtype), prior=build_prior(r, model, mode), crops=r.crops)
+            for r in records]
 
 
 def _whole(train: dict, name: str) -> int:
@@ -354,11 +348,9 @@ def cmd_gradcheck(seeds: int, tol: float, scenarios=None) -> bool:
         raise ParseError(f"unknown scenarios {unknown}; known: {sorted(gradcheck.SCENARIOS)}", field="scenarios")
     all_ok = True
     for name in names:
-        worst = 0.0
-        ok = True
-        for result in (gradcheck.run_check(name, s, tol=tol) for s in range(seeds)):
-            worst = max(worst, result.max_error)
-            ok = ok and result.ok
+        results = [gradcheck.run_check(name, s, tol=tol) for s in range(seeds)]
+        worst = float(np.max([r.max_error for r in results]))  # np.max, unlike max(), keeps a NaN
+        ok = all(r.ok for r in results)
         all_ok = all_ok and ok
         print(f"[{'PASS' if ok else 'FAIL'}] gradcheck {name}: max rel err {worst:.3e} over {seeds} seeds")
     return all_ok
@@ -435,14 +427,9 @@ def _config_from(args) -> RunConfig:
     for key, value in vars(args).items():
         if key.startswith("dotted:") and value is not None:
             overrides[key.split(":", 1)[1]] = value
-    if args.seed is not None:
-        overrides["train.seed"] = args.seed
-    if args.mcab is not None:
-        overrides["mcab"] = args.mcab
-    if args.epochs is not None:
-        overrides["train.epochs"] = args.epochs
-    if args.lr is not None:
-        overrides["train.lr"] = args.lr
+    for flag, dotted in (("seed", "train.seed"), ("mcab", "mcab"), ("epochs", "train.epochs"), ("lr", "train.lr")):
+        if getattr(args, flag) is not None:
+            overrides[dotted] = getattr(args, flag)
     return resolve_config(args.preset, args.config, overrides)
 
 

@@ -189,21 +189,21 @@ def sinusoidal_grid_encoding(grid_h: int, grid_w: int, dim: int, dtype=np.float6
 class ModelState:
     """Named parameter store for one encoder/decoder instance.
 
-    ``data`` and ``grad`` are flat vectors of every parameter's values
-    and gradient, in ``params`` order; each parameter's ``data`` and
-    ``grad`` are C-contiguous views into them, written in place.
+    ``data`` and ``grad`` are zeroed flat vectors of every parameter's
+    values and gradient, in ``shapes`` order; each parameter's ``data``
+    and ``grad`` are C-contiguous views into them, written in place.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor], dtype: np.dtype):
+    def __init__(self, config: ModelConfig, shapes: dict[str, tuple[int, int]], dtype: np.dtype):
         self.config = config
-        self.params = params
         self.dtype = np.dtype(dtype)
-        self.data = np.concatenate([p.data.reshape(-1) for p in params.values()], dtype=self.dtype)
+        self.data = np.zeros(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
         self.grad = np.zeros_like(self.data)
+        self.params: dict[str, Tensor] = {}
         at = 0
-        for p in params.values():
-            end = at + p.data.size
-            p.data, p.grad = self.data[at:end].reshape(p.data.shape), self.grad[at:end].reshape(p.data.shape)
+        for name, shape in shapes.items():
+            end = at + math.prod(shape)
+            self.params[name] = T.parameter(self.data[at:end].reshape(shape), self.grad[at:end].reshape(shape))
             at = end
         self.position = T.constant(sinusoidal_grid_encoding(config.grid_h, config.grid_w, config.model_dim, dtype))
 
@@ -218,41 +218,30 @@ class ModelState:
 
 
 def init_state(config: ModelConfig, seed: int = 0, dtype=np.float64) -> ModelState:
-    """Xavier-uniform weights, zero biases, unit layer-norm gains."""
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    p: dict[str, Tensor] = {}
-
-    def weight(name: str, fan_in: int, fan_out: int) -> None:
-        p[name] = Tensor(T.xavier_uniform(rng, fan_in, fan_out), dtype=dtype, requires_grad=True)
-
-    def bias(name: str, n: int) -> None:
-        p[name] = Tensor(np.zeros((1, n)), dtype=dtype, requires_grad=True)
-
-    d = config.model_dim
-    weight("enc.proj.w", config.patch_dim, d)
-    bias("enc.proj.b", d)
-    p["query.embed"] = Tensor(T.xavier_uniform(rng, config.n_queries, d), dtype=dtype, requires_grad=True)
+    """Xavier-uniform weights, zero biases, unit layer-norm gains, drawn straight into the flat vector."""
+    d, f = config.model_dim, config.ffn_dim
+    shapes = {"enc.proj.w": (config.patch_dim, d), "enc.proj.b": (1, d), "query.embed": (config.n_queries, d)}
     for i in range(config.n_layers):
         for ln in ("ln1", "ln2", "ln3"):
-            p[f"layer{i}.{ln}.g"] = Tensor(np.ones((1, d)), dtype=dtype, requires_grad=True)
-            bias(f"layer{i}.{ln}.b", d)
+            shapes[f"layer{i}.{ln}.g"] = shapes[f"layer{i}.{ln}.b"] = (1, d)
         for attn in ("self", "cross"):
-            for proj in ("q", "k", "v", "o"):
-                weight(f"layer{i}.{attn}.w{proj}", d, d)
-                bias(f"layer{i}.{attn}.b{proj}", d)
-        weight(f"layer{i}.ffn.w1", d, config.ffn_dim)
-        bias(f"layer{i}.ffn.b1", config.ffn_dim)
-        weight(f"layer{i}.ffn.w2", config.ffn_dim, d)
-        bias(f"layer{i}.ffn.b2", d)
-    p["final_ln.g"] = Tensor(np.ones((1, d)), dtype=dtype, requires_grad=True)
-    bias("final_ln.b", d)
-    for j, (fi, fo) in enumerate(((d, d), (d, d), (d, 4)), start=1):
-        weight(f"box.w{j}", fi, fo)
-        bias(f"box.b{j}", fo)
-    weight("score.w", d, 1)
-    bias("score.b", 1)
-    return ModelState(config, p, dtype)
+            for proj in "qkvo":
+                shapes[f"layer{i}.{attn}.w{proj}"], shapes[f"layer{i}.{attn}.b{proj}"] = (d, d), (1, d)
+        shapes[f"layer{i}.ffn.w1"], shapes[f"layer{i}.ffn.b1"] = (d, f), (1, f)
+        shapes[f"layer{i}.ffn.w2"], shapes[f"layer{i}.ffn.b2"] = (f, d), (1, d)
+    shapes["final_ln.g"] = shapes["final_ln.b"] = (1, d)
+    for j, fo in enumerate((d, d, 4), start=1):
+        shapes[f"box.w{j}"], shapes[f"box.b{j}"] = (d, fo), (1, fo)
+    shapes["score.w"], shapes["score.b"] = (d, 1), (1, 1)
+    state = ModelState(config, shapes, dtype)
+    rng = np.random.default_rng(seed)
+    for name, p in state.params.items():
+        kind = name.rsplit(".", 1)[1][0]  # w: weight, e: query embedding, g: gain, b: bias (stays zero)
+        if kind in "we":
+            p.data[...] = T.xavier_uniform(rng, *p.data.shape)
+        elif kind == "g":
+            p.data[...] = 1.0
+    return state
 
 
 def patch_matrix(image: np.ndarray, config: ModelConfig) -> np.ndarray:

@@ -45,6 +45,11 @@ def _prediction_bytes(example) -> bytes:
     return len(rows).to_bytes(4, "little") + np.array(rows, dtype=np.float64).tobytes()
 
 
+def gradcheck_sha256(results) -> str:
+    """sha256 over one line per gradcheck ``CheckResult``, its max_error as float64 bytes in hex."""
+    return _sha(f"{r.name} {r.seed} {np.float64(r.max_error).tobytes().hex()} {r.ok}\n".encode() for r in results)
+
+
 def run_lines(data_seed: int, train_seed: int, n_train: int = 200, n_val: int = 60,
               gradcheck_seeds: int = 100) -> list[str]:
     """The digest lines, in a fixed order: per dtype and mode, then gradcheck."""
@@ -83,8 +88,7 @@ def run_lines(data_seed: int, train_seed: int, n_train: int = 200, n_val: int = 
                 }
                 lines += [f"{dtype}/{mode} {name} {_sha(chunks)}" for name, chunks in artifacts.items()]
     results = gradcheck.run_all(range(train_seed, train_seed + gradcheck_seeds))
-    lines.append("gradcheck " + _sha(
-        f"{r.name} {r.seed} {np.float64(r.max_error).tobytes().hex()} {r.ok}\n".encode() for r in results))
+    lines.append("gradcheck " + gradcheck_sha256(results))
     return lines
 
 

@@ -6,18 +6,18 @@ against central differences (f64, step 1e-5 by default). Relative
 error uses a 1e-3 denominator floor so negligible gradients cannot
 manufacture huge ratios out of finite-difference noise.
 
-The probe is batched: all 2k perturbed copies of a k-entry parameter
-are stacked along a leading axis and evaluated in one no-grad forward
-(every op accepts that axis), so a parameter costs
-one ``loss_fn`` call instead of 2k. Each row holds the values a
+The probe is batched: the 2k perturbed copies of every k-entry
+parameter are stacked along a leading axis and evaluated in no-grad
+forwards of up to ``_MAX_ROWS`` rows (every op accepts that axis), so
+a scenario costs a few ``loss_fn`` calls. Each row holds the values a
 per-entry loop would set, and the batched ops reproduce each row's
 rank-2 result, so the differences match that loop's.
 
 A kink of relu/abs/clamp/min/max inside the difference stencil is a
 property of the probe, not of the gradient: there the central
 difference averages two one-sided slopes. So when some probe row
-takes another branch of such an op than the other rows, ``run_check``
-discards the draw and checks the next one from the same stream.
+takes another branch of such an op than its parameter's first row in
+the call, ``run_check`` discards the draw and checks the next draw.
 """
 from __future__ import annotations
 
@@ -41,40 +41,58 @@ DEFAULT_TOL = 1e-4
 REL_FLOOR = 1e-3
 # draws of one scenario before the last one is reported as it stands
 _MAX_DRAWS = 20
-# perturbed copies built and evaluated per loss_fn call
+# probe rows built and evaluated per loss_fn call
 _MAX_ROWS = 256
 
 
-def numeric_gradient(loss_fn: Callable[[], Tensor], param: Tensor, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of the scalar loss w.r.t. every param entry.
+def _calls(sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per ``loss_fn`` call, the param and entry of each of its pairs of probe rows, in row order."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    entry = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    half = _MAX_ROWS // 2
+    return [(owner[c : c + half], entry[c : c + half]) for c in range(0, owner.size, half)]
 
-    Row 2i of the probe stack holds ``param`` with entry i raised by
-    ``step`` and row 2i+1 with it lowered; ``loss_fn`` sees the stack
-    as ``param.data`` under ``no_grad`` and returns one loss per row,
-    (rows, 1, 1), or one (1, 1) loss when ``param`` does not reach it.
-    ``param.data`` is the original array again afterwards, also when
-    ``loss_fn`` raises.
+
+def numeric_gradients(loss_fn: Callable[[], Tensor], params: list[Tensor],
+                      step: float = DEFAULT_STEP) -> list[np.ndarray]:
+    """Central differences of the scalar loss w.r.t. every entry of every param.
+
+    The probe rows of all params form one sequence: param after param,
+    row 2i raises entry i by ``step`` and row 2i+1 lowers it. In each
+    ``loss_fn`` call of up to ``_MAX_ROWS`` rows, a param with rows in it
+    sees a C-contiguous (rows, *shape) stack of its values as ``data``,
+    each row perturbed only if it is one of its own; any other param
+    keeps its array. ``loss_fn`` runs under ``no_grad`` and returns one
+    loss per row, (rows, 1, 1), or (1, 1) when no stack reaches it.
+    Every ``data`` is the original again afterwards, also on a raise.
     """
-    orig = param.data
-    k = orig.size
-    flat = orig.reshape(-1)
-    losses = np.empty(2 * k)
+    origs = [p.data for p in params]
+    flats = [o.reshape(-1) for o in origs]
+    sizes = [f.size for f in flats]
+    losses = np.empty(2 * sum(sizes))
+    at = 0
     try:
         with T.no_grad():
-            for first in range(0, k, _MAX_ROWS // 2):
-                entry = np.arange(first, min(first + _MAX_ROWS // 2, k))
-                row = np.arange(len(entry))
-                rows = np.repeat(flat[None, :], 2 * len(entry), axis=0)
-                rows[2 * row, entry] = flat[entry] + step
-                rows[2 * row + 1, entry] = flat[entry] - step
-                param.data = rows.reshape(rows.shape[:1] + orig.shape)
+            for owner, entry in _calls(sizes):
+                n = 2 * owner.size
+                for p, orig in zip(params, origs):
+                    p.data = orig
+                for j in set(owner.tolist()):  # not np.unique: its first call adds 1.7 MB of resident memory
+                    up, i = 2 * np.flatnonzero(owner == j), entry[owner == j]
+                    rows = np.repeat(flats[j][None, :], n, axis=0)
+                    rows[up, i] = flats[j][i] + step
+                    rows[up + 1, i] = flats[j][i] - step
+                    params[j].data = rows.reshape((n, *origs[j].shape))
                 out = loss_fn().data
-                if out.shape[-2:] != (1, 1) or out.size not in (1, len(rows)):
+                if out.shape[-2:] != (1, 1) or out.size not in (1, n):
                     raise NotScalar(f"loss_fn must give one scalar per probe row, got shape {out.shape}")
-                losses[2 * first : 2 * first + len(rows)] = out.reshape(-1)
+                losses[at : at + n] = out.reshape(-1)
+                at += n
     finally:
-        param.data = orig
-    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).astype(orig.dtype).reshape(orig.shape)
+        for p, orig in zip(params, origs):
+            p.data = orig
+    diffs = np.split((losses[0::2] - losses[1::2]) / (2.0 * step), np.cumsum(sizes)[:-1])
+    return [d.astype(o.dtype).reshape(o.shape) for d, o in zip(diffs, origs)]
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
@@ -82,7 +100,7 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     seed: int
@@ -318,14 +336,6 @@ def _toy_fixture(rng, with_loss: bool):
     return state.parameters(), fn
 
 
-def _scn_decoder_forward(rng):
-    return _toy_fixture(rng, with_loss=False)
-
-
-def _scn_training_loss(rng):
-    return _toy_fixture(rng, with_loss=True)
-
-
 SCENARIOS: dict[str, Callable] = {
     "elementwise": _scn_elementwise,
     "minmax": _scn_minmax,
@@ -340,14 +350,16 @@ SCENARIOS: dict[str, Callable] = {
     "iou_giou": _scn_iou_giou,
     "l1_pairs": _scn_l1_pairs,
     "focal": _scn_focal,
-    "decoder_forward": _scn_decoder_forward,
-    "training_loss": _scn_training_loss,
+    "decoder_forward": functools.partial(_toy_fixture, with_loss=False),
+    "training_loss": functools.partial(_toy_fixture, with_loss=True),
 }
 
 
 def _compare(params: list[Tensor], fn: Callable[[], Tensor], step: float) -> tuple[float, bool]:
-    """Worst relative error over ``params``, and whether a probe crossed a kink."""
+    """Worst relative error over ``params``, NaN if a gradient holds one, and whether a probe crossed a kink."""
     T.backward(fn())
+    # per call (last first), each probe row's param's first row in the call
+    refs = [np.repeat(2 * np.searchsorted(owner, owner), 2) for owner, _ in _calls([p.data.size for p in params])][::-1]
     crossed = False
 
     def probe() -> Tensor:
@@ -355,15 +367,14 @@ def _compare(params: list[Tensor], fn: Callable[[], Tensor], step: float) -> tup
         taken: list = []
         with T.branches(taken):
             loss = fn()
-        # rank 3 means the op saw the probe rows, which all share one branch
-        # unless some entry's stencil crosses a kink
-        crossed = crossed or any(b.ndim == 3 and bool((b != b[:1]).any()) for b in taken)
+        # rank 3 means the op saw the probe rows, and a param's rows all take
+        # its first row's branch unless some entry's stencil crosses a kink
+        ref = refs.pop()
+        crossed = crossed or any(b.ndim == 3 and bool((b != b[ref]).any()) for b in taken)
         return loss
 
-    worst = 0.0
-    for p in params:
-        worst = max(worst, max_rel_error(p.grad, numeric_gradient(probe, p, step)))
-    return worst, crossed
+    errors = [max_rel_error(p.grad, g) for p, g in zip(params, numeric_gradients(probe, params, step))]
+    return float(np.max(errors)), crossed  # np.max, unlike max(), keeps a NaN
 
 
 def run_check(name: str, seed: int, step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -19,7 +19,7 @@ match exactly, and no op batches over more than one leading axis.
 ``matrix_dims`` is the one reader of that axis, here and in every
 other module: it returns a matrix's (rows, cols) and raises unless the
 rank is 2 or 3. Under ``no_grad`` the axis carries the perturbed copies
-of ``gradcheck.numeric_gradient``'s probe; while recording it carries
+of ``gradcheck.numeric_gradients``' probe; while recording it carries
 the images of one training batch. Each entry's values are the bytes the
 op gives that entry alone.
 
@@ -150,6 +150,13 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.dims}, dtype={self.data.dtype.name}{flag}, op={self._op})"
+
+
+def parameter(data: Array, grad: Array) -> Tensor:
+    """A trainable leaf whose ``data`` and ``grad`` are the given buffers themselves, not copies."""
+    t = Tensor._from_op(data, (), None, "leaf")
+    t.requires_grad, t.grad = True, grad
+    return t
 
 
 def constant(data, dtype=None) -> Tensor:

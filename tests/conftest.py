@@ -1,5 +1,7 @@
 """Shared builders for randomized fixtures across the test modules."""
+import ctypes
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def blas_key() -> str:
+    """The numpy version, the BLAS build and the BLAS core in use: what decides the bytes of a float result.
+
+    The core is the kernel set that a DYNAMIC_ARCH OpenBLAS picked for
+    this CPU; it reads "unknown" where numpy bundles no scipy-openblas.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "unknown"
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*"):
+        dll = ctypes.CDLL(str(lib))  # numpy has it loaded already, so this is the instance in use
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            if hasattr(dll, name):
+                getattr(dll, name).restype = ctypes.c_char_p
+                core = getattr(dll, name)().decode()
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, core {core}"
 
 
 def random_box(rng: np.random.Generator) -> CropBox:

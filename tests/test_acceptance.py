@@ -25,12 +25,13 @@ from croprank.dataio import (
     write_tensor,
 )
 from croprank.decoder import ModelConfig, forward_train, init_state
+from croprank.digest import gradcheck_sha256
 from croprank.errors import BadMagic, BadVersion, TruncatedPayload
 from croprank.geometry import from_corners, giou, iou, to_corners
 from croprank.gradcheck import run_all
 from croprank.metrics import acc_bar_n, acc_k_n
 
-from conftest import interior_box, random_eval_example
+from conftest import blas_key, interior_box, random_eval_example
 
 EPSILON_ACC = 0.65  # hit threshold used by the end-to-end ranking checks
 TRAIN_SEED_DATA = 7
@@ -41,6 +42,13 @@ N_VAL = 100
 
 # scoreboard lines collected here; conftest prints them post-capture
 SCOREBOARD: list = []
+
+# criterion 2's CheckResults hashed as the digest's gradcheck line hashes them, keyed by
+# ``conftest.blas_key``: the numpy version, BLAS build and BLAS core that decide their bytes
+GRADCHECK_SHA256 = {
+    "numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX":
+        "32e17d261076df6c3c74be4562b52e0f7e75039b7e58ae16cbdc1dc170b25431",
+}
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -78,6 +86,14 @@ def cells(datasets):
     return grid
 
 
+@pytest.fixture(scope="module")
+def gradcheck_results():
+    """Criterion 2's 1,500 CheckResults and the seconds they took, computed once for both of its tests."""
+    started = time.perf_counter()
+    results = run_all(range(100))
+    return results, time.perf_counter() - started
+
+
 class TestAcceptance:
     def test_criterion_1_hungarian_matches_brute_force(self):
         rng = np.random.default_rng(101)
@@ -98,10 +114,8 @@ class TestAcceptance:
         _report(1, ok, f"Hungarian equals brute force on {checked} matrices in {elapsed:.1f}s (< 30s)")
         assert ok
 
-    def test_criterion_2_gradient_checks(self):
-        started = time.perf_counter()
-        results = run_all(range(100))
-        elapsed = time.perf_counter() - started
+    def test_criterion_2_gradient_checks(self, gradcheck_results):
+        results, elapsed = gradcheck_results
         failures = [r for r in results if not r.ok]
         worst = max(r.max_error for r in results)
         ok = not failures and elapsed < 120.0
@@ -109,6 +123,13 @@ class TestAcceptance:
                        f"max rel err {worst:.2e} (< 1e-4), {elapsed:.1f}s (< 120s)")
         assert not failures, failures[:5]
         assert elapsed < 120.0
+
+    def test_criterion_2_results_keep_their_bytes(self, gradcheck_results):
+        sha, key = gradcheck_sha256(gradcheck_results[0]), blas_key()
+        if key not in GRADCHECK_SHA256:
+            pytest.skip(f"no committed sha256 for this numpy and BLAS; the GRADCHECK_SHA256 line to commit: "
+                        f"{key!r}: {sha!r}")
+        assert sha == GRADCHECK_SHA256[key], f"criterion 2's CheckResults changed bytes under {key!r}"
 
     def test_criterion_3_uniform_prior_is_neutral(self):
         cfg = ModelConfig()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from croprank import cli, decoder
+from croprank import cli, decoder, gradcheck
 from croprank.cli import (
     DESK_CONFIG,
     MCAB_MODES,
@@ -22,7 +22,7 @@ from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_che
 from croprank.dataio import generate_synthetic
 from croprank.decoder import ModelConfig, forward, init_state
 from croprank.errors import Degenerate, DimMismatch, ParseError
-from croprank.gradcheck import toy_config
+from croprank.gradcheck import CheckResult, toy_config
 from croprank.metrics import EvalExample, build_report
 
 from conftest import random_eval_example
@@ -350,6 +350,17 @@ class TestPipeline:
     def test_gradcheck_single_scenario(self, capsys):
         assert main(["gradcheck", "--seeds", "1", "--scenarios", "encoder"]) == 0
         assert "[PASS] gradcheck encoder" in capsys.readouterr().out
+
+    def test_gradcheck_prints_a_nan_worst_error(self, monkeypatch, capsys):
+        errors = iter([1e-7, float("nan")])
+
+        def run_check(name, seed, tol):
+            error = next(errors)
+            return CheckResult(name=name, seed=seed, max_error=error, ok=error < tol)
+
+        monkeypatch.setattr(gradcheck, "run_check", run_check)
+        assert main(["gradcheck", "--seeds", "2", "--scenarios", "encoder"]) == 1
+        assert "[FAIL] gradcheck encoder: max rel err nan over 2 seeds" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, field", [
         (["--seeds", "0"], "seeds"),

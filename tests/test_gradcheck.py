@@ -1,5 +1,6 @@
-"""The batched finite-difference probe and the leading batch axis it relies on."""
+"""The batched finite-difference probe, the leading batch axis it relies on, and its kink and NaN checks."""
 import contextlib
+import functools
 import zlib
 
 import numpy as np
@@ -11,7 +12,15 @@ from croprank.decoder import ModelConfig, forward_train, init_state
 from croprank.errors import DimMismatch
 from croprank.geometry import giou_pairs, l1_pairs
 from croprank import gradcheck
-from croprank.gradcheck import DEFAULT_STEP, DEFAULT_TOL, SCENARIOS, numeric_gradient, run_check, toy_config
+from croprank.gradcheck import (
+    DEFAULT_STEP,
+    DEFAULT_TOL,
+    SCENARIOS,
+    max_rel_error,
+    numeric_gradients,
+    run_check,
+    toy_config,
+)
 from croprank.tensor import Tensor
 
 
@@ -31,8 +40,61 @@ def looped_gradient(loss_fn, param, step=DEFAULT_STEP):
     return grad.reshape(param.data.shape)
 
 
+def reference_numeric_gradient(loss_fn, param, step=DEFAULT_STEP):
+    """Reference probe: one parameter's stacked rows at a time, 256 rows per loss_fn call."""
+    orig = param.data
+    k = orig.size
+    flat = orig.reshape(-1)
+    losses = np.empty(2 * k)
+    try:
+        with T.no_grad():
+            for first in range(0, k, 128):
+                entry = np.arange(first, min(first + 128, k))
+                row = np.arange(len(entry))
+                rows = np.repeat(flat[None, :], 2 * len(entry), axis=0)
+                rows[2 * row, entry] = flat[entry] + step
+                rows[2 * row + 1, entry] = flat[entry] - step
+                param.data = rows.reshape(rows.shape[:1] + orig.shape)
+                losses[2 * first : 2 * first + len(rows)] = loss_fn().data.reshape(-1)
+    finally:
+        param.data = orig
+    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).astype(orig.dtype).reshape(orig.shape)
+
+
+def reference_compare(params, fn, step=DEFAULT_STEP):
+    """Reference ``_compare``: the per-parameter probe, each call's rows checked against its first row."""
+    T.backward(fn())
+    crossed = False
+
+    def probe():
+        nonlocal crossed
+        taken = []
+        with T.branches(taken):
+            loss = fn()
+        crossed = crossed or any(b.ndim == 3 and bool((b != b[:1]).any()) for b in taken)
+        return loss
+
+    worst = 0.0
+    for p in params:
+        worst = max(worst, max_rel_error(p.grad, reference_numeric_gradient(probe, p, step)))
+    return worst, crossed
+
+
 def _scenario(name, seed):
     return SCENARIOS[name](np.random.default_rng([seed, zlib.crc32(name.encode())]))
+
+
+def _leaves(*shapes, seed=3):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True) for shape in shapes]
+
+
+def _weighed_sigmoids(params, seed=5):
+    """A loss every param reaches, through its own sigmoid and a fixed weighting."""
+    rng = np.random.default_rng(seed)
+    weights = [T.constant(rng.uniform(-1.0, 1.0, size=T.matrix_dims(p))) for p in params]
+    terms = [T.sum_all(T.mul(T.sigmoid(p), w)) for p, w in zip(params, weights)]
+    return functools.reduce(T.add, terms)
 
 
 class TestNumericGradient:
@@ -40,10 +102,25 @@ class TestNumericGradient:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_the_per_entry_loop(self, name, seed):
         params, fn = _scenario(name, seed)
-        for p in params:
-            batched = numeric_gradient(fn, p)
+        for p, batched in zip(params, numeric_gradients(fn, params), strict=True):
             assert batched.shape == p.data.shape and batched.dtype == p.data.dtype
             np.testing.assert_allclose(batched, looped_gradient(fn, p), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_parameter_probe(self, name, seed):
+        params, fn = _scenario(name, seed)
+        for p, batched in zip(params, numeric_gradients(fn, params), strict=True):
+            assert batched.tobytes() == reference_numeric_gradient(fn, p).tobytes()
+
+    @pytest.mark.parametrize(
+        "name,seed", [(name, seed) for name in SCENARIOS for seed in (0, 1)]
+        + [("decoder_forward", 754), ("l1_pairs", 865), ("training_loss", 1220), ("training_loss", 3908)]
+    )
+    def test_compare_equals_the_per_parameter_compare(self, name, seed):
+        worst, crossed = gradcheck._compare(*_scenario(name, seed), DEFAULT_STEP)
+        ref_worst, ref_crossed = reference_compare(*_scenario(name, seed))
+        assert np.float64(worst).tobytes() == np.float64(ref_worst).tobytes() and crossed == ref_crossed
 
     def test_parameters_wider_than_one_batch(self):
         # 144 entries give 288 probe rows, more than one loss_fn call takes
@@ -59,9 +136,33 @@ class TestNumericGradient:
             seen.append(w.data.shape)
             return T.sum_all(T.mul(T.sigmoid(T.linear(x, w, b)), weights))
 
-        batched = numeric_gradient(fn, w)
+        batched, = numeric_gradients(fn, [w])
         assert seen == [(256, 12, 12), (32, 12, 12)]
         np.testing.assert_allclose(batched, looped_gradient(fn, w), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "shapes,calls",
+        [
+            # 100 + 28 entries fill the first call: the boundary falls between the second and third param
+            ([(10, 10), (4, 7), (5, 5)], [[(256, 10, 10), (256, 4, 7), (5, 5)], [(10, 10), (4, 7), (50, 5, 5)]]),
+            # 100 + 36 entries: the boundary falls inside the second param, whose last 8 entries go on
+            ([(10, 10), (6, 6)], [[(256, 10, 10), (256, 6, 6)], [(10, 10), (16, 6, 6)]]),
+        ],
+    )
+    def test_calls_cut_the_rows_of_all_params(self, shapes, calls):
+        params = _leaves(*shapes)
+        seen = []
+
+        def fn():
+            seen.append([p.data.shape for p in params])
+            assert all(p.data.flags.c_contiguous for p in params)
+            return _weighed_sigmoids(params)
+
+        grads = numeric_gradients(fn, params)
+        assert seen == calls
+        for p, grad in zip(params, grads, strict=True):
+            assert grad.tobytes() == reference_numeric_gradient(lambda: _weighed_sigmoids(params), p).tobytes()
+            np.testing.assert_allclose(grad, looped_gradient(lambda: _weighed_sigmoids(params), p), rtol=0, atol=1e-9)
 
     def test_f32_parameter(self):
         rng = np.random.default_rng(4)
@@ -70,22 +171,30 @@ class TestNumericGradient:
         def fn():
             return T.sum_all(T.mul(w, w))
 
-        batched = numeric_gradient(fn, w, step=1e-2)
+        batched, = numeric_gradients(fn, [w], step=1e-2)
         assert batched.dtype == np.float32
         assert batched.tobytes() == looped_gradient(fn, w, step=1e-2).tobytes()
+        assert batched.tobytes() == reference_numeric_gradient(fn, w, step=1e-2).tobytes()
 
     def test_loss_independent_of_the_parameter_gives_zeros(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         unused = Tensor(np.ones((3, 1)), requires_grad=True)
-        grad = numeric_gradient(lambda: T.sum_all(a), unused)
+        grad, = numeric_gradients(lambda: T.sum_all(a), [unused])
         assert np.array_equal(grad, np.zeros((3, 1)))
+
+    def test_a_parameter_the_loss_does_not_reach_gets_zeros_among_ones_it_does(self):
+        a, unused, b = _leaves((2, 3), (3, 1), (4, 2))
+        grads = numeric_gradients(lambda: _weighed_sigmoids([a, b]), [a, unused, b])
+        assert np.array_equal(grads[1], np.zeros((3, 1)))
+        for p, grad in ((a, grads[0]), (b, grads[2])):
+            assert grad.tobytes() == reference_numeric_gradient(lambda: _weighed_sigmoids([a, b]), p).tobytes()
+            assert np.all(grad != 0.0)
 
     def test_param_data_is_restored(self):
         params, fn = _scenario("layer_norm", 0)
-        for p in params:
-            before, snapshot = p.data, p.data.tobytes()
-            numeric_gradient(fn, p)
-            assert p.data is before and p.data.tobytes() == snapshot
+        before = [(p.data, p.data.tobytes()) for p in params]
+        numeric_gradients(fn, params)
+        assert all(p.data is data and p.data.tobytes() == snapshot for p, (data, snapshot) in zip(params, before))
 
     def test_param_data_is_restored_when_the_loss_raises(self):
         p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -96,9 +205,26 @@ class TestNumericGradient:
             raise RuntimeError("loss failed")
 
         with pytest.raises(RuntimeError):
-            numeric_gradient(fn, p)
+            numeric_gradients(fn, [p])
         assert p.data is before and p.data.tobytes() == snapshot
         assert T.mul(p, p).requires_grad  # recording is back on
+
+    def test_every_param_data_is_restored_when_a_later_call_raises(self):
+        params = _leaves((10, 10), (6, 6), (2, 2))
+        before = [(p.data, p.data.tobytes()) for p in params]
+        calls = []
+
+        def fn():
+            calls.append([p.data.ndim for p in params])
+            if len(calls) == 2:
+                raise RuntimeError("loss failed")
+            return _weighed_sigmoids(params)
+
+        with pytest.raises(RuntimeError):
+            numeric_gradients(fn, params)
+        assert calls == [[3, 3, 2], [2, 3, 3]]
+        assert all(p.data is data and p.data.tobytes() == snapshot for p, (data, snapshot) in zip(params, before))
+        assert T.mul(params[0], params[0]).requires_grad  # recording is back on
 
 
 def _batched(shape, batch=3):
@@ -279,3 +405,30 @@ class TestKinks:
         result = run_check("on_the_kink", 0)
         assert len(draws) == gradcheck._MAX_DRAWS
         assert not result.ok
+
+    def test_a_kink_in_a_later_parameters_stencil_is_flagged(self):
+        a, b = _leaves((3, 3), (2, 2))
+        for p in (a, b):  # every entry well clear of relu's kink at 0
+            p.data[...] = np.where(p.data < 0.0, -0.1, 0.1) + p.data
+        fn = lambda: T.add(T.sum_all(T.relu(a)), T.sum_all(T.relu(b)))  # noqa: E731
+        worst, crossed = gradcheck._compare([a, b], fn, DEFAULT_STEP)
+        assert not crossed and worst < DEFAULT_TOL
+        # b's entry (1, 0) within the step of the kink: its raised row takes relu's other branch
+        b.data[1, 0] = 0.3 * DEFAULT_STEP
+        for p in (a, b):
+            p.grad[...] = 0.0
+        worst, crossed = gradcheck._compare([a, b], fn, DEFAULT_STEP)
+        assert crossed and worst > DEFAULT_TOL
+
+
+class TestNaN:
+    def test_a_nan_analytic_gradient_fails_the_check(self, monkeypatch):
+        def nan_gradient(rng):
+            a, b = _leaves((2, 2), (2, 3))
+            # backward adds into the buffer, so the analytic gradient keeps the NaN
+            b.grad[0, 1] = np.nan
+            return [a, b], lambda: _weighed_sigmoids([a, b])
+
+        monkeypatch.setitem(SCENARIOS, "nan_gradient", nan_gradient)
+        result = run_check("nan_gradient", 0)
+        assert np.isnan(result.max_error) and not result.ok

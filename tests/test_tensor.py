@@ -21,7 +21,7 @@ from croprank.errors import (
     NotScalar,
 )
 from croprank.geometry import CropBox, ScoredCrop
-from croprank.gradcheck import numeric_gradient, toy_config
+from croprank.gradcheck import numeric_gradients, toy_config
 from croprank.tensor import Adam, Tensor
 
 
@@ -760,19 +760,21 @@ class TestFlatStorage:
         state = init_state(toy_config(), seed=5)
         p = state["score.w"]
         view = p.data
+        views = [q.data for q in state.parameters()]
 
         def loss():
             return T.sum_all(T.mul(p, p))
 
-        assert np.allclose(numeric_gradient(loss, p), 2.0 * view)
-        assert p.data is view
+        grads = numeric_gradients(loss, state.parameters())
+        assert np.allclose(grads[state.param_names().index("score.w")], 2.0 * view)
+        assert p.data is view and all(q.data is v for q, v in zip(state.parameters(), views))
 
         def broken():
             raise NonFinite("probe failed")
 
         with pytest.raises(NonFinite):
-            numeric_gradient(broken, p)
-        assert p.data is view
+            numeric_gradients(broken, state.parameters())
+        assert p.data is view and all(q.data is v for q, v in zip(state.parameters(), views))
         self._assert_views(state)
 
 
