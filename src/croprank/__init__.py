@@ -10,7 +10,6 @@ dataset with a planted optimal crop for end-to-end verification.
 from .assignment import (
     Assignment,
     LossWeights,
-    Role,
     TrainExample,
     assign,
     hungarian,

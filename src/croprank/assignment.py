@@ -13,10 +13,14 @@ Assignment works on arrays: ``assign_batch`` takes a batch's (B, N, 4)
 boxes and scores and makes one cost pass and one IoU pass for all its
 images, one stacked Hungarian solve for all their matrices, whose tie
 pass visits only the images with a candidate tie, and one
-``Assignment`` per image. ``assign`` is the same core for one image's
-``Prediction`` list, and ``hungarian`` the solve of one matrix. One
-training step is one batched forward -> ``decoder.check_heads`` ->
-``assign_batch`` -> one batched loss -> one backward -> SGD (or Adam).
+``Assignment`` per image. An ``Assignment`` holds arrays, one entry
+per prediction row: its role code (``MATCHED``, ``SOFT`` or
+``NEGATIVE``), its score target and, for a matched row, its crop's
+box. ``training_loss`` reads every target from there and no crop list.
+``assign`` is the same core for one image's ``Prediction`` list, and
+``hungarian`` the solve of one matrix. One training step is one
+batched forward -> ``decoder.check_heads`` -> ``assign_batch`` -> one
+batched loss -> one backward -> SGD (or Adam).
 """
 from __future__ import annotations
 
@@ -52,18 +56,17 @@ class LossWeights:
             raise OutOfRange(f"focal gamma {self.focal_gamma} must be >= 1")
 
 
-@dataclass(frozen=True)
-class Role:
-    """What one prediction is supervised against."""
-
-    kind: str  # "matched" | "soft" | "negative"
-    target: int | None = None  # ground-truth index (original list order)
-    soft_score: float | None = None
+# role codes of an ``Assignment`` row
+NEGATIVE, SOFT, MATCHED = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class Assignment:
-    roles: tuple[Role, ...]
+    """What each of one image's N predictions is supervised against, one array entry per row."""
+
+    roles: np.ndarray  # (N,) MATCHED, SOFT or NEGATIVE
+    score: np.ndarray  # (N,) float64 score target: normalized MOS if matched, soft score if soft, 0.0 if negative
+    box: np.ndarray  # (N, 4) float64 box of a matched row's crop; 0.0 on the other rows
     perm: np.ndarray  # row i -> padded target column
     good_indices: tuple[int, ...]  # columns [0, len) map to these ground-truth indices
 
@@ -334,9 +337,6 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     return _match(arr[None])[0]
 
 
-_NEGATIVE = Role(kind="negative")
-
-
 def assign_batch(
     boxes: np.ndarray, scores: np.ndarray, ground_truths: list[list[ScoredCrop]], w: LossWeights
 ) -> list[Assignment]:
@@ -346,12 +346,14 @@ def assign_batch(
     that ``decoder.check_heads`` accepts; ``ground_truths`` holds one
     crop list per image. (1) Hungarian over the stack of padded cost
     matrices (``cost_matrices``, one pass for the batch), solved for
-    all images at once; (2) rows
-    landing on a real column become matched; (3) unmatched rows
-    overlapping ANY annotated crop at IoU >= tau become soft with score
-    normalize_mos(neighbor MOS) * IoU, the IoUs of the whole batch
-    being one (B, N, C) pass; (4) the rest are negatives. The neighbor
-    is the first crop of highest IoU.
+    all images at once; (2) rows landing on a real column become
+    matched, with their crop's normalized MOS and box as targets;
+    (3) unmatched rows overlapping ANY annotated crop at IoU >= tau
+    become soft with score normalize_mos(neighbor MOS) * IoU, the IoUs
+    of the whole batch being one (B, N, C) pass; (4) the rest are
+    negatives, with score 0. The neighbor is the first crop of highest
+    IoU. Every step is a (B, N) array operation; image b's
+    ``Assignment`` holds row b of each.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     n_images, n = boxes.shape[:2]
@@ -363,29 +365,25 @@ def assign_batch(
     good_indices = [tuple(i for i, g in enumerate(gts) if g.mos >= 4.0) for gts in ground_truths]
     crop_boxes, crop_v, real_crop = _crop_arrays(ground_truths)
     # the good targets gathered from every crop's arrays: column j of image b is its j-th good crop
-    is_good = _prefix_mask(np.array([len(good) for good in good_indices], dtype=np.int64))
+    n_good = np.array([len(good) for good in good_indices], dtype=np.int64)
+    is_good = _prefix_mask(n_good)
     take = np.zeros(is_good.shape, dtype=np.int64)
     take[is_good] = [i for good in good_indices for i in good]
     rows = np.arange(n_images)[:, None]
-    costs = _cost_stack(boxes, scores, crop_boxes[rows, take], crop_v[rows, take], is_good, w)
+    good_boxes, good_v = crop_boxes[rows, take], crop_v[rows, take]
+    costs = _cost_stack(boxes, scores, good_boxes, good_v, is_good, w)
     # IoUs lie in [0, 1], so a padding column at -1 never wins; among equal IoUs the lowest index does
     ious = np.where(real_crop[:, None, :], iou_matrix(boxes, crop_boxes), -1.0)
-    neighbor = ious.argmax(axis=2)
     overlap = ious.max(axis=2)
-    soft = crop_v[rows, neighbor] * overlap
     is_soft = overlap >= w.soft_iou_threshold
+    soft = np.where(is_soft, crop_v[rows, ious.argmax(axis=2)] * overlap, 0.0)
     perms = _match(costs)
-    out = []
-    for b, (good, perm) in enumerate(zip(good_indices, perms)):
-        roles = tuple(
-            Role(kind="matched", target=good[col]) if col < len(good)
-            else Role(kind="soft", target=nb, soft_score=score) if on_crop
-            else _NEGATIVE
-            for col, nb, score, on_crop in zip(perm.tolist(), neighbor[b].tolist(), soft[b].tolist(),
-                                               is_soft[b].tolist())
-        )
-        out.append(Assignment(roles=roles, perm=perm, good_indices=good))
-    return out
+    matched = perms < n_good[:, None]
+    col = np.where(matched, perms, 0)
+    roles = np.where(matched, MATCHED, np.where(is_soft, SOFT, NEGATIVE))
+    score = np.where(matched, good_v[rows, col], soft)
+    box = np.where(matched[:, :, None], good_boxes[rows, col], 0.0)
+    return [Assignment(*fields) for fields in zip(roles, score, box, perms, good_indices)]
 
 
 def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:
@@ -394,61 +392,49 @@ def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeig
     return assign_batch(boxes, scores, [ground_truths], w)[0]
 
 
-def training_loss(
-    head: HeadOutputs,
-    assignment: Assignment | list[Assignment],
-    ground_truths: list[ScoredCrop] | list[list[ScoredCrop]],
-    w: LossWeights,
-) -> Tensor:
-    """Role-dependent loss, summed and averaged over all N predictions: one loss per leading entry.
+def training_loss(head: HeadOutputs, assignment: Assignment | list[Assignment], w: LossWeights) -> Tensor:
+    """Loss by role, summed and averaged over all N predictions: one loss per leading entry.
 
     Matched rows: L1 + lambda_giou (1 - giou) + lambda_focal focal
     against their target; soft rows: focal toward the soft score;
-    negative rows: focal toward zero. The focal term is one call over
-    all N scores against one target column that holds each row's role
-    target. The assignment itself is taken as given (no gradient flows
-    through the matching).
+    negative rows: focal toward zero. Every target comes from the
+    assignment: the focal term is one call over all N scores against
+    the ``score`` column, and the matched rows' boxes are the ``box``
+    rows where ``roles`` is MATCHED. The assignment itself is taken as
+    given (no gradient flows through the matching).
 
-    One image: an (N, ·) head, one ``Assignment`` and its crops give a
-    (1, 1) loss ((P, 1, 1) when a no-grad probe axis rides on the
-    head). A batch: a (B, N, ·) head, a list of B assignments and a
-    list of B crop lists give (B, 1, 1), entry b holding the bytes
-    image b's own loss has. The batch's matched rows are gathered
-    into one (M, 4) stack for the box terms and summed back per image.
+    A batch: a (B, N, ·) head and a list of B assignments give
+    (B, 1, 1), entry b holding the bytes image b's own loss has. The
+    matched (image, row) pairs are one ``np.nonzero`` over the (B, N)
+    roles, in row-major order; their rows are gathered into one (M, 4)
+    stack for the box terms and summed back per image. One image: an
+    (N, ·) head and one ``Assignment`` give a (1, 1) loss. There the
+    head may carry a leading axis too, but it holds no-grad probe rows
+    of that one image (``gradcheck``), not images, so the loss is
+    (P, 1, 1) and every probe row reads the same targets.
     """
     batched = isinstance(assignment, list)
     assignments = assignment if batched else [assignment]
-    crops = ground_truths if batched else [ground_truths]
     n = T.matrix_dims(head.scores)[0]
-    if batched and (head.scores.data.ndim != 3 or not len(assignments) == len(crops) == head.scores.dims[0]):
-        raise CardinalityMismatch(
-            f"{len(assignments)} assignments and {len(crops)} crop lists for a head of shape {head.scores.dims}"
-        )
+    if batched and (head.scores.data.ndim != 3 or len(assignments) != head.scores.dims[0]):
+        raise CardinalityMismatch(f"{len(assignments)} assignments for a head of shape {head.scores.dims}")
     for a in assignments:
         if len(a.roles) != n:
             raise CardinalityMismatch(f"assignment covers {len(a.roles)} rows, head has {n}")
     if n == 0:
         raise DomainError("training_loss: empty assignment")
     dtype = head.scores.data.dtype
-    targets = np.zeros((len(assignments), n, 1), dtype=dtype)
-    matched = []  # (entry, row)
-    for e, (a, gts) in enumerate(zip(assignments, crops)):
-        for i, r in enumerate(a.roles):
-            if r.kind == "matched":
-                matched.append((e, i))
-                targets[e, i, 0] = normalize_mos(gts[r.target].mos)
-            elif r.kind == "soft":
-                targets[e, i, 0] = r.soft_score
+    targets = np.stack([a.score for a in assignments])[:, :, None].astype(dtype)
+    entries, rows = np.nonzero(np.stack([a.roles for a in assignments]) == MATCHED)
     focal = focal_terms(head.scores, targets if batched else targets[0], w.focal_gamma)
     total = T.scale(T.sum_all(focal), w.focal_weight)
-    if matched:
-        tgt = T.constant(boxes_array([crops[e][assignments[e].roles[i].target].box for e, i in matched]).astype(dtype))
+    if len(rows):
+        tgt = T.constant(np.stack([a.box for a in assignments])[entries, rows].astype(dtype))
         if batched:
-            pb = T.gather_rows(T.flatten_batch(head.boxes), [e * n + i for e, i in matched])
-            counts = np.bincount([e for e, _ in matched], minlength=len(assignments))
-            per_entry = partial(T.sum_row_blocks, counts=counts)
+            pb = T.gather_rows(T.flatten_batch(head.boxes), entries * n + rows)
+            per_entry = partial(T.sum_row_blocks, counts=np.bincount(entries, minlength=len(assignments)))
         else:
-            pb = T.gather_rows(head.boxes, [i for _, i in matched])
+            pb = T.gather_rows(head.boxes, rows)
             per_entry = T.sum_all
         giou_deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
         box = T.add(per_entry(l1_pairs(pb, tgt)), T.scale(per_entry(giou_deficit), w.giou_weight))
@@ -482,9 +468,8 @@ def train_step(state: ModelState, batch: list[TrainExample], w: LossWeights, lr:
         raise CardinalityMismatch("train_step needs at least one example")
     head = forward_train([ex.image for ex in batch], [ex.prior for ex in batch], state)
     check_heads(head.boxes.data, head.scores.data)
-    crops = [list(ex.crops) for ex in batch]
-    assignments = assign_batch(head.boxes.data, head.scores.data, crops, w)
-    loss = T.scale(T.sum_batch(training_loss(head, assignments, crops, w)), 1.0 / len(batch))
+    assignments = assign_batch(head.boxes.data, head.scores.data, [list(ex.crops) for ex in batch], w)
+    loss = T.scale(T.sum_batch(training_loss(head, assignments, w)), 1.0 / len(batch))
     value = loss.item()
     T.backward(loss)
     if optimizer is None:

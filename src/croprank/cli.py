@@ -218,8 +218,8 @@ def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, di
             batch = [examples[i] for i in order[at : at + batch_size]]
             try:
                 loss = train_step(state, batch, weights, lr, optimizer=optimizer)
-            except NonFinite as e:
-                raise NonFinite(f"epoch {epoch}, step {at // batch_size} (run step {len(step_losses)}): {e}") from e
+            except (Degenerate, NonFinite) as e:
+                raise type(e)(f"epoch {epoch}, step {at // batch_size} (run step {len(step_losses)}): {e}") from e
             step_losses.append(loss)
             epoch_sum += loss * len(batch)
         epoch_losses.append(epoch_sum / len(examples))

@@ -331,7 +331,7 @@ def _toy_fixture(rng, with_loss: bool):
 
     def fn():
         head = forward_train(image, prior, state)
-        return training_loss(head, frozen, gts, w)
+        return training_loss(head, frozen, w)
 
     return state.parameters(), fn
 

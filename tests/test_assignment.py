@@ -1,5 +1,6 @@
 """Target selection, optimal matching, and the role-dependent training loss."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from scipy.optimize import linear_sum_assignment
 from croprank import assignment as assignment_module
 from croprank import tensor as T
 from croprank.assignment import (
+    MATCHED,
+    NEGATIVE,
+    SOFT,
     Assignment,
     LossWeights,
-    Role,
     TrainExample,
     _focal_np,
     _match,
@@ -186,21 +189,27 @@ def reference_assign(preds: list, ground_truths: list, w: LossWeights) -> tuple[
         ious = iou_matrix(boxes_array([p.box for p in preds]), boxes_array([g.box for g in ground_truths]))
     else:
         ious = np.zeros((n, 0))
-    roles = []
+    roles, score, box = np.full(n, NEGATIVE), np.zeros(n), np.zeros((n, 4))
     for i in range(n):
         col = int(perm[i])
         if col < len(good_indices):
-            roles.append(Role(kind="matched", target=good_indices[col]))
+            target = ground_truths[good_indices[col]]
+            roles[i], score[i], box[i] = MATCHED, normalize_mos(target.mos), boxes_array([target.box])[0]
             continue
         if ious.shape[1]:
             neighbor = int(np.argmax(ious[i]))
             overlap = float(ious[i, neighbor])
             if overlap >= w.soft_iou_threshold:
-                soft = normalize_mos(ground_truths[neighbor].mos) * overlap
-                roles.append(Role(kind="soft", target=neighbor, soft_score=soft))
-                continue
-        roles.append(Role(kind="negative"))
-    return Assignment(roles=tuple(roles), perm=perm, good_indices=good_indices), costs
+                roles[i], score[i] = SOFT, normalize_mos(ground_truths[neighbor].mos) * overlap
+    return Assignment(roles=roles, score=score, box=box, perm=perm, good_indices=good_indices), costs
+
+
+def assert_same_assignment(got: Assignment, want: Assignment) -> None:
+    """Every array of ``got`` has ``want``'s dtype and bytes, and both name the same good crops."""
+    for name in ("roles", "score", "box", "perm"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.good_indices == want.good_indices
 
 
 class TestSelection:
@@ -520,9 +529,19 @@ class TestAssign:
         ]
         crops = [_crop(0.3, 0.7, 0.2, 0.2, 2.0), target]
         a = assign(preds, crops, W)
-        assert a.roles[0] == Role(kind="matched", target=1)
-        assert a.good_indices == (1,)
-        assert a.roles[1].kind == "negative" and a.roles[2].kind == "negative"
+        assert a.roles.tolist() == [MATCHED, NEGATIVE, NEGATIVE]
+        assert a.good_indices == (1,) and a.perm[0] == 0
+        assert a.score.tolist() == [normalize_mos(5.0), 0.0, 0.0]
+        assert a.box[0].tolist() == [0.5, 0.5, 0.4, 0.4] and not a.box[1:].any()
+
+    def test_the_traced_assign_span_can_record_its_counts(self):
+        """perfbench's traced ``assign`` span writes (n_good, len(roles)) with json.dumps."""
+        preds = [Prediction(box=CropBox(0.5, 0.5, 0.4, 0.4), score=0.9),
+                 Prediction(box=CropBox(0.2, 0.2, 0.1, 0.1), score=0.1)]
+        a = assign(preds, [_crop(0.5, 0.5, 0.4, 0.4, 4.5), _crop(0.3, 0.7, 0.2, 0.2, 2.0)], W)
+        assert type(a.n_good) is int and a.n_good == 1
+        assert len(a.roles) == len(preds)
+        assert json.loads(json.dumps((a.n_good, len(a.roles)))) == [1, 2]
 
     def test_soft_labels_for_near_duplicates_of_mediocre_crops(self):
         anchor = CropBox(0.5, 0.5, 0.4, 0.4)
@@ -530,10 +549,9 @@ class TestAssign:
         crops = [ScoredCrop(box=anchor, mos=3.0)]  # below the matchable threshold
         a = assign(preds, crops, W)
         assert a.n_good == 0
-        assert a.roles[0].kind == "soft"
-        assert a.roles[0].target == 0
-        assert a.roles[0].soft_score == pytest.approx(normalize_mos(3.0) * 1.0, abs=1e-12)
-        assert a.roles[1].kind == "negative"
+        assert a.roles.tolist() == [SOFT, NEGATIVE]
+        assert a.score[0] == pytest.approx(normalize_mos(3.0) * 1.0, abs=1e-12)
+        assert a.score[1] == 0.0
 
     def test_soft_score_scales_with_overlap(self):
         gt_box = CropBox(0.5, 0.5, 0.4, 0.4)
@@ -541,7 +559,8 @@ class TestAssign:
         overlap = iou(shifted, gt_box)
         assert overlap >= W.soft_iou_threshold
         a = assign([Prediction(box=shifted, score=0.4)], [ScoredCrop(box=gt_box, mos=3.5)], W)
-        assert a.roles[0].soft_score == pytest.approx(normalize_mos(3.5) * overlap, abs=1e-12)
+        assert a.roles[0] == SOFT
+        assert a.score[0] == pytest.approx(normalize_mos(3.5) * overlap, abs=1e-12)
 
     def test_partition_properties_randomized(self):
         rng = np.random.default_rng(7)
@@ -563,12 +582,15 @@ class TestAssign:
             assert sorted(a.perm.tolist()) == list(range(10))
             good_set = {i for i, c in enumerate(crops) if c.mos >= 4.0}
             assert set(a.good_indices) == good_set
-            matched_targets = [r.target for r in a.roles if r.kind == "matched"]
+            matched_targets = [a.good_indices[a.perm[i]] for i in np.nonzero(a.roles == MATCHED)[0]]
             # every matchable target is consumed exactly once
             assert sorted(matched_targets) == sorted(good_set)
             # re-derive soft/negative split from scratch
-            for i, r in enumerate(a.roles):
-                if r.kind == "matched":
+            for i, role in enumerate(a.roles):
+                if role == MATCHED:
+                    target = crops[a.good_indices[a.perm[i]]]
+                    assert a.score[i] == normalize_mos(target.mos)
+                    assert a.box[i].tolist() == [target.box.cx, target.box.cy, target.box.w, target.box.h]
                     continue
                 best_j, best_iou = None, 0.0
                 for j, c in enumerate(crops):
@@ -576,10 +598,10 @@ class TestAssign:
                     if o > best_iou:
                         best_j, best_iou = j, o
                 if best_iou >= W.soft_iou_threshold:
-                    assert r.kind == "soft" and r.target == best_j
-                    assert r.soft_score == pytest.approx(normalize_mos(crops[best_j].mos) * best_iou, abs=1e-9)
+                    assert role == SOFT
+                    assert a.score[i] == pytest.approx(normalize_mos(crops[best_j].mos) * best_iou, abs=1e-9)
                 else:
-                    assert r.kind == "negative"
+                    assert role == NEGATIVE and a.score[i] == 0.0
             # matching is optimal under the padded cost matrix
             good = [crops[i] for i in sorted(good_set)]
             cost = reference_cost_matrix(preds, good, W)
@@ -603,8 +625,8 @@ class TestTrainingLoss:
         scores = np.array([[1.0], [0.0]])
         head = HeadOutputs(boxes=T.constant(boxes), scores=T.constant(scores))
         a = assign(head.to_predictions(), [target], W)
-        assert a.roles[0].kind == "matched" and a.roles[1].kind == "negative"
-        assert training_loss(head, a, [target], W).item() < 1e-12
+        assert a.roles.tolist() == [MATCHED, NEGATIVE]
+        assert training_loss(head, a, W).item() < 1e-12
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(8)
@@ -619,18 +641,18 @@ class TestTrainingLoss:
         for head, a, crops in fixtures:
             boxes, scores = head.boxes.data, head.scores.data
             expected = 0.0
-            for i, r in enumerate(a.roles):
+            for i, role in enumerate(a.roles):
                 v_hat = float(scores[i, 0])
-                if r.kind == "matched":
+                if role == MATCHED:
                     pb = CropBox(*boxes[i])
-                    tb = crops[r.target].box
-                    expected += l1_box(pb, tb) + W.giou_weight * (1.0 - giou(pb, tb))
-                    target = normalize_mos(crops[r.target].mos)
+                    crop = crops[a.good_indices[a.perm[i]]]
+                    expected += l1_box(pb, crop.box) + W.giou_weight * (1.0 - giou(pb, crop.box))
+                    target = normalize_mos(crop.mos)
                 else:
-                    target = r.soft_score if r.kind == "soft" else 0.0
+                    target = float(a.score[i]) if role == SOFT else 0.0
                 expected += W.focal_weight * float(_focal_np(v_hat, target, W.focal_gamma))
             expected /= len(a.roles)
-            assert training_loss(head, a, crops, W).item() == pytest.approx(expected, abs=1e-12)
+            assert training_loss(head, a, W).item() == pytest.approx(expected, abs=1e-12)
 
     @staticmethod
     def _all_roles_fixture(dtype):
@@ -646,23 +668,24 @@ class TestTrainingLoss:
         head = HeadOutputs(boxes=Tensor(boxes, dtype=dtype, requires_grad=True),
                            scores=Tensor(scores, dtype=dtype, requires_grad=True))
         a = assign(head.to_predictions(), crops, W)
-        assert [r.kind for r in a.roles] == ["matched", "soft", "soft", "negative", "negative"]
+        assert a.roles.tolist() == [MATCHED, SOFT, SOFT, NEGATIVE, NEGATIVE]
         return head, a, crops
 
     @staticmethod
     def _three_branch_loss(head, a, crops, w):
         """Reference: one gather and focal call per role, the terms added in role order."""
         dtype = head.scores.data.dtype
-        rows = {k: [i for i, r in enumerate(a.roles) if r.kind == k] for k in ("matched", "soft", "negative")}
-        matched = rows["matched"]
-        tgt = T.constant(boxes_array([crops[a.roles[i].target].box for i in matched]).astype(dtype))
+        rows = {k: np.nonzero(a.roles == k)[0].tolist() for k in (MATCHED, SOFT, NEGATIVE)}
+        matched = rows[MATCHED]
+        matched_crops = [crops[a.good_indices[a.perm[i]]] for i in matched]
+        tgt = T.constant(boxes_array([c.box for c in matched_crops]).astype(dtype))
         pb = T.gather_rows(head.boxes, matched)
         deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
         terms = [T.sum_all(l1_pairs(pb, tgt)), T.scale(T.sum_all(deficit), w.giou_weight)]
         targets = {
-            "matched": [normalize_mos(crops[a.roles[i].target].mos) for i in matched],
-            "soft": [a.roles[i].soft_score for i in rows["soft"]],
-            "negative": [0.0] * len(rows["negative"]),
+            MATCHED: [normalize_mos(c.mos) for c in matched_crops],
+            SOFT: a.score[rows[SOFT]].tolist(),
+            NEGATIVE: [0.0] * len(rows[NEGATIVE]),
         }
         for kind, idx in rows.items():
             v = np.array(targets[kind], dtype=dtype).reshape(-1, 1)
@@ -676,7 +699,7 @@ class TestTrainingLoss:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_one_focal_call_equals_the_per_role_branches(self, dtype):
         head, a, crops = self._all_roles_fixture(dtype)
-        loss = training_loss(head, a, crops, W)
+        loss = training_loss(head, a, W)
         T.backward(loss)
         ref_head = HeadOutputs(boxes=Tensor(head.boxes.data, dtype=dtype, requires_grad=True),
                                scores=Tensor(head.scores.data, dtype=dtype, requires_grad=True))
@@ -701,7 +724,7 @@ class TestTrainingLoss:
         head = HeadOutputs(boxes=boxes, scores=scores)
         crops = [_crop(0.5, 0.5, 0.3, 0.3, 4.5)]
         a = assign(head.to_predictions(), crops, W)
-        loss = training_loss(head, a, crops, W)
+        loss = training_loss(head, a, W)
         value = loss.item()
         assert np.isfinite(value) and value >= 0.0
         T.backward(loss)
@@ -710,15 +733,17 @@ class TestTrainingLoss:
 
     def test_role_count_mismatch(self):
         head = HeadOutputs(boxes=T.constant(np.full((2, 4), 0.5)), scores=T.constant(np.full((2, 1), 0.5)))
-        a = Assignment(roles=(Role(kind="negative"),), perm=np.array([0]), good_indices=())
+        a = Assignment(roles=np.array([NEGATIVE]), score=np.zeros(1), box=np.zeros((1, 4)), perm=np.array([0]),
+                       good_indices=())
         with pytest.raises(CardinalityMismatch):
-            training_loss(head, a, [], W)
+            training_loss(head, a, W)
 
     def test_empty_assignment_rejected(self):
         head = HeadOutputs(boxes=T.constant(np.zeros((0, 4))), scores=T.constant(np.zeros((0, 1))))
-        a = Assignment(roles=(), perm=np.zeros(0, dtype=int), good_indices=())
+        a = Assignment(roles=np.zeros(0, dtype=int), score=np.zeros(0), box=np.zeros((0, 4)),
+                       perm=np.zeros(0, dtype=int), good_indices=())
         with pytest.raises(DomainError):
-            training_loss(head, a, [], W)
+            training_loss(head, a, W)
 
 
 def _toy_example(seed: int) -> TrainExample:
@@ -764,7 +789,7 @@ def reference_train_step(state, batch, w, lr, optimizer=None) -> float:
         with T.no_grad():
             preds = head.to_predictions()
         a, _ = reference_assign(preds, list(ex.crops), w)
-        losses.append(training_loss(head, a, list(ex.crops), w))
+        losses.append(training_loss(head, a, w))
     total = losses[0]
     for extra in losses[1:]:
         total = T.add(total, extra)
@@ -903,9 +928,7 @@ class TestBatchedStep:
         crops = [list(ex.crops) for ex in examples]
         a = [assign(head.entry(e).to_predictions(), crops[e], W) for e in range(2)]
         with pytest.raises(CardinalityMismatch):
-            training_loss(head, a[:1], crops[:1], W)
-        with pytest.raises(CardinalityMismatch):
-            training_loss(head, a, crops[:1], W)
+            training_loss(head, a[:1], W)
         with pytest.raises(CardinalityMismatch):
             train_step(state, [], W, 0.1)
 
@@ -927,18 +950,16 @@ class TestAssignBatch:
             for e, k in enumerate(rows):
                 head = HeadOutputs(boxes=T.constant(boxes[k]), scores=T.constant(scores[k]))
                 ref, ref_costs = reference_assign(head.to_predictions(), crops[k], W)
-                assert got[e].roles == ref.roles
-                assert got[e].perm.tobytes() == ref.perm.tobytes()
-                assert got[e].good_indices == ref.good_indices
+                assert_same_assignment(got[e], ref)
                 assert costs[e].tobytes() == ref_costs.tobytes()
-                kinds.update(r.kind for r in ref.roles)
+                kinds.update(ref.roles.tolist())
         if size > 1:
-            assert kinds == {"matched", "soft", "negative"}
+            assert kinds == {MATCHED, SOFT, NEGATIVE}
 
     def test_a_batch_without_any_crop(self, desk_records):
         boxes, scores = _desk_heads(desk_records[:3], "off", np.float64)
         for a in assign_batch(boxes, scores, [[], [], []], W):
-            assert a.good_indices == () and all(r.kind == "negative" for r in a.roles)
+            assert a.good_indices == () and np.all(a.roles == NEGATIVE) and not a.score.any()
             assert a.perm.tolist() == list(range(16))
 
     def test_single_image_assign_is_the_batch_of_one(self, desk_records):
@@ -948,7 +969,7 @@ class TestAssignBatch:
         for e in range(4):
             preds = HeadOutputs(boxes=T.constant(boxes[e]), scores=T.constant(scores[e])).to_predictions()
             one = assign(preds, crops[e], W)
-            assert one.roles == batch[e].roles and one.perm.tobytes() == batch[e].perm.tobytes()
+            assert_same_assignment(one, batch[e])
 
     def test_counts_must_agree(self, desk_records):
         boxes, scores = _desk_heads(desk_records[:2], "off", np.float64)
@@ -1036,8 +1057,8 @@ def _desk_image_loss(tmp_path):
     head = forward_train(record.load_image(), build_prior(record, config, "average"), state)
     with T.no_grad():
         a = assign(head.to_predictions(), list(record.crops), W)
-    assert any(r.kind == "matched" for r in a.roles)
-    return state, training_loss(head, a, list(record.crops), W)
+    assert MATCHED in a.roles
+    return state, training_loss(head, a, W)
 
 
 class TestGraphSize:
@@ -1059,7 +1080,7 @@ class TestGraphSize:
                                  [build_prior(r, config, "average") for r in records], state)
             crops = [list(r.crops) for r in records]
             a = [assign(head.entry(e).to_predictions(), gts, W) for e, gts in enumerate(crops)]
-            counts[size] = _op_counts(T.scale(T.sum_batch(training_loss(head, a, crops, W)), 1.0 / size))
+            counts[size] = _op_counts(T.scale(T.sum_batch(training_loss(head, a, W)), 1.0 / size))
         assert counts[1] == counts[4] == counts[16]
         # one image's 117 nodes, the box rows flattened, the losses summed and scaled
         assert sum(counts[16].values()) == 117 + 3

@@ -407,7 +407,7 @@ class TestPipeline:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_training_names_the_epoch_and_step(self, tmp_path, capsys):
+    def test_non_finite_training_names_the_epoch_and_step(self, tmp_path, capsys, monkeypatch):
         data = _gen(tmp_path, "data")
         capsys.readouterr()
         # the first Adam step at this rate moves every weight by about 1e300, and the next forward overflows
@@ -417,6 +417,27 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "non_finite"
         assert err["message"].startswith("epoch 0, step 1 (run step 1): ")
+
+        # a collapsed query on the second step is a Degenerate step, with the same context
+        real_heads, calls = decoder.predict_heads, []
+
+        def collapse_one_query_from_the_second_step(decoded, state):
+            heads = real_heads(decoded, state)
+            calls.append(None)
+            if len(calls) > 1:
+                heads.boxes.data[1, 5, 2] = 1e-9  # w below the 1e-6 extent floor
+            return heads
+
+        monkeypatch.setattr(decoder, "predict_heads", collapse_one_query_from_the_second_step)
+        argv = ["train", "--data", str(data / "train" / "data.jsonl"), "--out", str(tmp_path / "collapsed"),
+                "--quiet", "--epochs", "1", "--train.batch_size", "3", *TINY_FLAGS]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "degenerate_box"
+        assert err["message"].startswith("epoch 0, step 1 (run step 1): image 1 prediction 5 has near-zero extent")
+        calls.clear()
+        with pytest.raises(Degenerate, match=r"^epoch 0, step 1 \(run step 1\): "):
+            cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[2]))
 
     @pytest.mark.parametrize("flags, code, field", [
         (["--model.n_heads", "0"], "dim_mismatch", "n_heads"),
