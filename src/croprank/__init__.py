@@ -13,7 +13,6 @@ from .assignment import (
     TrainExample,
     assign,
     hungarian,
-    normalize_mos,
     train_step,
     training_loss,
 )

@@ -75,13 +75,6 @@ class Assignment:
         return len(self.good_indices)
 
 
-def normalize_mos(s: float) -> float:
-    """Map the 1..5 opinion scale onto [0, 1] linearly: (s - 1) / 4."""
-    if not (1.0 <= s <= 5.0):
-        raise OutOfRange(f"mos {s} outside [1, 5]")
-    return (s - 1.0) / 4.0
-
-
 def _focal_np(v_hat: np.ndarray, v: np.ndarray | float, gamma: float) -> np.ndarray:
     """Quality-focal penalty -|v - v_hat|^gamma [v log v_hat + (1-v) log(1-v_hat)], v_hat clamped off 0 and 1."""
     # np.minimum(np.maximum(...)) is np.clip's result in half its time on a few entries
@@ -122,7 +115,7 @@ def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.nda
     boxes[real] = np.array(rows, dtype=np.float64).reshape(-1, 4)
     mos = np.ones(real.shape)
     mos[real] = [c.mos for crops in crop_lists for c in crops]
-    # normalize_mos's (s - 1) / 4, elementwise
+    # the 1..5 opinion scale onto [0, 1]: (s - 1) / 4
     return boxes, (mos - 1.0) / 4.0, real
 
 
@@ -349,7 +342,7 @@ def assign_batch(
     all images at once; (2) rows landing on a real column become
     matched, with their crop's normalized MOS and box as targets;
     (3) unmatched rows overlapping ANY annotated crop at IoU >= tau
-    become soft with score normalize_mos(neighbor MOS) * IoU, the IoUs
+    become soft with score (neighbor MOS - 1) / 4 * IoU, the IoUs
     of the whole batch being one (B, N, C) pass; (4) the rest are
     negatives, with score 0. The neighbor is the first crop of highest
     IoU. Every step is a (B, N) array operation; image b's

@@ -183,11 +183,16 @@ def prepare_examples(records, model: ModelConfig, mode: str, dtype) -> list[Trai
             for r in records]
 
 
-def _whole(train: dict, name: str) -> int:
-    """``train[name]`` as an int: an int or an integral float, never a bool, string or fraction."""
-    value = train[name]
+def _whole(section: dict, name: str, where: str = "train", least: int | None = None) -> int:
+    """``section[name]`` of config section ``where`` as an int of at least ``least``.
+
+    An int or an integral float, never a bool, string or fraction.
+    """
+    value, field = section[name], f"{where}.{name}"
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ParseError(f"train.{name} must be an integer, got {value!r}", field=f"train.{name}")
+        raise ParseError(f"{field} must be an integer, got {value!r}", field=field)
+    if least is not None and value < least:
+        raise ParseError(f"{field} must be at least {least}, got {value!r}", field=field)
     return int(value)
 
 
@@ -196,9 +201,8 @@ def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, di
     model = cfg.model
     weights = cfg.loss
     train = cfg["train"]
-    seed, batch_size, epochs, decay_epoch = (_whole(train, k) for k in ("seed", "batch_size", "epochs", "decay_epoch"))
-    if batch_size < 1:
-        raise ParseError(f"batch_size must be at least 1, got {batch_size}", field="train.batch_size")
+    seed, epochs, decay_epoch = (_whole(train, k) for k in ("seed", "epochs", "decay_epoch"))
+    batch_size = _whole(train, "batch_size", least=1)
     state = init_state(model, seed=seed, dtype=cfg.dtype)
     examples = prepare_examples(records, model, cfg.mcab, cfg.dtype)
     rng = np.random.default_rng([seed, 1])
@@ -276,13 +280,15 @@ def random_ranking_baseline(examples, seed: int) -> list[EvalExample]:
 def cmd_gen(cfg: RunConfig, out_dir: str) -> dict:
     data = cfg["data"]
     model = cfg.model
+    # every field is read before a file is written; make_scene checks n_candidates' floor
+    least = {"seed": 0, "n_train": 0, "n_val": 0, "cam_h": 1, "cam_w": 1, "n_candidates": None}
+    seed, n_train, n_val, cam_h, cam_w, n_candidates = (_whole(data, k, "data", low) for k, low in least.items())
     paths, counts = {}, {}
-    for offset, split in enumerate(("train", "val")):
+    for offset, (split, n) in enumerate((("train", n_train), ("val", n_val))):
         split_dir = Path(out_dir) / split
         records = generate_synthetic(
-            int(data["seed"]) + offset, int(data[f"n_{split}"]), split_dir,
-            image_h=model.image_h, image_w=model.image_w, channels=model.in_channels,
-            cam_h=int(data["cam_h"]), cam_w=int(data["cam_w"]), n_candidates=int(data["n_candidates"]),
+            seed + offset, n, split_dir, image_h=model.image_h, image_w=model.image_w, channels=model.in_channels,
+            cam_h=cam_h, cam_w=cam_w, n_candidates=n_candidates,
         )
         paths[split] = str(split_dir / "data.jsonl")
         counts[f"n_{split}"] = len(records)

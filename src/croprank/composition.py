@@ -65,9 +65,10 @@ class ActivationMap:
             raise DimMismatch("ActivationMap expects a rank-2 array")
         if v.size == 0:
             raise DimMismatch("ActivationMap is empty")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("ActivationMap contains non-finite values")
-        if v.min() < 0.0 or v.max() > 1.0:
+        # a NaN fails both comparisons and an infinity one, so only a map outside [0, 1] needs the finite scan
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            if not np.all(np.isfinite(v)):
+                raise DomainError("ActivationMap contains non-finite values")
             raise DomainError("ActivationMap values must lie in [0, 1]")
 
     @property

@@ -34,7 +34,7 @@ from .errors import (
     RangeError,
     TruncatedPayload,
 )
-from .geometry import CropBox, ScoredCrop, from_corners, iou
+from .geometry import CropBox, ScoredCrop, boxes_array, from_corners, iou_matrix
 from .tensor import Tensor
 
 AESC_MAGIC = b"AESC"
@@ -43,20 +43,24 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def write_tensor(path, t) -> None:
-    """Serialize a Tensor or ndarray (f32/f64, any rank) to AESC."""
+def _aesc_bytes(t) -> bytes:
+    """The AESC bytes of a Tensor or ndarray (f32/f64, any rank)."""
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
     dtype = np.dtype(arr.dtype)
     if dtype not in _DTYPE_CODES:
         raise BadVersion(f"cannot serialize dtype {dtype}; use f32 or f64")
     header = AESC_MAGIC + struct.pack("<HBB", AESC_VERSION, _DTYPE_CODES[dtype], arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr).astype(dtype.newbyteorder("<"), copy=False).tobytes()
-    Path(path).write_bytes(header + payload)
+    return header + np.ascontiguousarray(arr).astype(dtype.newbyteorder("<"), copy=False).tobytes()
 
 
-def read_tensor(path) -> Tensor:
-    """Parse an AESC file back into a (non-trainable) Tensor, bit-exact."""
+def write_tensor(path, t) -> None:
+    """Serialize a Tensor or ndarray (f32/f64, any rank) to AESC."""
+    Path(path).write_bytes(_aesc_bytes(t))
+
+
+def _read_aesc(path) -> tuple[bytes, np.ndarray]:
+    """An AESC file's bytes, and its payload as a read-only little-endian view of them."""
     p = os.fspath(path)
     try:
         with open(p, "rb") as fh:
@@ -79,9 +83,14 @@ def read_tensor(path) -> Tensor:
     actual = len(blob) - dims_end
     if actual != expected:
         raise TruncatedPayload(f"{p}: payload is {actual} bytes, expected {expected}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims)
+    return blob, np.frombuffer(blob, dtype=dtype, offset=dims_end).reshape(dims)
+
+
+def read_tensor(path) -> Tensor:
+    """Parse an AESC file back into a (non-trainable) Tensor, bit-exact."""
+    arr = _read_aesc(path)[1]
     # Tensor copies the little-endian payload into a native-order array of its own
-    return Tensor(arr, dtype=dtype.newbyteorder("="))
+    return Tensor(arr, dtype=arr.dtype.newbyteorder("="))
 
 
 # -- dataset records -------------------------------------------------------------
@@ -119,24 +128,30 @@ class DatasetRecord:
             return [ActivationMap(values=np.array(v, dtype=np.float64)) for v in self.cams_inline]
         if self.cam_paths is None:
             raise MissingFile(f"record {self.id!r} has no activation maps")
-        return [ActivationMap(values=read_tensor(self._resolve(p)).data.astype(np.float64))
-                for p in self.cam_paths]
+        return [ActivationMap(values=_read_aesc(self._resolve(p))[1].astype(np.float64)) for p in self.cam_paths]
+
+
+def _number(val, key: str, line_no: int) -> float:
+    """A JSON number as a float; a string, null or bool is a ParseError naming the line and the field."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(f"field {key!r} must be a number, got {type(val).__name__}", line=line_no, field=key)
+    return float(val)
+
+
+_BOX_FORMS = (("cx", "cy", "w", "h"), ("x1", "y1", "x2", "y2"))
 
 
 def _parse_crop(entry: dict, record_id: str, line_no: int) -> ScoredCrop:
     if not isinstance(entry, dict) or "mos" not in entry:
         raise ParseError("crop entry must be an object with a 'mos' field", line=line_no, field="crops")
-    mos = entry["mos"]
-    if not isinstance(mos, (int, float)):
-        raise ParseError("mos must be numeric", line=line_no, field="mos")
+    mos = _number(entry["mos"], "mos", line_no)
+    form = next((keys for keys in _BOX_FORMS if all(k in entry for k in keys)), None)
+    if form is None:
+        raise ParseError("crop needs cx/cy/w/h or x1/y1/x2/y2", line=line_no, field="crops")
+    vals = [_number(entry[k], k, line_no) for k in form]
     try:
-        if all(k in entry for k in ("cx", "cy", "w", "h")):
-            box = CropBox(cx=float(entry["cx"]), cy=float(entry["cy"]), w=float(entry["w"]), h=float(entry["h"]))
-        elif all(k in entry for k in ("x1", "y1", "x2", "y2")):
-            box = from_corners(float(entry["x1"]), float(entry["y1"]), float(entry["x2"]), float(entry["y2"]))
-        else:
-            raise ParseError("crop needs cx/cy/w/h or x1/y1/x2/y2", line=line_no, field="crops")
-        return ScoredCrop(box=box, mos=float(mos))
+        box = CropBox(*vals) if form is _BOX_FORMS[0] else from_corners(*vals)
+        return ScoredCrop(box=box, mos=mos)
     except (Degenerate, OutOfRange) as e:
         raise RangeError(str(e), record=record_id) from e
 
@@ -145,9 +160,7 @@ def _require(obj: dict, key: str, kind, line_no: int):
     if key not in obj:
         raise ParseError(f"missing field {key!r}", line=line_no, field=key)
     val = obj[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise ParseError(f"field {key!r} has wrong type {type(val).__name__}", line=line_no, field=key)
     return val
 
@@ -175,10 +188,9 @@ def load_dataset(path) -> list[DatasetRecord]:
         if min(channels, height, width) < 1:
             raise RangeError(f"non-positive image dims ({channels}, {height}, {width})", record=rec_id)
         probs_raw = _require(obj, "class_probs", list, line_no)
+        prob_values = tuple(_number(v, "class_probs", line_no) for v in probs_raw)
         try:
-            probs = ClassProbabilities(values=tuple(float(v) for v in probs_raw))
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"class_probs not numeric: {e}", line=line_no, field="class_probs") from e
+            probs = ClassProbabilities(values=prob_values)
         except CropError as e:
             raise RangeError(str(e), record=rec_id) from e
         crops_raw = _require(obj, "crops", list, line_no)
@@ -255,8 +267,10 @@ class SyntheticScene:
     crops: tuple[ScoredCrop, ...]
 
 
-def _oracle_mos(candidate: CropBox, planted: CropBox, power: float = 2.0) -> float:
-    return 1.0 + 4.0 * iou(candidate, planted) ** power
+def _oracle_mos(candidates: np.ndarray, planted: CropBox, power: float = 2.0) -> list[float]:
+    """1 + 4 IoU^power of each (m, 4) candidate row with the planted box, the power taken on Python floats."""
+    overlap = iou_matrix(candidates, planted.as_array()[None, :])[:, 0]
+    return [1.0 + 4.0 * v ** power for v in overlap.tolist()]
 
 
 def _clip_center(c: float, extent: float) -> float:
@@ -265,8 +279,8 @@ def _clip_center(c: float, extent: float) -> float:
 
 
 def _jittered(rng: np.random.Generator, base: CropBox, sigma: float) -> CropBox:
-    w = float(np.clip(base.w * (1.0 + rng.normal(0.0, sigma)), 0.05, 0.9))
-    h = float(np.clip(base.h * (1.0 + rng.normal(0.0, sigma)), 0.05, 0.9))
+    w = min(max(base.w * (1.0 + rng.normal(0.0, sigma)), 0.05), 0.9)
+    h = min(max(base.h * (1.0 + rng.normal(0.0, sigma)), 0.05), 0.9)
     cx = _clip_center(base.cx + float(rng.normal(0.0, sigma)), w)
     cy = _clip_center(base.cy + float(rng.normal(0.0, sigma)), h)
     return CropBox(cx=cx, cy=cy, w=w, h=h)
@@ -294,6 +308,12 @@ def make_scene(
     halves of a saliency bump over the subject only, so
     probability-weighted fusion recovers the whole region while picking
     only the argmax map covers half.
+
+    Up to three decoys are drawn, each trial tested with one
+    ``iou_matrix`` call against the subject and the decoys placed so
+    far. The n_candidates - 1 candidate boxes (the subject's jitters,
+    then random boxes) are all drawn before one ``iou_matrix`` pass
+    scores them, so the rng draws stay in the order of the draws alone.
     """
     if n_candidates < len(_JITTER_LEVELS) + 2:
         raise OutOfRange(f"n_candidates must be >= {len(_JITTER_LEVELS) + 2}")
@@ -305,20 +325,20 @@ def make_scene(
         w=w,
         h=h,
     )
+    # row 0 holds the planted box, the next rows the decoys accepted so far, and row k the trial
+    placed = np.empty((4, 4))
+    placed[0] = planted.as_array()
     decoys: list[CropBox] = []
     for _ in range(3):
+        k = len(decoys) + 1
         for _ in range(64):
             dw = float(rng.uniform(0.15, 0.35))
             dh = float(rng.uniform(0.15, 0.35))
-            trial = CropBox(
-                cx=float(rng.uniform(dw / 2.0 + 0.03, 1.0 - dw / 2.0 - 0.03)),
-                cy=float(rng.uniform(dh / 2.0 + 0.03, 1.0 - dh / 2.0 - 0.03)),
-                w=dw,
-                h=dh,
-            )
-            others = [planted] + decoys
-            if max(iou(trial, o) for o in others) < 0.05:
-                decoys.append(trial)
+            dcx = float(rng.uniform(dw / 2.0 + 0.03, 1.0 - dw / 2.0 - 0.03))
+            dcy = float(rng.uniform(dh / 2.0 + 0.03, 1.0 - dh / 2.0 - 0.03))
+            placed[k] = dcx, dcy, dw, dh
+            if iou_matrix(placed[k : k + 1], placed[:k]).max() < 0.05:
+                decoys.append(CropBox(cx=dcx, cy=dcy, w=dw, h=dh))
                 break
 
     # image: dim noise, decoy rectangles, and the subject rectangle on top
@@ -333,10 +353,11 @@ def make_scene(
         )
 
     mask = _rect_mask(planted)
+    decoy_masks = [_rect_mask(decoy) for decoy in decoys]
     for c in range(channels):
-        for decoy in decoys:
+        for decoy_mask in decoy_masks:
             dim = rng.uniform(0.55, 0.85, size=(image_h, image_w))
-            image[c] = np.where(_rect_mask(decoy), dim, image[c])
+            np.copyto(image[c], dim, where=decoy_mask)
         # the leading two channels carry the subject's extents as flat
         # brightness levels, so its size is readable from local content
         if c == 0 and channels >= 2:
@@ -345,7 +366,7 @@ def make_scene(
             fill = 0.5 + 1.5 * (h - 0.2) + rng.uniform(-0.02, 0.02, size=(image_h, image_w))
         else:
             fill = rng.uniform(0.70, 1.0, size=(image_h, image_w))
-        image[c] = np.where(mask, fill, image[c])
+        np.copyto(image[c], fill, where=mask)
 
     # saliency bump over the subject, split into two half-maps
     cy_grid = (np.arange(cam_h)[:, None] + 0.5) / cam_h
@@ -378,20 +399,18 @@ def make_scene(
     probs = probs / probs.sum()
     class_probs = ClassProbabilities(values=tuple(float(v) for v in probs))
 
-    crops: list[ScoredCrop] = [ScoredCrop(box=planted, mos=5.0)]
-    for sigma in _JITTER_LEVELS:
-        box = _jittered(rng, planted, sigma)
-        crops.append(ScoredCrop(box=box, mos=_oracle_mos(box, planted)))
-    while len(crops) < n_candidates:
+    candidates = [_jittered(rng, planted, sigma) for sigma in _JITTER_LEVELS]
+    while len(candidates) < n_candidates - 1:
         rw = float(rng.uniform(0.15, 0.50))
         rh = float(rng.uniform(0.15, 0.50))
-        box = CropBox(
+        candidates.append(CropBox(
             cx=float(rng.uniform(rw / 2.0, 1.0 - rw / 2.0)),
             cy=float(rng.uniform(rh / 2.0, 1.0 - rh / 2.0)),
             w=rw,
             h=rh,
-        )
-        crops.append(ScoredCrop(box=box, mos=_oracle_mos(box, planted)))
+        ))
+    crops = [ScoredCrop(box=planted, mos=5.0)]
+    crops += map(ScoredCrop, candidates, _oracle_mos(boxes_array(candidates), planted))
 
     return SyntheticScene(
         planted=planted,
@@ -476,10 +495,6 @@ def _replace(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def save_checkpoint(out_dir, state: ModelState, extra: dict | None = None) -> None:
     """One AESC file per named parameter, then the manifest JSON with each file's sha256.
 
@@ -493,9 +508,9 @@ def save_checkpoint(out_dir, state: ModelState, extra: dict | None = None) -> No
     names = state.param_names()
     checksums = {}
     for name in names:
-        path = out / f"{name}.aesc"
-        _replace(path, lambda tmp: write_tensor(tmp, state.params[name]))
-        checksums[name] = _sha256(path)
+        _replace(out / f"{name}.aesc", lambda tmp: write_tensor(tmp, state.params[name]))
+        # the bytes write_tensor wrote, made again in memory instead of read back from disk
+        checksums[name] = hashlib.sha256(_aesc_bytes(state.params[name])).hexdigest()
     manifest = {
         "format": 1,
         "model": asdict(state.config),
@@ -545,12 +560,13 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
         raise ParseError("manifest sha256 must map every parameter to a checksum", field="sha256")
     for name in params:
         path = ckpt / f"{name}.aesc"
-        loaded = read_tensor(path)
-        if loaded.dims != state.params[name].dims:
-            raise BadShape(f"parameter {name}: stored {loaded.dims} != expected {state.params[name].dims}")
-        if _sha256(path) != checksums[name]:
+        # one read: the checksum covers the very bytes that are loaded
+        blob, loaded = _read_aesc(path)
+        if loaded.shape != state.params[name].dims:
+            raise BadShape(f"parameter {name}: stored {loaded.shape} != expected {state.params[name].dims}")
+        if hashlib.sha256(blob).hexdigest() != checksums[name]:
             raise ChecksumMismatch(f"parameter {name}: {path} does not match the manifest's sha256")
-        state.params[name].data[...] = loaded.data.astype(dtype)
+        state.params[name].data[...] = loaded
     return state, extra
 
 

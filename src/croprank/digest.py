@@ -2,17 +2,18 @@
 
     python -m croprank.digest --data-seed 11 --train-seed 12
 
-The desk preset's data is generated once from the data seed. Then, for
-each dtype (f64, f32) and ``mcab`` mode (average, off), the model is
-trained for two epochs from the train seed and evaluated on the val
-split, and one line is printed per artifact: the loss curve (step and
-epoch losses), the parameter files, the checkpoint manifest, the
-composition priors of both splits, the eval predictions, ``report.json``
-and ``report.txt`` (at IoU threshold 0.5, where a two-epoch model
-already has hits). A last line hashes every gradcheck ``CheckResult``
-for the train seed and the seeds after it. Two trees that print the
-same lines gave the same bytes; each line names its artifact, so a
-diff of two outputs shows which one moved.
+The desk preset's data is generated once from the data seed, and a first
+line hashes it: ``data.jsonl`` and every AESC file of both splits, in
+sorted relative-path order. Then, for each dtype (f64, f32) and ``mcab``
+mode (average, off), the model is trained for two epochs from the train
+seed and evaluated on the val split, and one line is printed per
+artifact: the loss curve (step and epoch losses), the parameter files,
+the checkpoint manifest, the composition priors of both splits, the eval
+predictions, ``report.json`` and ``report.txt`` (at IoU threshold 0.5,
+where a two-epoch model already has hits). A last line hashes every
+gradcheck ``CheckResult`` for the train seed and the seeds after it. Two
+trees that print the same lines gave the same bytes; each line names its
+artifact, so a diff of two outputs shows which one moved.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def gradcheck_sha256(results) -> str:
 
 def run_lines(data_seed: int, train_seed: int, n_train: int = 200, n_val: int = 60,
               gradcheck_seeds: int = 100) -> list[str]:
-    """The digest lines, in a fixed order: per dtype and mode, then gradcheck."""
+    """The digest lines, in a fixed order: the data, per dtype and mode, then gradcheck."""
     def config(dtype: str, mode: str) -> cli.RunConfig:
         return cli.resolve_config("desk", None, {
             "data.seed": data_seed, "data.n_train": n_train, "data.n_val": n_val,
@@ -63,6 +64,8 @@ def run_lines(data_seed: int, train_seed: int, n_train: int = 200, n_val: int = 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         cli.cmd_gen(config(DTYPES[0], MODES[0]), str(root / "data"))
+        files = sorted(p.relative_to(root).as_posix() for p in (root / "data").rglob("*") if p.is_file())
+        lines.append("data " + _sha((root / rel).read_bytes() for rel in files))
         train_path, val_path = str(root / "data" / "train" / "data.jsonl"), str(root / "data" / "val" / "data.jsonl")
         train_records, val_records = load_dataset(train_path), load_dataset(val_path)
         for dtype in DTYPES:

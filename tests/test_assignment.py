@@ -24,7 +24,6 @@ from croprank.assignment import (
     cost_matrices,
     focal_terms,
     hungarian,
-    normalize_mos,
     train_step,
     training_loss,
 )
@@ -56,6 +55,13 @@ from croprank.geometry import (
 from croprank.tensor import Tensor
 
 W = LossWeights()
+
+
+def normalize_mos(s: float) -> float:
+    """The oracle's target score: the 1..5 opinion scale onto [0, 1] linearly, (s - 1) / 4."""
+    if not (1.0 <= s <= 5.0):
+        raise OutOfRange(f"mos {s} outside [1, 5]")
+    return (s - 1.0) / 4.0
 
 
 def _crop(cx, cy, w, h, mos):

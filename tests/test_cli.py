@@ -479,6 +479,30 @@ class TestPipeline:
     def test_an_integral_float_train_count_is_an_int(self):
         assert cli._whole({"epochs": 3.0}, "epochs") == 3 and type(cli._whole({"epochs": 3.0}, "epochs")) is int
         assert cli._whole({"epochs": 3}, "epochs") == 3
+        assert cli._whole({"cam_h": 1.0}, "cam_h", "data", 1) == 1
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_train", "x", "must be an integer"),
+        ("n_train", 2.7, "must be an integer"),
+        ("n_val", True, "must be an integer"),
+        ("n_candidates", "13", "must be an integer"),
+        ("n_train", -3, "must be at least 0"),
+        ("n_val", -1, "must be at least 0"),
+        ("seed", -1, "must be at least 0"),
+        ("cam_h", 0, "must be at least 1"),
+        ("cam_w", -2, "must be at least 1"),
+    ], ids=["string", "fraction", "bool", "string_candidates", "negative_train", "negative_val", "negative_seed",
+            "cam_h_0", "cam_w_-2"])
+    def test_a_bad_data_field_exits_2_before_writing(self, tmp_path, capsys, name, value, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {name: value}}))
+        pairs = dict(zip(TINY_FLAGS[::2], TINY_FLAGS[1::2]))
+        pairs.pop(f"--data.{name}", None)  # a flag would override the config file's value
+        flags = [item for pair in pairs.items() for item in pair]
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "data"), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "parse_error" and f"data.{name} {message}" in err["message"]
+        assert not (tmp_path / "data").exists()
 
     def test_bad_override_value_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--data.n_candidates", "5"])

@@ -47,10 +47,14 @@ class TestDomainTypes:
     def test_activation_map_validation(self):
         with pytest.raises(DimMismatch):
             ActivationMap(values=np.zeros(4))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must lie in"):
             ActivationMap(values=np.array([[0.5, 1.5]]))
-        with pytest.raises(DomainError):
-            ActivationMap(values=np.array([[np.nan, 0.5]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                ActivationMap(values=np.array([[bad, 0.5]]))
+        with pytest.raises(DomainError, match="non-finite"):
+            ActivationMap(values=np.array([[np.nan, 1.5]]))
+        assert ActivationMap(values=np.array([[0.0, 1.0]])).shape == (1, 2)
 
     def test_probabilities_validation(self):
         with pytest.raises(BadProbabilities):

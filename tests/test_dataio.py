@@ -1,6 +1,7 @@
 """Binary tensor codec, JSONL datasets, synthetic scenes, checkpoints."""
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,48 @@ class TestLoadDataset:
         with pytest.raises(ParseError) as err:
             load_dataset(_write_lines(tmp_path, rec))
         assert err.value.field == "width"
+
+    @pytest.mark.parametrize("value", ["abc", None, "0.5", True], ids=["string", "null", "numeric_string", "bool"])
+    def test_a_box_field_must_be_a_json_number(self, tmp_path, value):
+        rec = _valid_record(tmp_path)
+        rec["crops"][0]["cx"] = value
+        with pytest.raises(ParseError) as err:
+            load_dataset(_write_lines(tmp_path, rec))
+        assert (err.value.line, err.value.field) == (1, "cx")
+
+    def test_a_corner_field_must_be_a_json_number(self, tmp_path):
+        rec = _valid_record(tmp_path, crops=[{"x1": 0.2, "y1": 0.3, "x2": "0.6", "y2": 0.7, "mos": 3.0}])
+        with pytest.raises(ParseError) as err:
+            load_dataset(_write_lines(tmp_path, rec))
+        assert (err.value.line, err.value.field) == (1, "x2")
+
+    @pytest.mark.parametrize("value", [True, "4.5", None], ids=["bool", "string", "null"])
+    def test_mos_must_be_a_json_number(self, tmp_path, value):
+        rec = _valid_record(tmp_path)
+        rec["crops"][0]["mos"] = value
+        with pytest.raises(ParseError) as err:
+            load_dataset(_write_lines(tmp_path, rec))
+        assert (err.value.line, err.value.field) == (1, "mos")
+
+    @pytest.mark.parametrize("field", ["channels", "height", "width"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
+    def test_dims_must_be_json_ints(self, tmp_path, field, value):
+        rec = _valid_record(tmp_path, **{field: value})
+        with pytest.raises(ParseError) as err:
+            load_dataset(_write_lines(tmp_path, _valid_record(tmp_path), rec))
+        assert (err.value.line, err.value.field) == (2, field)
+
+    @pytest.mark.parametrize("value", ["0.1", True, None], ids=["string", "bool", "null"])
+    def test_class_probs_entries_must_be_json_numbers(self, tmp_path, value):
+        rec = _valid_record(tmp_path, class_probs=[value] + [1.0 / 9] * 8)
+        with pytest.raises(ParseError) as err:
+            load_dataset(_write_lines(tmp_path, rec))
+        assert (err.value.line, err.value.field) == (1, "class_probs")
+
+    def test_integer_box_fields_and_mos_are_numbers(self, tmp_path):
+        rec = _valid_record(tmp_path, crops=[{"x1": 0, "y1": 0, "x2": 1, "y2": 1, "mos": 4}])
+        (out,) = load_dataset(_write_lines(tmp_path, rec))
+        assert out.crops[0].mos == 4.0 and out.crops[0].box.w == 1.0
 
     def test_no_crops(self, tmp_path):
         rec = _valid_record(tmp_path, crops=[])
@@ -446,6 +489,25 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(tmp_path / "ck")
         for name in new.param_names():
             assert loaded[name].data.tobytes() == new[name].data.tobytes()
+
+    def test_each_parameter_file_is_read_once_on_load_and_never_on_save(self, tmp_path, monkeypatch):
+        state = self._trained_state()
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".aesc") and "r" in (args[0] if args else kwargs.get("mode", "r")):
+                opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} read through Path.read_bytes"))
+        save_checkpoint(tmp_path / "ck", state)
+        assert opened == []
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert sorted(opened) == sorted(str(tmp_path / "ck" / f"{name}.aesc") for name in state.param_names())
+        for name in state.param_names():
+            assert loaded[name].data.tobytes() == state[name].data.tobytes()
 
     def test_changed_parameter_file_is_refused(self, tmp_path):
         state = self._trained_state()

@@ -17,6 +17,7 @@ SMALL = ["--data-seed", "3", "--train-seed", "4", "--n-train", "8", "--n-val", "
 # their bytes. A change to an entry is a change to a check.
 SMALL_LINES = {
     "numpy 2.4.6, scipy-openblas 0.3.31.188.0, core SkylakeX": """
+data e7ea7c10cce693d8978beeda11c9d98732df67bb03c8227c048b6e9077c474cc
 f64/average loss_curve 8d9b2250000d574925cb2cab6386cd9cbeeb68e83f7ccc0110f6d319940d0f3b
 f64/average parameters ef71f02549e207b175de0bf1b233edafdfbe0a7cb4b4fed536717c128a3cf0a1
 f64/average manifest dd2bea6dcfa41a043874c0ce7dc3576dc39850fdc00f0178fc622a5c078e2079
@@ -66,7 +67,7 @@ def first():
 def test_two_runs_print_identical_lines(first):
     assert _digest(SMALL) == first
     artifacts = ["loss_curve", "parameters", "manifest", "priors", "predictions", "report.json", "report.txt"]
-    names = [f"{d}/{m} {a}" for d in ("f64", "f32") for m in ("average", "off") for a in artifacts] + ["gradcheck"]
+    names = ["data"] + [f"{d}/{m} {a}" for d in ("f64", "f32") for m in ("average", "off") for a in artifacts] + ["gradcheck"]
     assert [line.rsplit(" ", 1)[0] for line in first] == names
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in first)
 
@@ -75,8 +76,8 @@ def test_another_train_seed_moves_the_training_lines(first):
     other = _digest(SMALL[:3] + ["5"] + SMALL[4:])
     moved = {line.rsplit(" ", 1)[0] for line, o in zip(first, other) if line != o}
     assert {"f64/average loss_curve", "f32/off parameters", "gradcheck"} <= moved
-    # the data seed alone decides the priors
-    assert not moved & {"f64/average priors", "f32/off priors"}
+    # the data seed alone decides the data and the priors
+    assert not moved & {"data", "f64/average priors", "f32/off priors"}
 
 
 def test_small_run_keeps_the_committed_bytes(first):

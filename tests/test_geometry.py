@@ -8,7 +8,9 @@ from conftest import naive_iou, random_box
 from croprank import tensor as T
 from croprank.errors import Degenerate, DimMismatch, OutOfRange
 from croprank.geometry import (
+    MIN_EXTENT,
     CropBox,
+    _corners_np,
     ScoredCrop,
     boxes_array,
     from_corners,
@@ -88,6 +90,35 @@ class TestCornerConversion:
         rb = from_corners(*to_corners(b))
         for got, want in zip((rb.cx, rb.cy, rb.w, rb.h), (b.cx, b.cy, b.w, b.h)):
             assert abs(got - want) < 1e-12
+
+
+def clip_corners(boxes: np.ndarray):
+    """The corner rule written with np.clip."""
+    center = boxes[..., :2]
+    half = np.clip(boxes[..., 2:], MIN_EXTENT, 1.0) / 2.0
+    lo = np.clip(center - half, 0.0, 1.0)
+    hi = np.clip(center + half, 0.0, 1.0)
+    return lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
+
+
+class TestNumpyCorners:
+    def test_edge_cases_keep_np_clips_bytes(self):
+        nan = np.nan
+        boxes = np.array([
+            [0.0, -0.0, 0.3, 0.2], [-0.0, 0.0, 0.2, 0.3], [0.15, 0.1, 0.3, 0.2],  # cx == half, cy == half
+            [1.0, -0.0, 1.0, 1.0], [0.5, 0.5, 1e-7, 0.0], [0.5, 0.5, -0.0, -1e-9], [0.0, 1.0, 5e-7, 2e-6],
+            [nan, 0.5, 0.2, 0.2], [0.5, nan, 0.2, 0.2], [0.5, 0.5, nan, 0.2], [0.5, 0.5, 0.2, nan],
+            [1.2, -0.3, 1.5, 2.0], [np.inf, -np.inf, 0.2, np.inf],
+        ])
+        for got, want in zip(_corners_np(boxes), clip_corners(boxes)):
+            assert got.tobytes() == want.tobytes()
+        assert _corners_np(boxes)[0][2] == 0.0 and _corners_np(boxes)[0][4] == 0.5 - MIN_EXTENT / 2.0
+
+    def test_random_and_batched_boxes_keep_np_clips_bytes(self):
+        rng = np.random.default_rng(20)
+        boxes = rng.uniform(-0.2, 1.2, size=(3, 50, 4))
+        for got, want in zip(_corners_np(boxes), clip_corners(boxes)):
+            assert got.tobytes() == want.tobytes() and got.shape == (3, 50)
 
 
 class TestIoU:
