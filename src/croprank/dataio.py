@@ -313,7 +313,7 @@ def make_scene(
     ``iou_matrix`` call against the subject and the decoys placed so
     far. The n_candidates - 1 candidate boxes (the subject's jitters,
     then random boxes) are all drawn before one ``iou_matrix`` pass
-    scores them, so the rng draws stay in the order of the draws alone.
+    scores them; scoring draws nothing from the rng.
     """
     if n_candidates < len(_JITTER_LEVELS) + 2:
         raise OutOfRange(f"n_candidates must be >= {len(_JITTER_LEVELS) + 2}")
