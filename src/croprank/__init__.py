@@ -21,11 +21,9 @@ from .composition import (
     ClassProbabilities,
     CompositionPrior,
     biased_cross_attention,
-    compute_cam,
     fuse_cams,
     make_prior,
     resample_to_grid,
-    uniform_prior,
 )
 from .dataio import (
     DatasetRecord,
@@ -52,8 +50,8 @@ from .decoder import (
     predict_heads,
 )
 from .errors import CropError
-from .geometry import CropBox, ScoredCrop, from_corners, giou, iou, l1_box, to_corners
-from .metrics import EvalExample, MetricsReport, acc_bar_n, acc_k_n, build_report
+from .geometry import CropBox, ScoredCrop, from_corners
+from .metrics import EvalExample, MetricsReport, build_report
 from .tensor import Tensor, backward, no_grad, sgd_step
 
 __all__ = [name for name in dir() if not name.startswith("_")]

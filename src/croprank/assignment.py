@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .decoder import HeadOutputs, ModelState, Prediction, check_heads, forward_train
+from .decoder import HeadOutputs, ModelState, Prediction, _check_types, check_heads, forward_train
 from .errors import CardinalityMismatch, DomainError, NonFinite, NonSquare, OutOfRange
 from .geometry import ScoredCrop, boxes_array, giou_matrix, giou_pairs, iou_matrix, l1_pairs
 from .tensor import Tensor
@@ -48,6 +48,7 @@ class LossWeights:
     soft_iou_threshold: float = 0.85
 
     def __post_init__(self):
+        _check_types(self, "loss")
         if self.giou_weight < 0.0 or self.focal_weight < 0.0:
             raise OutOfRange("loss weights must be nonnegative")
         if not (0.0 < self.soft_iou_threshold <= 1.0):
@@ -111,36 +112,26 @@ def _crop_arrays(crop_lists: list[list[ScoredCrop]]) -> tuple[np.ndarray, np.nda
     """
     real = _prefix_mask(np.array([len(crops) for crops in crop_lists], dtype=np.int64))
     boxes = np.ones(real.shape + (4,))
-    rows = [(c.box.cx, c.box.cy, c.box.w, c.box.h) for crops in crop_lists for c in crops]
-    boxes[real] = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    boxes[real] = boxes_array([c.box for crops in crop_lists for c in crops])
     mos = np.ones(real.shape)
     mos[real] = [c.mos for crops in crop_lists for c in crops]
     # the 1..5 opinion scale onto [0, 1]: (s - 1) / 4
     return boxes, (mos - 1.0) / 4.0, real
 
 
-def cost_matrices(
-    boxes: np.ndarray, scores: np.ndarray, targets: list[list[ScoredCrop]], w: LossWeights
-) -> np.ndarray:
-    """The (B, N, N) stack of padded cost matrices; columns beyond an image's own targets are padding.
-
-    ``boxes`` is (B, N, 4) and ``scores`` (B, N) float64, ``targets``
-    one list per image. The L1, GIoU and focal costs of the whole batch
-    are one (B, N, G) pass against the targets padded to the longest
-    list, G; image b's matrix is its real block, then its padding cost
-    (focal toward 0) in every column left.
-    """
-    return _cost_stack(boxes, scores, *_crop_arrays(targets), w)
-
-
 def _cost_stack(
     boxes: np.ndarray, scores: np.ndarray, tgt_boxes: np.ndarray, v: np.ndarray, is_target: np.ndarray,
     w: LossWeights,
 ) -> np.ndarray:
-    """``cost_matrices`` on target arrays laid out as ``_crop_arrays`` returns them.
+    """The (B, N, N) stack of padded cost matrices; columns beyond an image's own targets are padding.
 
-    Image b's targets are the columns where ``is_target[b]`` holds, a
-    prefix of its row; the values in the other columns are never read.
+    ``boxes`` is (B, N, 4) and ``scores`` (B, N) float64; the targets are
+    laid out as ``_crop_arrays`` returns them, and image b's are the
+    columns where ``is_target[b]`` holds, a prefix of its row; the values
+    in the other columns are never read. The L1, GIoU and focal costs of
+    the whole batch are one (B, N, G) pass against the G target columns;
+    image b's matrix is its real block, then its padding cost (focal
+    toward 0) in every column left.
     """
     n = boxes.shape[1]
     most = int(is_target.sum(axis=1).max(initial=0))
@@ -309,7 +300,7 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     """Exact minimum-cost bijection rows -> columns: ``assign_batch``'s stacked solve for one matrix.
 
     The trailing block of columns equal to the last one is padding:
-    ``cost_matrices`` leaves N - g of them, and every square matrix has
+    ``_cost_stack`` leaves N - g of them, and every square matrix has
     at least one. Only the g real columns are solved, as a rectangular
     problem against all rows on their cost over padding,
     c[:, :g] - c[:, -1:]; a stack of matrices runs this
@@ -338,7 +329,7 @@ def assign_batch(
     ``boxes`` is (B, N, 4) and ``scores`` (B, N, 1) or (B, N), rows
     that ``decoder.check_heads`` accepts; ``ground_truths`` holds one
     crop list per image. (1) Hungarian over the stack of padded cost
-    matrices (``cost_matrices``, one pass for the batch), solved for
+    matrices (``_cost_stack``, one pass for the batch), solved for
     all images at once; (2) rows landing on a real column become
     matched, with their crop's normalized MOS and box as targets;
     (3) unmatched rows overlapping ANY annotated crop at IoU >= tau

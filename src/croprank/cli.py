@@ -27,6 +27,7 @@ from .composition import (
 )
 from .dataio import (
     DatasetRecord,
+    _number,
     generate_synthetic,
     load_checkpoint,
     load_dataset,
@@ -35,8 +36,8 @@ from .dataio import (
     write_pgm,
     write_tensor,
 )
-from .decoder import ModelConfig, ModelState, Prediction, forward_train, init_state
-from .errors import CropError, Degenerate, DomainError, NonFinite, ParseError
+from .decoder import ModelConfig, ModelState, forward_train, init_state
+from .errors import CropError, Degenerate, DimMismatch, DomainError, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
 from .tensor import Adam, no_grad
 
@@ -196,26 +197,49 @@ def _whole(section: dict, name: str, where: str = "train", least: int | None = N
     return int(value)
 
 
+def _real(section: dict, name: str, where: str = "train") -> float:
+    """``section[name]`` of config section ``where`` as a float: an int or a float, never a bool or string."""
+    value, field = section[name], f"{where}.{name}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{field} must be a real number, got {value!r}", field=field)
+    return float(value)
+
+
+def _report_args(cfg: RunConfig) -> dict:
+    """``build_report``'s ks, ns and epsilon from the eval section: non-empty lists of ints >= 1, a real number."""
+    ev = cfg["eval"]
+    depths = {}
+    for name in ("ks", "ns"):
+        value = ev[name]
+        if not (isinstance(value, list) and value and all(type(v) is int and v >= 1 for v in value)):
+            raise ParseError(f"eval.{name} must be a non-empty list of integers >= 1, got {value!r}",
+                             field=f"eval.{name}")
+        depths[name] = tuple(value)
+    return {**depths, "epsilon": _real(ev, "epsilon", "eval")}
+
+
 def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, dict]:
     """Train from scratch on the given records; returns (state, history)."""
+    if not records:
+        raise DimMismatch("run_training needs at least one record; the training split is empty")
     model = cfg.model
     weights = cfg.loss
     train = cfg["train"]
     seed, epochs, decay_epoch = (_whole(train, k) for k in ("seed", "epochs", "decay_epoch"))
     batch_size = _whole(train, "batch_size", least=1)
+    lr, decay_factor = (_real(train, k) for k in ("lr", "decay_factor"))
     state = init_state(model, seed=seed, dtype=cfg.dtype)
     examples = prepare_examples(records, model, cfg.mcab, cfg.dtype)
     rng = np.random.default_rng([seed, 1])
     optimizer = Adam() if train["optimizer"] == "adam" else None
     if train["optimizer"] not in ("sgd", "adam"):
         raise ParseError(f"optimizer {train['optimizer']!r} not one of sgd/adam", field="train.optimizer")
-    lr = float(train["lr"])
     step_losses: list[float] = []
     epoch_losses: list[float] = []
     started = time.perf_counter()
     for epoch in range(epochs):
         if epoch == decay_epoch:
-            lr *= float(train["decay_factor"])
+            lr *= decay_factor
         order = rng.permutation(len(examples))
         epoch_sum = 0.0
         for at in range(0, len(order), batch_size):
@@ -260,20 +284,6 @@ def evaluate_model(state: ModelState, records, mode: str, dtype) -> list[EvalExa
     return examples
 
 
-def random_ranking_baseline(examples, seed: int) -> list[EvalExample]:
-    """Same predicted boxes, scores replaced by a random permutation ranking."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for ex in examples:
-        n = len(ex.predictions)
-        ranks = rng.permutation(n)
-        preds = tuple(
-            Prediction(box=p.box, score=(float(ranks[i]) + 0.5) / n) for i, p in enumerate(ex.predictions)
-        )
-        out.append(EvalExample(predictions=preds, ground_truths=ex.ground_truths))
-    return out
-
-
 # -- commands -----------------------------------------------------------------------
 
 
@@ -310,12 +320,12 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str, quiet: bool = False)
 
 
 def cmd_eval(cfg: RunConfig, checkpoint_dir: str, data_path: str, out_dir: str | None) -> MetricsReport:
+    report_args = _report_args(cfg)
     state, extra = load_checkpoint(checkpoint_dir)
     mode = extra.get("mcab", cfg.mcab)
     records = load_dataset(data_path)
     examples = evaluate_model(state, records, mode, state.dtype)
-    ev = cfg["eval"]
-    report = build_report(examples, ks=tuple(ev["ks"]), ns=tuple(ev["ns"]), epsilon=float(ev["epsilon"]))
+    report = build_report(examples, **report_args)
     table = render_table([(f"mcab={mode}", report)])
     if out_dir is not None:
         out = Path(out_dir)
@@ -335,7 +345,9 @@ def cmd_fuse(cam_paths, probs_path: str, mode: str, grid_h: int, grid_w: int,
         raise ParseError(f"probabilities file not found: {probs_path}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"probabilities file is not valid JSON: {e.msg}") from e
-    probs = ClassProbabilities(values=tuple(float(v) for v in probs_raw))
+    if not isinstance(probs_raw, list):
+        raise ParseError(f"probabilities must be a JSON list, got {type(probs_raw).__name__}", field="probs")
+    probs = ClassProbabilities(values=tuple(_number(v, "probs") for v in probs_raw))
     fused = fuse_cams(cams, probs, mode)
     pooled = resample_to_grid(fused, grid_h, grid_w)
     prior = make_prior(pooled, epsilon_b)
@@ -365,9 +377,9 @@ def cmd_gradcheck(seeds: int, tol: float, scenarios=None) -> bool:
 def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
                modes=MCAB_MODES, depths=(1, 2), quiet: bool = False) -> dict:
     """Train the {mode} x {depth} grid and tabulate ranking accuracy."""
+    report_args = _report_args(cfg)
     train_records = load_dataset(train_path)
     val_records = load_dataset(val_path)
-    ev = cfg["eval"]
     rows = []
     results = {}
     for depth in depths:
@@ -380,7 +392,7 @@ def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
                 print(f"training {label} ...")
             state, _ = run_training(variant, train_records)
             examples = evaluate_model(state, val_records, mode, state.dtype)
-            report = build_report(examples, ks=tuple(ev["ks"]), ns=tuple(ev["ns"]), epsilon=float(ev["epsilon"]))
+            report = build_report(examples, **report_args)
             rows.append((label, report))
             results[label] = {
                 "acc_1_5": report.acc[5][1],
@@ -391,7 +403,7 @@ def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
     table = render_table(rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablate.json").write_text(json.dumps({"epsilon": float(ev["epsilon"]), "runs": results},
+    (out / "ablate.json").write_text(json.dumps({"epsilon": report_args["epsilon"], "runs": results},
                                                 indent=2, sort_keys=True))
     (out / "ablate.txt").write_text(table + "\n")
     print(table)

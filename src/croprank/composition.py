@@ -95,11 +95,7 @@ class ClassProbabilities:
 
     def argmax(self) -> int:
         """Index of the largest probability; ties go to the lowest index."""
-        best = 0
-        for i, v in enumerate(self.values):
-            if v > self.values[best]:
-                best = i
-        return best
+        return int(np.argmax(self.values))
 
 
 @dataclass(frozen=True)
@@ -128,29 +124,6 @@ class CompositionPrior:
     def flat_log_bias(self, dtype) -> np.ndarray:
         """(1, grid_h * grid_w) row for adding onto attention logits."""
         return self.log_bias.reshape(1, -1).astype(dtype)
-
-
-def uniform_prior(grid_h: int, grid_w: int) -> CompositionPrior:
-    """A bias of all ones: log 0 everywhere, attention left untouched."""
-    if grid_h < 1 or grid_w < 1:
-        raise BadGrid(f"grid ({grid_h}, {grid_w}) must be positive")
-    return CompositionPrior(bias=np.ones((grid_h, grid_w), dtype=np.float64))
-
-
-def compute_cam(features: np.ndarray, grads: np.ndarray) -> ActivationMap:
-    """Gradient-weighted activation map from a conv block.
-
-    Channel weights are the spatial means of the class gradient; the
-    weighted feature sum is rectified, then min-max normalized (all
-    ones if constant).
-    """
-    if features.ndim != 3 or grads.ndim != 3:
-        raise DimMismatch("compute_cam expects rank-3 (channels, h, w) arrays")
-    if features.shape != grads.shape:
-        raise DimMismatch(f"features {features.shape} and grads {grads.shape} differ")
-    alpha = grads.mean(axis=(1, 2))
-    raw = np.maximum(np.tensordot(alpha, features, axes=(0, 0)), 0.0)
-    return ActivationMap(values=normalize01(raw))
 
 
 def fuse_cams(cams, probs: ClassProbabilities, mode: str) -> ActivationMap:

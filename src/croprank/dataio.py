@@ -115,9 +115,10 @@ class DatasetRecord:
         return os.path.join(self.base_dir, rel)
 
     def load_image(self) -> np.ndarray:
+        """The image as a read-only view of the file's bytes: a caller's ``astype`` is the one copy."""
         if self.image_path is None:
             raise MissingFile(f"record {self.id!r} has no image tensor")
-        arr = read_tensor(self._resolve(self.image_path)).data
+        arr = _read_aesc(self._resolve(self.image_path))[1]
         if arr.shape != (self.channels, self.height, self.width):
             raise BadShape(f"record {self.id!r}: image shape {arr.shape} != declared "
                            f"({self.channels}, {self.height}, {self.width})")
@@ -131,8 +132,8 @@ class DatasetRecord:
         return [ActivationMap(values=_read_aesc(self._resolve(p))[1].astype(np.float64)) for p in self.cam_paths]
 
 
-def _number(val, key: str, line_no: int) -> float:
-    """A JSON number as a float; a string, null or bool is a ParseError naming the line and the field."""
+def _number(val, key: str, line_no: int | None = None) -> float:
+    """A JSON number as a float; a string, null or bool is a ParseError naming the line, if any, and the field."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseError(f"field {key!r} must be a number, got {type(val).__name__}", line=line_no, field=key)
     return float(val)
@@ -434,9 +435,8 @@ def generate_synthetic(
     cam_h: int = 32,
     cam_w: int = 32,
     n_candidates: int = 24,
-    prefix: str = "scene",
 ) -> list[DatasetRecord]:
-    """Write a complete synthetic dataset and return its loaded records.
+    """Write a complete synthetic dataset and return its records, equal to what ``load_dataset`` reads back.
 
     Layout: out_dir/data.jsonl plus images/ and cams/ with AESC files
     (float32). The same seed reproduces the same bytes.
@@ -456,7 +456,7 @@ def generate_synthetic(
             cam_w=cam_w,
             n_candidates=n_candidates,
         )
-        rec_id = f"{prefix}_{i:04d}"
+        rec_id = f"scene_{i:04d}"
         image_rel = f"images/{rec_id}.aesc"
         write_tensor(out / image_rel, scene.image.astype(np.float32))
         cam_rels = []
@@ -479,7 +479,7 @@ def generate_synthetic(
             )
         )
     save_dataset(rows, out / "data.jsonl")
-    return load_dataset(out / "data.jsonl")
+    return rows
 
 
 # -- checkpoints ------------------------------------------------------------------

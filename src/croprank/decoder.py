@@ -28,10 +28,22 @@ import numpy as np
 from . import tensor as T
 from .composition import CompositionPrior, biased_cross_attention
 from .errors import BadShape, Degenerate, DimMismatch, NonFinite, ParseError
-from .geometry import CropBox
+from .geometry import MIN_EXTENT, CropBox
 from .tensor import Tensor
 
-MIN_PREDICTED_EXTENT = 1e-6
+
+def _check_types(config, section: str) -> None:
+    """Every field of a config dataclass holds its declared kind: an int, or for a float field an int or a float.
+
+    A bool is neither. The first field that does not is a ``ParseError``
+    naming the config ``section``.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = (int, float) if f.type == "float" else int
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "a real number" if f.type == "float" else "an integer"
+            raise ParseError(f"{f.name} must be {noun}, got {value!r}", field=section)
 
 
 @dataclass(frozen=True)
@@ -51,12 +63,7 @@ class ModelConfig:
     image_w: int = 64
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = (int, float) if f.type == "float" else int
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "a real number" if f.type == "float" else "an integer"
-                raise ParseError(f"{f.name} must be {noun}, got {value!r}", field="model")
+        _check_types(self, "model")
         if self.n_queries < 1:
             raise DimMismatch(f"n_queries must be >= 1, got {self.n_queries}")
         # n_layers == 0 is a degenerate configuration allowed for tests;
@@ -133,7 +140,7 @@ class HeadOutputs:
 
 
 # per-field bounds of a box row (cx, cy, w, h), in float64 so that float32 rows compare as the floats they hold
-_BOX_LOWER = np.array([0.0, 0.0, MIN_PREDICTED_EXTENT, MIN_PREDICTED_EXTENT])
+_BOX_LOWER = np.array([0.0, 0.0, MIN_EXTENT, MIN_EXTENT])
 _BOX_UPPER = np.ones(4)
 
 
@@ -142,7 +149,7 @@ def check_heads(boxes: np.ndarray, scores: np.ndarray) -> None:
 
     ``boxes`` is (N, 4) or (B, N, 4) and ``scores`` (N, 1) or (B, N, 1).
     The rules are those of ``Prediction`` and ``CropBox``, plus the
-    ``MIN_PREDICTED_EXTENT`` floor on w and h. The first bad row, in
+    ``MIN_EXTENT`` floor on w and h. The first bad row, in
     image then row order, raises: ``NonFinite`` when a field is NaN or
     infinite, else ``Degenerate``. The message names the row, and the
     image when there is a leading axis.
@@ -157,7 +164,7 @@ def check_heads(boxes: np.ndarray, scores: np.ndarray) -> None:
     (cx, cy, w, h), score = rows[first].tolist(), float(values[first])
     if not all(math.isfinite(v) for v in (cx, cy, w, h, score)):
         raise NonFinite(f"{where} has non-finite values: box ({cx}, {cy}, {w}, {h}), score {score}")
-    if w < MIN_PREDICTED_EXTENT or h < MIN_PREDICTED_EXTENT:
+    if w < MIN_EXTENT or h < MIN_EXTENT:
         raise Degenerate(f"{where} has near-zero extent ({w}, {h})")
     try:
         Prediction(box=CropBox(cx=cx, cy=cy, w=w, h=h), score=score)
@@ -255,20 +262,14 @@ def patch_matrix(image: np.ndarray, config: ModelConfig) -> np.ndarray:
     return np.ascontiguousarray(patches)
 
 
-def encode(image: np.ndarray | list, state: ModelState, add_position: bool = True) -> Tensor:
-    """Patch-embed an image into (n_cells, d) key/value memory; a list of images gives (B, n_cells, d).
-
-    ``add_position=False`` exposes the content embeddings alone (used
-    by permutation probes); normal forward passes keep the default.
-    """
+def encode(image: np.ndarray | list, state: ModelState) -> Tensor:
+    """Patch-embed an image into (n_cells, d) key/value memory; a list of images gives (B, n_cells, d)."""
     if isinstance(image, list):
         patches = np.stack([patch_matrix(np.asarray(im, dtype=state.dtype), state.config) for im in image])
     else:
         patches = patch_matrix(np.asarray(image, dtype=state.dtype), state.config)
     content = T.linear(T.constant(patches), state["enc.proj.w"], state["enc.proj.b"])
-    if not add_position:
-        return content
-    return T.add(content, T.constant(state.position.data))
+    return T.add(content, state.position)
 
 
 def _multi_head_attention(

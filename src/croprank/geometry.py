@@ -21,7 +21,7 @@ from . import tensor as T
 from .errors import Degenerate, DimMismatch, OutOfRange
 from .tensor import Tensor
 
-# floor applied to w/h before corners are derived, in both paths
+# floor applied to w/h before corners are derived, in both paths; also the least extent of a predicted box
 MIN_EXTENT = 1e-6
 
 
@@ -57,15 +57,6 @@ class ScoredCrop:
     def __post_init__(self):
         if not (math.isfinite(self.mos) and 1.0 <= self.mos <= 5.0):
             raise OutOfRange(f"mos {self.mos} outside [1, 5]")
-
-
-def to_corners(box: CropBox) -> tuple[float, float, float, float]:
-    """(x1, y1, x2, y2), clamped to the unit square."""
-    x1 = min(max(box.cx - box.w / 2.0, 0.0), 1.0)
-    y1 = min(max(box.cy - box.h / 2.0, 0.0), 1.0)
-    x2 = min(max(box.cx + box.w / 2.0, 0.0), 1.0)
-    y2 = min(max(box.cy + box.h / 2.0, 0.0), 1.0)
-    return x1, y1, x2, y2
 
 
 def from_corners(x1: float, y1: float, x2: float, y2: float) -> CropBox:
@@ -127,19 +118,6 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     eh = np.maximum(ay2[..., None], by2[..., None, :]) - np.minimum(ay1[..., None], by1[..., None, :])
     enclose = ew * eh
     return inter / union - (enclose - union) / enclose
-
-
-def iou(a: CropBox, b: CropBox) -> float:
-    return float(iou_matrix(a.as_array()[None, :], b.as_array()[None, :])[0, 0])
-
-
-def giou(a: CropBox, b: CropBox) -> float:
-    return float(giou_matrix(a.as_array()[None, :], b.as_array()[None, :])[0, 0])
-
-
-def l1_box(a: CropBox, b: CropBox) -> float:
-    """L1 distance on the (cx, cy, w, h) parameterization itself."""
-    return abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
 
 
 # -- differentiable pairs (row i of a vs row i of b) ----------------------------

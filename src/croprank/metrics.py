@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoder import Prediction
 from .errors import DimMismatch, EmptySK, KTooLarge, NTooLarge, OutOfRange
-from .geometry import ScoredCrop, iou_matrix
+from .geometry import ScoredCrop, boxes_array, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,10 @@ class EvalExample:
             raise DimMismatch("EvalExample needs at least one prediction")
 
 
-def _top_rows(items, key, depth: int) -> list:
-    """(cx, cy, w, h) of the ``depth`` items of highest ``key``; the stable argsort breaks ties by index."""
+def _top_rows(items, key, depth: int) -> np.ndarray:
+    """(depth, 4) boxes of the ``depth`` items of highest ``key``; the stable argsort breaks ties by index."""
     order = np.argsort([-key(x) for x in items], kind="stable")[:depth]
-    return [(items[i].box.cx, items[i].box.cy, items[i].box.w, items[i].box.h) for i in order]
-
-
-def acc_k_n(examples, k: int, n: int, epsilon: float) -> float:
-    """(1 / (T K)) sum_i sum_{j<=K} [ max_{g in S_i(N)} IoU(c_ij, g) >= eps ]."""
-    return build_report(examples, (k,), (n,), epsilon).acc[n][k]
-
-
-def acc_bar_n(examples, s_k, n: int, epsilon: float) -> float:
-    """Mean of acc_k_n over K in s_k (default reporting uses {1,2,3,4})."""
-    return build_report(examples, s_k, (n,), epsilon).acc_bar[n]
+    return boxes_array([items[i].box for i in order])
 
 
 @dataclass(frozen=True)
@@ -74,11 +64,11 @@ def build_report(examples, ks=(1, 2, 3, 4), ns=(5, 10), epsilon: float = 0.90) -
     if not ns:
         return MetricsReport(epsilon=epsilon, n_examples=len(examples), acc={}, acc_bar={}, flagged=flagged)
     if not ks:
-        raise EmptySK("acc_bar_n: S_K is empty")
+        raise EmptySK("build_report: S_K is empty")
     if not (0.0 <= epsilon <= 1.0):
         raise OutOfRange(f"epsilon {epsilon} outside [0, 1]")
     if not examples:
-        raise DimMismatch("acc_k_n needs at least one example")
+        raise DimMismatch("build_report needs at least one example")
     for n, k, ex in product(ns, ks, examples):  # the first bad (N, K) pair raises, at its first bad example
         if ex.flagged is None and not 1 <= k <= len(ex.predictions):
             raise KTooLarge(f"K={k} outside [1, {len(ex.predictions)}]")

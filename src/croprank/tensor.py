@@ -159,12 +159,10 @@ def parameter(data: Array, grad: Array) -> Tensor:
     return t
 
 
-def constant(data, dtype=None) -> Tensor:
-    """Wrap values as a non-trainable tensor, inheriting dtype unless given."""
+def constant(data) -> Tensor:
+    """Wrap values as a non-trainable tensor of their own dtype (f32 or f64; anything else becomes f64)."""
     arr = np.asarray(data)
-    if dtype is None:
-        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
-    return Tensor(arr, dtype=dtype, requires_grad=False)
+    return Tensor(arr, dtype=arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64)
 
 
 # -- shape/dtype guards --------------------------------------------------------
@@ -716,10 +714,9 @@ class Adam:
     Python float so that f32 arrays stay f32 throughout.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: Array | None = None
         self.v: Array | None = None

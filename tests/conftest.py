@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from croprank.decoder import Prediction
-from croprank.geometry import CropBox, ScoredCrop
+from croprank.geometry import CropBox, ScoredCrop, _corners_np, giou_matrix, iou_matrix
 from croprank.metrics import EvalExample
 
 
@@ -71,6 +71,40 @@ def random_eval_example(rng: np.random.Generator, n_preds: int, n_gts: int) -> E
     )
     gts = tuple(random_scored_crop(rng) for _ in range(n_gts))
     return EvalExample(predictions=preds, ground_truths=gts)
+
+
+def box_iou(a: CropBox, b: CropBox) -> float:
+    """IoU of two boxes: ``iou_matrix`` on one-row arrays."""
+    return float(iou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
+
+
+def box_giou(a: CropBox, b: CropBox) -> float:
+    """Generalized IoU of two boxes: ``giou_matrix`` on one-row arrays."""
+    return float(giou_matrix(a.as_array()[None], b.as_array()[None])[0, 0])
+
+
+def box_corners(box: CropBox) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) of a box by ``geometry._corners_np``, the numpy path's corner rule."""
+    return tuple(map(float, _corners_np(box.as_array())))
+
+
+def l1_box(a: CropBox, b: CropBox) -> float:
+    """L1 distance on the (cx, cy, w, h) parameterization itself (independent oracle)."""
+    return abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+
+
+def random_ranking_baseline(examples, seed: int) -> list[EvalExample]:
+    """Same predicted boxes, scores replaced by a random permutation ranking (criterion 7's baseline)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ex in examples:
+        n = len(ex.predictions)
+        ranks = rng.permutation(n)
+        preds = tuple(
+            Prediction(box=p.box, score=(float(ranks[i]) + 0.5) / n) for i, p in enumerate(ex.predictions)
+        )
+        out.append(EvalExample(predictions=preds, ground_truths=ex.ground_truths))
+    return out
 
 
 def naive_iou(a: CropBox, b: CropBox) -> float:

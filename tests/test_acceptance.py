@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from croprank.assignment import hungarian
-from croprank.cli import random_ranking_baseline, resolve_config, run_training
+from croprank.cli import resolve_config, run_training
 from croprank.cli import evaluate_model
-from croprank.composition import CompositionPrior, uniform_prior
+from croprank.composition import CompositionPrior
 from croprank.dataio import (
     generate_synthetic,
     load_dataset,
@@ -27,11 +27,19 @@ from croprank.dataio import (
 from croprank.decoder import ModelConfig, forward_train, init_state
 from croprank.digest import gradcheck_sha256
 from croprank.errors import BadMagic, BadVersion, TruncatedPayload
-from croprank.geometry import from_corners, giou, iou, to_corners
+from croprank.geometry import from_corners
 from croprank.gradcheck import run_all
-from croprank.metrics import acc_bar_n, acc_k_n
+from croprank.metrics import build_report
 
-from conftest import blas_key, interior_box, random_eval_example
+from conftest import (
+    blas_key,
+    box_corners,
+    box_giou,
+    box_iou,
+    interior_box,
+    random_eval_example,
+    random_ranking_baseline,
+)
 
 EPSILON_ACC = 0.65  # hit threshold used by the end-to-end ranking checks
 TRAIN_SEED_DATA = 7
@@ -73,7 +81,7 @@ def _train_cell(mode: str, depth: int, train_records, val_records):
     return {
         "history": history,
         "examples": examples,
-        "acc": acc_k_n(examples, 1, 5, EPSILON_ACC),
+        "acc": build_report(examples, (1,), (5,), EPSILON_ACC).acc[5][1],
     }
 
 
@@ -139,7 +147,7 @@ class TestAcceptance:
             rng = np.random.default_rng(330 + trial)
             image = rng.uniform(size=(cfg.in_channels, cfg.image_h, cfg.image_w))
             plain = forward_train(image, None, state)
-            uniform = forward_train(image, uniform_prior(cfg.grid_h, cfg.grid_w), state)
+            uniform = forward_train(image, CompositionPrior(bias=np.ones((cfg.grid_h, cfg.grid_w))), state)
             worst = max(
                 worst,
                 float(np.max(np.abs(plain.boxes.data - uniform.boxes.data))),
@@ -163,7 +171,8 @@ class TestAcceptance:
             planted_attn: list = []
             uniform_attn: list = []
             forward_train(image, prior, state, attention_out=planted_attn)
-            forward_train(image, uniform_prior(cfg.grid_h, cfg.grid_w), state, attention_out=uniform_attn)
+            uniform = CompositionPrior(bias=np.ones((cfg.grid_h, cfg.grid_w)))
+            forward_train(image, uniform, state, attention_out=uniform_attn)
             mass_planted = np.mean([w[:, :, subset].sum(axis=2).mean() for w in planted_attn])
             mass_uniform = np.mean([w[:, :, subset].sum(axis=2).mean() for w in uniform_attn])
             if mass_planted > mass_uniform:
@@ -181,7 +190,7 @@ class TestAcceptance:
                 top_p = sorted(range(len(ex.predictions)), key=lambda i: (-ex.predictions[i].score, i))[:k]
                 top_g = sorted(range(len(ex.ground_truths)), key=lambda j: (-ex.ground_truths[j].mos, j))[:n]
                 for i in top_p:
-                    best = max(iou(ex.predictions[i].box, ex.ground_truths[j].box) for j in top_g)
+                    best = max(box_iou(ex.predictions[i].box, ex.ground_truths[j].box) for j in top_g)
                     if best >= eps:
                         hits += 1
             return hits / (len(examples) * k)
@@ -195,14 +204,15 @@ class TestAcceptance:
             k = int(rng.integers(1, 5))
             n = int(rng.integers(1, 6))
             for eps in (0.0, 0.5, 0.90):
-                if acc_k_n(examples, k, n, eps) != naive(examples, k, n, eps):
+                if build_report(examples, (k,), (n,), eps).acc[n][k] != naive(examples, k, n, eps):
                     mismatches += 1
             ks = (1, 2, 3)
             expect_bar = sum(naive(examples, kk, n, 0.5) for kk in ks) / len(ks)
-            if acc_bar_n(examples, ks, n, 0.5) != expect_bar:
+            if build_report(examples, ks, (n,), 0.5).acc_bar[n] != expect_bar:
                 mismatches += 1
         ok = mismatches == 0
-        _report(5, ok, f"acc_k_n / acc_bar_n equal the double-loop oracle on 100 eval sets ({mismatches} mismatches)")
+        _report(5, ok, f"build_report's acc / acc_bar equal the double-loop oracle on 100 eval sets "
+                       f"({mismatches} mismatches)")
         assert ok
 
     def test_criterion_6_geometry_properties(self):
@@ -211,22 +221,22 @@ class TestAcceptance:
         for _ in range(10_000):
             a = interior_box(rng)
             b = interior_box(rng)
-            i = iou(a, b)
-            g = giou(a, b)
+            i = box_iou(a, b)
+            g = box_giou(a, b)
             assert 0.0 <= i <= 1.0
             assert -1.0 <= g <= 1.0
             assert g <= i + 1e-9
-            worst_sym = max(worst_sym, abs(i - iou(b, a)), abs(g - giou(b, a)))
-            ax1, ay1, ax2, ay2 = to_corners(a)
-            bx1, by1, bx2, by2 = to_corners(b)
+            worst_sym = max(worst_sym, abs(i - box_iou(b, a)), abs(g - box_giou(b, a)))
+            ax1, ay1, ax2, ay2 = box_corners(a)
+            bx1, by1, bx2, by2 = box_corners(b)
             room_x = min(ax1, bx1, 1.0 - ax2, 1.0 - bx2)
             room_y = min(ay1, by1, 1.0 - ay2, 1.0 - by2)
             dx = float(rng.uniform(-room_x, room_x))
             dy = float(rng.uniform(-room_y, room_y))
             a2 = from_corners(ax1 + dx, ay1 + dy, ax2 + dx, ay2 + dy)
             b2 = from_corners(bx1 + dx, by1 + dy, bx2 + dx, by2 + dy)
-            worst_trans = max(worst_trans, abs(iou(a2, b2) - i), abs(giou(a2, b2) - g))
-            back = from_corners(*to_corners(a))
+            worst_trans = max(worst_trans, abs(box_iou(a2, b2) - i), abs(box_giou(a2, b2) - g))
+            back = from_corners(*box_corners(a))
             worst_round = max(
                 worst_round,
                 abs(back.cx - a.cx), abs(back.cy - a.cy), abs(back.w - a.w), abs(back.h - a.h),
@@ -241,7 +251,8 @@ class TestAcceptance:
         steps = cell["history"]["step_losses"]
         ratio = float(np.mean(steps[-10:])) / steps[9]
         acc = cell["acc"]
-        baseline = acc_k_n(random_ranking_baseline(cell["examples"], seed=123), 1, 5, EPSILON_ACC)
+        random_examples = random_ranking_baseline(cell["examples"], seed=123)
+        baseline = build_report(random_examples, (1,), (5,), EPSILON_ACC).acc[5][1]
         wall = cell["history"]["wall_seconds"]
         ok = ratio <= 0.5 and baseline > 0.0 and acc >= 3.0 * baseline and wall < 600.0
         _report(7, ok, f"loss ratio {ratio:.3f} (<= 0.5), Acc_1/5 {acc:.3f} vs random {baseline:.3f} "

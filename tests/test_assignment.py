@@ -16,12 +16,13 @@ from croprank.assignment import (
     Assignment,
     LossWeights,
     TrainExample,
+    _cost_stack,
+    _crop_arrays,
     _focal_np,
     _match,
     _shortest_paths,
     assign,
     assign_batch,
-    cost_matrices,
     focal_terms,
     hungarian,
     train_step,
@@ -44,15 +45,14 @@ from croprank.geometry import (
     CropBox,
     ScoredCrop,
     boxes_array,
-    giou,
     giou_matrix,
     giou_pairs,
-    iou,
     iou_matrix,
-    l1_box,
     l1_pairs,
 )
 from croprank.tensor import Tensor
+
+from conftest import box_giou, box_iou, l1_box
 
 W = LossWeights()
 
@@ -298,9 +298,14 @@ class TestFocal:
         np.testing.assert_allclose(_focal_values(v_hat, v), _focal_np(v_hat, v, 2.0)[:, 0], rtol=0, atol=1e-12)
 
 
+def cost_stack(boxes, scores, targets: list[list[ScoredCrop]], w: LossWeights) -> np.ndarray:
+    """``_cost_stack`` of (B, N, 4) boxes and (B, N) scores against one list of good crops per image."""
+    return _cost_stack(boxes, scores, *_crop_arrays(targets), w)
+
+
 def _one_entry(box, score, targets):
     """The (1, 1) cost matrix of one prediction against its targets (none, or one good crop)."""
-    return cost_matrices(np.array([[box]]), np.array([[score]]), [targets], W)[0, 0, 0]
+    return cost_stack(np.array([[box]]), np.array([[score]]), [targets], W)[0, 0, 0]
 
 
 class TestMatchCost:
@@ -314,7 +319,7 @@ class TestMatchCost:
         target = _crop(0.55, 0.5, 0.35, 0.3, 4.2)
         expected = (
             l1_box(box, target.box)
-            + W.giou_weight * (1.0 - giou(box, target.box))
+            + W.giou_weight * (1.0 - box_giou(box, target.box))
             + W.focal_weight * float(_focal_np(score, normalize_mos(target.mos), W.focal_gamma))
         )
         assert _one_entry([box.cx, box.cy, box.w, box.h], score, [target]) == pytest.approx(expected, abs=1e-15)
@@ -338,7 +343,7 @@ class TestCostMatrix:
         boxes = np.column_stack([rng.uniform(0.3, 0.6, size=(4, 2)), np.full((4, 2), 0.2)])
         scores = rng.uniform(0.1, 0.9, size=4)
         good = [_crop(0.5, 0.5, 0.3, 0.3, 4.5)]
-        costs = cost_matrices(boxes[None], scores[None], [good], W)[0]
+        costs = cost_stack(boxes[None], scores[None], [good], W)[0]
         assert costs.shape == (4, 4)
         for i in range(4):
             assert costs[i, 0] == pytest.approx(_one_entry(boxes[i], scores[i], good), abs=1e-12)
@@ -348,7 +353,7 @@ class TestCostMatrix:
     def test_more_targets_than_predictions(self):
         good = [_crop(0.5, 0.5, 0.3, 0.3, 4.5), _crop(0.4, 0.4, 0.3, 0.3, 4.5)]
         with pytest.raises(CardinalityMismatch):
-            cost_matrices(np.array([[[0.5, 0.5, 0.2, 0.2]]]), np.array([[0.5]]), [good], W)
+            cost_stack(np.array([[[0.5, 0.5, 0.2, 0.2]]]), np.array([[0.5]]), [good], W)
 
 
 def _tie_heavy_matrices() -> list[np.ndarray]:
@@ -386,7 +391,7 @@ class TestHungarian:
                 cases.append(rng.integers(0, 4, size=(n, n)).astype(np.float64))  # many ties
             else:
                 cases.append(rng.uniform(size=(n, n)))
-        # the last k columns identical, as the padding of cost_matrices
+        # the last k columns identical, as the padding of _cost_stack
         draws = (
             lambda size: rng.integers(0, 4, size=size).astype(np.float64),  # integer ties
             lambda size: rng.uniform(size=size),
@@ -426,7 +431,7 @@ class TestHungarian:
         for mode in ("average", "off"):
             boxes, scores = _desk_heads(desk_records, mode, np.float64)
             crops = _desk_crops(desk_records)
-            cases.extend(cost_matrices(boxes, scores[:, :, 0], [[c for c in gts if c.mos >= 4.0] for gts in crops], W))
+            cases.extend(cost_stack(boxes, scores[:, :, 0], [[c for c in gts if c.mos >= 4.0] for gts in crops], W))
         with_accepted = 0
         for cost in cases:
             accepted = []
@@ -508,7 +513,7 @@ class TestHungarianBatch:
     def test_batch_of_one_and_bad_input(self, desk_records):
         boxes, scores = _desk_heads(desk_records[:3], "average", np.float64)
         goods = [[c for c in gts if c.mos >= 4.0] for gts in _desk_crops(desk_records[:3])]
-        stack = cost_matrices(boxes, scores[:, :, 0], goods, W)
+        stack = cost_stack(boxes, scores[:, :, 0], goods, W)
         assert stack.shape == (3, 16, 16)
         for cost in stack:
             self._assert_per_image(cost[None])
@@ -562,7 +567,7 @@ class TestAssign:
     def test_soft_score_scales_with_overlap(self):
         gt_box = CropBox(0.5, 0.5, 0.4, 0.4)
         shifted = CropBox(0.51, 0.5, 0.4, 0.4)
-        overlap = iou(shifted, gt_box)
+        overlap = box_iou(shifted, gt_box)
         assert overlap >= W.soft_iou_threshold
         a = assign([Prediction(box=shifted, score=0.4)], [ScoredCrop(box=gt_box, mos=3.5)], W)
         assert a.roles[0] == SOFT
@@ -600,7 +605,7 @@ class TestAssign:
                     continue
                 best_j, best_iou = None, 0.0
                 for j, c in enumerate(crops):
-                    o = iou(preds[i].box, c.box)
+                    o = box_iou(preds[i].box, c.box)
                     if o > best_iou:
                         best_j, best_iou = j, o
                 if best_iou >= W.soft_iou_threshold:
@@ -652,7 +657,7 @@ class TestTrainingLoss:
                 if role == MATCHED:
                     pb = CropBox(*boxes[i])
                     crop = crops[a.good_indices[a.perm[i]]]
-                    expected += l1_box(pb, crop.box) + W.giou_weight * (1.0 - giou(pb, crop.box))
+                    expected += l1_box(pb, crop.box) + W.giou_weight * (1.0 - box_giou(pb, crop.box))
                     target = normalize_mos(crop.mos)
                 else:
                     target = float(a.score[i]) if role == SOFT else 0.0
@@ -952,7 +957,7 @@ class TestAssignBatch:
         for rows in (list(range(size)), list(range(16 - size, 16))[::-1]):
             got = assign_batch(boxes[rows], scores[rows], [crops[k] for k in rows], W)
             goods = [[c for c in crops[k] if c.mos >= 4.0] for k in rows]
-            costs = cost_matrices(boxes[rows].astype(np.float64), scores[rows, :, 0].astype(np.float64), goods, W)
+            costs = cost_stack(boxes[rows].astype(np.float64), scores[rows, :, 0].astype(np.float64), goods, W)
             for e, k in enumerate(rows):
                 head = HeadOutputs(boxes=T.constant(boxes[k]), scores=T.constant(scores[k]))
                 ref, ref_costs = reference_assign(head.to_predictions(), crops[k], W)

@@ -15,7 +15,6 @@ from croprank.cli import (
     build_parser,
     evaluate_model,
     main,
-    random_ranking_baseline,
     resolve_config,
 )
 from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_checkpoint, write_tensor
@@ -25,7 +24,7 @@ from croprank.errors import Degenerate, DimMismatch, ParseError
 from croprank.gradcheck import CheckResult, toy_config
 from croprank.metrics import EvalExample, build_report
 
-from conftest import random_eval_example
+from conftest import random_eval_example, random_ranking_baseline
 
 # a configuration small enough that gen/train/eval finishes in seconds
 TINY_FLAGS = [
@@ -552,3 +551,76 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "parse_error"
         assert "n_queries" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A tiny generated dataset and a one-epoch checkpoint trained on its train split."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    assert main(["gen", "--out", str(root / "data"), "--data.seed", "3", *TINY_FLAGS]) == 0
+    assert main(["train", "--data", str(root / "data" / "train" / "data.jsonl"), "--out", str(root / "run"),
+                 "--quiet", "--epochs", "1", *TINY_FLAGS]) == 0
+    return root
+
+
+def _main_error(capsys, argv) -> dict:
+    """The error JSON of a ``main`` call that must exit 2."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    return json.loads(capsys.readouterr().err)
+
+
+class TestUntypedValues:
+    @pytest.mark.parametrize("doc, field", [
+        ({"train": {"lr": "x"}}, "train.lr"),
+        ({"train": {"lr": True}}, "train.lr"),
+        ({"train": {"decay_factor": "x", "decay_epoch": 0}}, "train.decay_factor"),
+        ({"loss": {"giou_weight": "0.4"}}, "giou_weight"),
+        ({"loss": {"focal_gamma": None}}, "focal_gamma"),
+    ], ids=["lr_string", "lr_bool", "decay_factor_string", "giou_weight_string", "focal_gamma_null"])
+    def test_a_mistyped_train_or_loss_value_exits_2_before_training(self, tiny_run, tmp_path, capsys, doc, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        err = _main_error(capsys, ["train", "--config", str(config), "--data",
+                                   str(tiny_run / "data" / "train" / "data.jsonl"), "--out", str(tmp_path / "run"),
+                                   "--quiet", "--epochs", "1", *TINY_FLAGS])
+        assert err["code"] == "parse_error" and field in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"eval": {"epsilon": "x"}}, "eval.epsilon"),
+        ({"eval": {"ks": [1.5]}}, "eval.ks"),
+        ({"eval": {"ks": "12"}}, "eval.ks"),
+        ({"eval": {"ks": [0, 1]}}, "eval.ks"),
+        ({"eval": {"ns": [True]}}, "eval.ns"),
+        ({"eval": {"ns": []}}, "eval.ns"),
+    ], ids=["epsilon_string", "ks_fraction", "ks_string", "ks_zero", "ns_bool", "ns_empty"])
+    def test_a_mistyped_eval_value_exits_2(self, tiny_run, tmp_path, capsys, doc, field):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        err = _main_error(capsys, ["eval", "--config", str(config), "--checkpoint", str(tiny_run / "run" / "checkpoint"),
+                                   "--data", str(tiny_run / "data" / "val" / "data.jsonl"), "--out",
+                                   str(tmp_path / "report"), *TINY_FLAGS])
+        assert err["code"] == "parse_error" and field in err["message"]
+        assert not (tmp_path / "report").exists()
+
+    def test_training_on_an_empty_split_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), *TINY_FLAGS, "--data.n_train", "0"]) == 0
+        assert load_dataset(data / "train" / "data.jsonl") == []
+        err = _main_error(capsys, ["train", "--data", str(data / "train" / "data.jsonl"), "--out",
+                                   str(tmp_path / "run"), "--quiet", "--epochs", "1", *TINY_FLAGS])
+        assert err["code"] == "dim_mismatch" and "empty" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("probs", [["x", *[1.0 / 8] * 8], {"a": 1}, [None] * 9], ids=["string", "object", "null"])
+    def test_non_numeric_fuse_probabilities_exit_2(self, tmp_path, capsys, probs):
+        cam_paths = []
+        for k in range(9):
+            write_tensor(tmp_path / f"cam{k}.aesc", np.full((8, 8), 0.5))
+            cam_paths.append(str(tmp_path / f"cam{k}.aesc"))
+        (tmp_path / "probs.json").write_text(json.dumps(probs))
+        err = _main_error(capsys, ["fuse", "--cams", *cam_paths, "--probs", str(tmp_path / "probs.json"),
+                                   "--grid-h", "4", "--grid-w", "4", "--out", str(tmp_path / "prior.aesc")])
+        assert err["code"] == "parse_error" and "probs" in err["message"]
+        assert not (tmp_path / "prior.aesc").exists()

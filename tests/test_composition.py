@@ -13,12 +13,10 @@ from croprank.composition import (
     ClassProbabilities,
     CompositionPrior,
     biased_cross_attention,
-    compute_cam,
     fuse_cams,
     make_prior,
     normalize01,
     resample_to_grid,
-    uniform_prior,
 )
 from croprank.errors import BadGrid, BadProbabilities, DimMismatch, DomainError
 from croprank.tensor import Tensor
@@ -82,46 +80,6 @@ class TestDomainTypes:
         assert np.array_equal(normalize01(np.array([[2.0, 2.0]])), np.ones((1, 2)))
         out = normalize01(np.array([[1.0, 3.0]]))
         assert np.array_equal(out, [[0.0, 1.0]])
-
-
-class TestComputeCam:
-    def test_constant_input_gives_all_ones(self):
-        feats = np.ones((1, 4, 4))
-        grads = np.ones((1, 4, 4))
-        assert np.array_equal(compute_cam(feats, grads).values, np.ones((4, 4)))
-
-    def test_negative_gradients_relu_kill_gives_all_ones(self):
-        rng = np.random.default_rng(0)
-        feats = rng.uniform(0.1, 1.0, size=(2, 4, 4))
-        grads = -rng.uniform(0.1, 1.0, size=(2, 4, 4))
-        assert np.array_equal(compute_cam(feats, grads).values, np.ones((4, 4)))
-
-    def test_two_channel_hand_case_vs_naive(self):
-        rng = np.random.default_rng(1)
-        feats = rng.normal(size=(2, 3, 3))
-        grads = rng.normal(size=(2, 3, 3))
-        # independent per-pixel computation
-        alpha = [grads[c].mean() for c in range(2)]
-        raw = np.zeros((3, 3))
-        for y in range(3):
-            for x in range(3):
-                raw[y, x] = max(alpha[0] * feats[0, y, x] + alpha[1] * feats[1, y, x], 0.0)
-        expected = (raw - raw.min()) / (raw.max() - raw.min())
-        np.testing.assert_allclose(compute_cam(feats, grads).values, expected, rtol=0, atol=1e-12)
-
-    def test_invariant_to_positive_gradient_rescale(self):
-        rng = np.random.default_rng(2)
-        feats = rng.normal(size=(3, 5, 5))
-        grads = rng.normal(size=(3, 5, 5))
-        base = compute_cam(feats, grads).values
-        scaled = compute_cam(feats, 37.5 * grads).values
-        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
-
-    def test_shape_checks(self):
-        with pytest.raises(DimMismatch):
-            compute_cam(np.zeros((4, 4)), np.zeros((4, 4)))
-        with pytest.raises(DimMismatch):
-            compute_cam(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
 
 
 class TestFuseCams:
@@ -273,11 +231,9 @@ class TestMakePrior:
             make_prior(amap, floor=1.0)
 
     def test_uniform_prior(self):
-        prior = uniform_prior(2, 3)
+        prior = CompositionPrior(bias=np.ones((2, 3)))
         assert prior.grid_h == 2 and prior.grid_w == 3
         assert np.array_equal(prior.log_bias, np.zeros((2, 3)))
-        with pytest.raises(BadGrid):
-            uniform_prior(0, 3)
 
 
 def _qkv(rng, n_q=3, n_k=4, d=5):
@@ -314,7 +270,7 @@ class TestBiasedAttention:
         rng = np.random.default_rng(11)
         q, k, v = _qkv(rng)
         base = biased_cross_attention(q, k, v, None).data
-        uniform = biased_cross_attention(q, k, v, uniform_prior(2, 2)).data
+        uniform = biased_cross_attention(q, k, v, CompositionPrior(bias=np.ones((2, 2)))).data
         assert np.max(np.abs(uniform - base)) <= 1e-12
 
     def test_rows_sum_to_one_under_any_prior(self):
@@ -368,7 +324,7 @@ class TestBiasedAttention:
         with pytest.raises(DimMismatch):
             biased_cross_attention(q, k, T.constant(rng.normal(size=(3, 5))), None)
         with pytest.raises(DimMismatch):
-            biased_cross_attention(q, k, v, uniform_prior(3, 3))
+            biased_cross_attention(q, k, v, CompositionPrior(bias=np.ones((3, 3))))
 
     def test_gradients_flow_through_bias_path(self):
         rng = np.random.default_rng(16)

@@ -33,9 +33,10 @@ from croprank.errors import (
     RangeError,
     TruncatedPayload,
 )
-from croprank.geometry import iou
 from croprank.gradcheck import toy_config
 from croprank.tensor import Tensor
+
+from conftest import box_iou
 
 
 def _valid_record(tmp_path, **overrides):
@@ -342,6 +343,28 @@ class TestSyntheticScenes:
             for cam in cams:
                 assert cam.values.shape == (16, 16)
 
+    def test_returns_the_records_it_wrote_without_reading_them_back(self, tmp_path, monkeypatch):
+        kw = dict(image_h=16, image_w=16, cam_h=8, cam_w=8, n_candidates=13)
+
+        def refuse(path):
+            raise AssertionError(f"generate_synthetic read {path} back")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "load_dataset", refuse)
+            records = generate_synthetic(7, 3, tmp_path / "ds", **kw)
+        assert records == load_dataset(tmp_path / "ds" / "data.jsonl")
+        assert [r.id for r in records] == ["scene_0000", "scene_0001", "scene_0002"]
+
+    def test_load_image_is_a_read_only_view_of_the_file(self, tmp_path):
+        rec = generate_synthetic(8, 1, tmp_path / "ds", image_h=16, image_w=16, cam_h=8, cam_w=8,
+                                 n_candidates=13)[0]
+        img = rec.load_image()
+        assert not img.flags.writeable and img.dtype == np.float32
+        stored = read_tensor(tmp_path / "ds" / rec.image_path).data
+        for dtype in (np.float32, np.float64):
+            converted = img.astype(dtype)
+            assert converted.flags.writeable and converted.tobytes() == stored.astype(dtype).tobytes()
+
     def test_scores_follow_the_overlap_oracle(self, tmp_path):
         records = generate_synthetic(6, 2, tmp_path / "ds", image_h=16, image_w=16, cam_h=8, cam_w=8)
         for rec in records:
@@ -350,7 +373,7 @@ class TestSyntheticScenes:
             planted = rec.crops[0].box
             assert rec.crops[0].mos == 5.0
             for crop in rec.crops:
-                expected = 1.0 + 4.0 * iou(crop.box, planted) ** 2
+                expected = 1.0 + 4.0 * box_iou(crop.box, planted) ** 2
                 assert crop.mos == pytest.approx(expected, abs=1e-9)
             assert sum(1 for c in rec.crops if c.mos >= 4.0) >= 1
 
@@ -366,7 +389,7 @@ class TestSyntheticScenes:
         assert scene.salient_mask.any()
         assert len(scene.decoys) == 3
         for d in scene.decoys:
-            assert iou(d, scene.planted) < 0.05
+            assert box_iou(d, scene.planted) < 0.05
         assert len(scene.cams) == 9
         assert abs(sum(scene.class_probs.values) - 1.0) < 1e-9
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from croprank import tensor as T
-from croprank.composition import ActivationMap, make_prior, uniform_prior
+from croprank.composition import ActivationMap, CompositionPrior, make_prior
 from croprank.decoder import (
     HeadOutputs,
     ModelConfig,
@@ -138,6 +138,11 @@ class TestEncode:
         out = encode(img, state)
         assert np.array_equal(out.data, state.position.data)
 
+    def test_adds_the_states_own_position_codes(self):
+        state = init_state(SMALL, seed=0)
+        out = encode(np.zeros((1, 8, 8)), state)
+        assert out._parents[1] is state.position
+
     def test_output_shape(self):
         state = init_state(SMALL, seed=0)
         out = encode(np.zeros((1, 8, 8)), state)
@@ -148,8 +153,9 @@ class TestEncode:
         rng = np.random.default_rng(3)
         pm = rng.uniform(size=(SMALL.n_cells, SMALL.patch_dim))
         perm = rng.permutation(SMALL.n_cells)
-        e1 = encode(_unpatch(pm, SMALL), state, add_position=False).data
-        e2 = encode(_unpatch(pm[perm], SMALL), state, add_position=False).data
+        # the content embeddings alone: the position codes taken off again
+        e1 = encode(_unpatch(pm, SMALL), state).data - state.position.data
+        e2 = encode(_unpatch(pm[perm], SMALL), state).data - state.position.data
         np.testing.assert_allclose(e2, e1[perm], rtol=0, atol=1e-12)
 
     def test_position_breaks_that_symmetry(self):
@@ -177,7 +183,7 @@ class TestDecode:
         state = init_state(SMALL, seed=7)
         memory = encode(np.random.default_rng(8).uniform(size=(1, 8, 8)), state)
         base = decode(memory, None, state).data
-        uni = decode(memory, uniform_prior(2, 2), state).data
+        uni = decode(memory, CompositionPrior(bias=np.ones((2, 2))), state).data
         assert np.max(np.abs(uni - base)) <= 1e-12
 
     def test_nonuniform_prior_changes_output(self):
@@ -208,7 +214,7 @@ class TestDecode:
         state = init_state(SMALL, seed=14)
         memory = encode(np.zeros((1, 8, 8)), state)
         with pytest.raises(DimMismatch):
-            decode(memory, uniform_prior(3, 3), state)
+            decode(memory, CompositionPrior(bias=np.ones((3, 3))), state)
 
 
 class TestHeads:
@@ -245,7 +251,7 @@ class TestCheckHeads:
         (0, -0.1, Degenerate),  # centre outside [0, 1]
         (1, 1.5, Degenerate),
         (2, 1.2, Degenerate),  # extent above 1
-        (3, 5e-7, Degenerate),  # extent below MIN_PREDICTED_EXTENT
+        (3, 5e-7, Degenerate),  # extent below MIN_EXTENT
         (4, 1.5, Degenerate),  # score outside [0, 1]
         (2, np.nan, NonFinite),
         (0, np.inf, NonFinite),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_iou, random_box
+from conftest import box_corners, box_giou, box_iou, l1_box, naive_iou, random_box
 from croprank import tensor as T
 from croprank.errors import Degenerate, DimMismatch, OutOfRange
 from croprank.geometry import (
@@ -14,14 +14,10 @@ from croprank.geometry import (
     ScoredCrop,
     boxes_array,
     from_corners,
-    giou,
     giou_matrix,
     giou_pairs,
-    iou,
     iou_matrix,
-    l1_box,
     l1_pairs,
-    to_corners,
 )
 from croprank.tensor import Tensor
 
@@ -61,14 +57,14 @@ class TestCropBoxValidation:
 
 class TestCornerConversion:
     def test_full_image_box(self):
-        assert to_corners(CropBox(0.5, 0.5, 1.0, 1.0)) == (0.0, 0.0, 1.0, 1.0)
+        assert box_corners(CropBox(0.5, 0.5, 1.0, 1.0)) == (0.0, 0.0, 1.0, 1.0)
 
     def test_quarter_box(self):
-        assert to_corners(CropBox(0.25, 0.25, 0.5, 0.5)) == (0.0, 0.0, 0.5, 0.5)
+        assert box_corners(CropBox(0.25, 0.25, 0.5, 0.5)) == (0.0, 0.0, 0.5, 0.5)
 
     def test_overhang_clamped_only_at_conversion(self):
         b = CropBox(cx=0.05, cy=0.5, w=0.3, h=0.4)
-        x1, y1, x2, y2 = to_corners(b)
+        x1, y1, x2, y2 = box_corners(b)
         assert x1 == 0.0 and x2 == pytest.approx(0.2)
         assert b.cx == 0.05 and b.w == 0.3  # stored fields untouched
 
@@ -87,7 +83,7 @@ class TestCornerConversion:
     def test_round_trip(self, quad):
         cx, cy, hw, hh = quad
         b = CropBox(cx=0.25 + cx, cy=0.25 + cy, w=hw, h=hh)
-        rb = from_corners(*to_corners(b))
+        rb = from_corners(*box_corners(b))
         for got, want in zip((rb.cx, rb.cy, rb.w, rb.h), (b.cx, b.cy, b.w, b.h)):
             assert abs(got - want) < 1e-12
 
@@ -124,17 +120,17 @@ class TestNumpyCorners:
 class TestIoU:
     def test_self_is_one(self):
         b = CropBox(0.4, 0.6, 0.3, 0.2)
-        assert iou(b, b) == pytest.approx(1.0, abs=1e-15)
+        assert box_iou(b, b) == pytest.approx(1.0, abs=1e-15)
 
     def test_disjoint_halves(self):
         left = from_corners(0.0, 0.0, 0.5, 1.0)
         right = from_corners(0.5, 0.0, 1.0, 1.0)
-        assert iou(left, right) == 0.0
+        assert box_iou(left, right) == 0.0
 
     def test_hand_oracle_one_seventh(self):
         a = from_corners(0.0, 0.0, 0.5, 0.5)
         b = from_corners(0.25, 0.25, 0.75, 0.75)
-        assert iou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-15)
+        assert box_iou(a, b) == pytest.approx(1.0 / 7.0, abs=1e-15)
 
     def test_matrix_matches_naive_scalar(self):
         rng = np.random.default_rng(10)
@@ -153,18 +149,18 @@ class TestIoU:
 class TestGIoU:
     def test_self_is_one(self):
         b = CropBox(0.4, 0.6, 0.3, 0.2)
-        assert giou(b, b) == pytest.approx(1.0, abs=1e-15)
+        assert box_giou(b, b) == pytest.approx(1.0, abs=1e-15)
 
     def test_adjacent_halves_is_zero(self):
         left = from_corners(0.0, 0.0, 0.5, 1.0)
         right = from_corners(0.5, 0.0, 1.0, 1.0)
         # enclosing box equals the union, so giou == iou == 0
-        assert giou(left, right) == pytest.approx(0.0, abs=1e-15)
+        assert box_giou(left, right) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_oracle_minus_half(self):
         a = from_corners(0.0, 0.0, 0.25, 1.0)
         b = from_corners(0.75, 0.0, 1.0, 1.0)
-        assert giou(a, b) == pytest.approx(-0.5, abs=1e-15)
+        assert box_giou(a, b) == pytest.approx(-0.5, abs=1e-15)
 
     def test_equals_iou_when_enclosing_equals_union(self):
         # dyadic corners keep the area arithmetic exact in floating point
@@ -174,7 +170,7 @@ class TestGIoU:
             (from_corners(0.25, 0.25, 0.75, 0.75), from_corners(0.0, 0.0, 1.0, 1.0)),
         ]
         for a, b in cases:
-            assert giou(a, b) == iou(a, b)
+            assert box_giou(a, b) == box_iou(a, b)
 
     def test_matrix_shape_check(self):
         with pytest.raises(DimMismatch):
@@ -183,26 +179,26 @@ class TestGIoU:
 
 class TestL1:
     def test_self_is_zero(self):
-        b = CropBox(0.4, 0.6, 0.3, 0.2)
-        assert l1_box(b, b) == 0.0
+        b = T.constant(boxes_array([CropBox(0.4, 0.6, 0.3, 0.2)]))
+        assert l1_pairs(b, b).item() == 0.0
 
     def test_uniform_offset(self):
-        a = CropBox(0.3, 0.3, 0.3, 0.3)
-        b = CropBox(0.4, 0.4, 0.4, 0.4)
-        assert l1_box(a, b) == pytest.approx(0.4, abs=1e-15)
+        a = T.constant(boxes_array([CropBox(0.3, 0.3, 0.3, 0.3)]))
+        b = T.constant(boxes_array([CropBox(0.4, 0.4, 0.4, 0.4)]))
+        assert l1_pairs(a, b).item() == pytest.approx(0.4, abs=1e-15)
 
 
 class TestPairProperties:
     @given(BOX, BOX)
     @settings(max_examples=300, deadline=None)
     def test_bounds_ordering_symmetry(self, a, b):
-        i = iou(a, b)
-        g = giou(a, b)
+        i = box_iou(a, b)
+        g = box_giou(a, b)
         assert 0.0 <= i <= 1.0
         assert -1.0 <= g <= 1.0
         assert g <= i + 1e-9
-        assert abs(iou(b, a) - i) <= 1e-12
-        assert abs(giou(b, a) - g) <= 1e-12
+        assert abs(box_iou(b, a) - i) <= 1e-12
+        assert abs(box_giou(b, a) - g) <= 1e-12
 
     @given(BOX, BOX, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
     @settings(max_examples=300, deadline=None)
@@ -217,8 +213,8 @@ class TestPairProperties:
                 return
         sa = CropBox(a.cx + dx, a.cy + dy, a.w, a.h)
         sb = CropBox(b.cx + dx, b.cy + dy, b.w, b.h)
-        assert abs(iou(sa, sb) - iou(a, b)) <= 1e-12
-        assert abs(giou(sa, sb) - giou(a, b)) <= 1e-12
+        assert abs(box_iou(sa, sb) - box_iou(a, b)) <= 1e-12
+        assert abs(box_giou(sa, sb) - box_giou(a, b)) <= 1e-12
 
 
 class TestDifferentiablePairs:
@@ -231,7 +227,7 @@ class TestDifferentiablePairs:
         giou_t = giou_pairs(at, bt).data[:, 0]
         l1_t = l1_pairs(at, bt).data[:, 0]
         for k in range(16):
-            assert giou_t[k] == pytest.approx(giou(a[k], b[k]), abs=1e-12)
+            assert giou_t[k] == pytest.approx(box_giou(a[k], b[k]), abs=1e-12)
             assert l1_t[k] == pytest.approx(l1_box(a[k], b[k]), abs=1e-12)
 
     def test_matrix_diagonal_matches_pairs_on_degenerate_boxes(self):

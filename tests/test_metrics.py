@@ -9,8 +9,6 @@ from croprank.errors import DimMismatch, EmptySK, KTooLarge, NTooLarge, OutOfRan
 from croprank.geometry import CropBox, ScoredCrop
 from croprank.metrics import (
     EvalExample,
-    acc_bar_n,
-    acc_k_n,
     build_report,
     render_table,
 )
@@ -45,19 +43,19 @@ class TestRankings:
         on, off = (0.5, 0.5, 0.4, 0.4), (0.1, 0.1, 0.1, 0.1)
         preds = (_pred(*on, 0.2), _pred(*on, 0.9), _pred(*off, 0.9))
         # the two top scores tie; K = 1 takes the lower index
-        assert acc_k_n([EvalExample(predictions=preds, ground_truths=gt)], 1, 1, 0.9) == 1.0
+        assert build_report([EvalExample(predictions=preds, ground_truths=gt)], (1,), (1,), 0.9).acc[1][1] == 1.0
         swapped = (preds[0], preds[2], preds[1])
-        assert acc_k_n([EvalExample(predictions=swapped, ground_truths=gt)], 1, 1, 0.9) == 0.0
-        assert acc_k_n([EvalExample(predictions=swapped, ground_truths=gt)], 2, 1, 0.9) == 0.5
+        assert build_report([EvalExample(predictions=swapped, ground_truths=gt)], (1,), (1,), 0.9).acc[1][1] == 0.0
+        assert build_report([EvalExample(predictions=swapped, ground_truths=gt)], (2,), (1,), 0.9).acc[1][2] == 0.5
 
     def test_tied_mos_rank_by_index(self):
         pred = (_pred(0.5, 0.5, 0.4, 0.4, 0.5),)
         gts = (_gt(0.5, 0.5, 0.4, 0.4, 3.0), _gt(0.5, 0.5, 0.4, 0.4, 5.0), _gt(0.2, 0.2, 0.2, 0.2, 5.0))
         # the two top MOS tie; N = 1 takes the lower index
-        assert acc_k_n([EvalExample(predictions=pred, ground_truths=gts)], 1, 1, 0.9) == 1.0
+        assert build_report([EvalExample(predictions=pred, ground_truths=gts)], (1,), (1,), 0.9).acc[1][1] == 1.0
         swapped = (gts[0], gts[2], gts[1])
-        assert acc_k_n([EvalExample(predictions=pred, ground_truths=swapped)], 1, 1, 0.9) == 0.0
-        assert acc_k_n([EvalExample(predictions=pred, ground_truths=swapped)], 1, 2, 0.9) == 1.0
+        assert build_report([EvalExample(predictions=pred, ground_truths=swapped)], (1,), (1,), 0.9).acc[1][1] == 0.0
+        assert build_report([EvalExample(predictions=pred, ground_truths=swapped)], (1,), (2,), 0.9).acc[2][1] == 1.0
 
     @pytest.mark.parametrize("k, n, error", [
         (3, 1, KTooLarge), (0, 1, KTooLarge), (1, 3, NTooLarge), (1, 0, NTooLarge),
@@ -67,9 +65,9 @@ class TestRankings:
         # the second example is the short one: every example is checked
         examples = [random_eval_example(rng, 4, 4), random_eval_example(rng, 2, 2)]
         with pytest.raises(error):
-            acc_k_n(examples, k, n, 0.5)
+            build_report(examples, (k,), (n,), 0.5)
         with pytest.raises(error):
-            acc_bar_n(examples, (1, k), n, 0.5)
+            build_report(examples, (1, k), (n,), 0.5)
         with pytest.raises(error):
             build_report(examples, ks=(1, k), ns=(1, n), epsilon=0.5)
 
@@ -94,24 +92,24 @@ class TestAccuracy:
             predictions=(Prediction(box=box, score=0.9),),
             ground_truths=(ScoredCrop(box=box, mos=5.0),),
         )
-        assert acc_k_n([ex], 1, 1, 0.9) == 1.0
+        assert build_report([ex], (1,), (1,), 0.9).acc[1][1] == 1.0
 
     def test_zero_threshold_counts_everything(self):
         rng = np.random.default_rng(0)
         examples = [random_eval_example(rng, 6, 8) for _ in range(5)]
-        assert acc_k_n(examples, 3, 4, 0.0) == 1.0
+        assert build_report(examples, (3,), (4,), 0.0).acc[4][3] == 1.0
 
     def test_epsilon_range_check(self):
         rng = np.random.default_rng(1)
         ex = random_eval_example(rng, 3, 3)
         with pytest.raises(OutOfRange):
-            acc_k_n([ex], 1, 1, -0.1)
+            build_report([ex], (1,), (1,), -0.1)
         with pytest.raises(OutOfRange):
-            acc_k_n([ex], 1, 1, 1.01)
+            build_report([ex], (1,), (1,), 1.01)
 
     def test_needs_examples(self):
         with pytest.raises(DimMismatch):
-            acc_k_n([], 1, 1, 0.9)
+            build_report([], (1,), (1,), 0.9)
 
     def test_three_example_hand_fixture(self):
         shared = CropBox(0.5, 0.5, 0.4, 0.4)
@@ -122,7 +120,7 @@ class TestAccuracy:
         ex_near = EvalExample(predictions=(Prediction(box=near, score=0.8),), ground_truths=gt)
         ex_miss = EvalExample(predictions=(Prediction(box=far, score=0.7),), ground_truths=(gt[0],))
         examples = [ex_hit, ex_near, ex_miss]
-        got = acc_k_n(examples, 1, 1, 0.90)
+        got = build_report(examples, (1,), (1,), 0.90).acc[1][1]
         assert got == naive_acc(examples, 1, 1, 0.90) == pytest.approx(2.0 / 3.0)
 
     def test_matches_naive_oracle_randomized(self):
@@ -134,40 +132,40 @@ class TestAccuracy:
             k = int(rng.integers(1, 4))
             n = int(rng.integers(1, 5))
             eps = float(rng.choice([0.0, 0.3, 0.5, 0.9]))
-            assert acc_k_n(examples, k, n, eps) == naive_acc(examples, k, n, eps)
+            assert build_report(examples, (k,), (n,), eps).acc[n][k] == naive_acc(examples, k, n, eps)
 
     def test_monotone_in_epsilon_and_n(self):
         rng = np.random.default_rng(3)
         examples = [random_eval_example(rng, 8, 10) for _ in range(10)]
-        accs = [acc_k_n(examples, 2, 3, e) for e in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        accs = [build_report(examples, (2,), (3,), e).acc[3][2] for e in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(b <= a for a, b in zip(accs, accs[1:]))
-        by_n = [acc_k_n(examples, 2, n, 0.5) for n in (1, 3, 5, 8)]
+        by_n = [build_report(examples, (2,), (n,), 0.5).acc[n][2] for n in (1, 3, 5, 8)]
         assert all(b >= a for a, b in zip(by_n, by_n[1:]))
         assert all(0.0 <= a <= 1.0 for a in accs + by_n)
 
     def test_example_order_irrelevant(self):
         rng = np.random.default_rng(4)
         examples = [random_eval_example(rng, 5, 6) for _ in range(8)]
-        assert acc_k_n(examples, 2, 3, 0.5) == acc_k_n(examples[::-1], 2, 3, 0.5)
+        assert build_report(examples, (2,), (3,), 0.5).acc == build_report(examples[::-1], (2,), (3,), 0.5).acc
 
 
 class TestAveragedAccuracy:
     def test_singleton_set_equals_plain_accuracy(self):
         rng = np.random.default_rng(5)
         examples = [random_eval_example(rng, 5, 6) for _ in range(4)]
-        assert acc_bar_n(examples, [2], 3, 0.5) == acc_k_n(examples, 2, 3, 0.5)
+        assert build_report(examples, [2], (3,), 0.5).acc_bar[3] == build_report(examples, (2,), (3,), 0.5).acc[3][2]
 
     def test_mean_over_k(self):
         rng = np.random.default_rng(6)
         examples = [random_eval_example(rng, 6, 6) for _ in range(4)]
         ks = (1, 2, 3, 4)
-        expected = sum(acc_k_n(examples, k, 5, 0.4) for k in ks) / 4
-        assert acc_bar_n(examples, ks, 5, 0.4) == pytest.approx(expected, abs=1e-15)
+        expected = sum(build_report(examples, (k,), (5,), 0.4).acc[5][k] for k in ks) / 4
+        assert build_report(examples, ks, (5,), 0.4).acc_bar[5] == pytest.approx(expected, abs=1e-15)
 
     def test_empty_k_set_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(EmptySK):
-            acc_bar_n([random_eval_example(rng, 4, 5)], [], 3, 0.5)
+            build_report([random_eval_example(rng, 4, 5)], [], (3,), 0.5)
 
 
 def hitting_example(rng, n_preds, n_gts):
@@ -202,7 +200,7 @@ class TestReportCore:
                 expected = [naive_acc(examples, k, n, eps) for k in ks]
                 assert [rep.acc[n][k] for k in ks] == expected
                 assert rep.acc_bar[n] == sum(expected) / len(ks)
-                assert acc_bar_n(examples, ks, n, eps) == rep.acc_bar[n]
+                assert build_report(examples, ks, (n,), eps).acc_bar[n] == rep.acc_bar[n]
                 nonzero += sum(v > 0.0 for v in expected)
         assert nonzero > 100  # the oracle is checked on real hits, not on zeros
 
@@ -215,14 +213,14 @@ class TestReportCore:
         assert rep.n_examples == 2 and rep.acc[1][1] == 0.5
         assert json.loads(rep.to_json())["flagged"] == {"count": 1, "ids": ["scene_0001"]}
         # all flagged: zero hits, nothing to rank
-        assert acc_k_n([flagged, flagged], 1, 1, 0.0) == 0.0
+        assert build_report([flagged, flagged], (1,), (1,), 0.0).acc[1][1] == 0.0
         # no flagged example: no "flagged" entry at all
         assert "flagged" not in json.loads(build_report([hit], ks=(1,), ns=(1,)).to_json())
 
     def test_flagged_example_still_needs_its_crops(self):
         flagged = EvalExample(predictions=(), ground_truths=(_gt(0.5, 0.5, 0.2, 0.2, 3.0),), flagged="x")
         with pytest.raises(NTooLarge):
-            acc_k_n([flagged], 1, 2, 0.5)
+            build_report([flagged], (1,), (2,), 0.5)
 
 
 class TestReport:
@@ -233,8 +231,8 @@ class TestReport:
         assert rep.n_examples == 6
         for n in (3, 5):
             for k in (1, 2):
-                assert rep.acc[n][k] == acc_k_n(examples, k, n, 0.5)
-            assert rep.acc_bar[n] == acc_bar_n(examples, (1, 2), n, 0.5)
+                assert rep.acc[n][k] == build_report(examples, (k,), (n,), 0.5).acc[n][k]
+            assert rep.acc_bar[n] == build_report(examples, (1, 2), (n,), 0.5).acc_bar[n]
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(9)
