@@ -50,11 +50,11 @@ class LossWeights:
     def __post_init__(self):
         _check_types(self, "loss")
         if self.giou_weight < 0.0 or self.focal_weight < 0.0:
-            raise OutOfRange("loss weights must be nonnegative")
+            raise OutOfRange(f"giou_weight {self.giou_weight} and focal_weight {self.focal_weight} must be nonnegative")
         if not (0.0 < self.soft_iou_threshold <= 1.0):
-            raise OutOfRange(f"soft IoU threshold {self.soft_iou_threshold} outside (0, 1]")
+            raise OutOfRange(f"soft_iou_threshold {self.soft_iou_threshold} outside (0, 1]")
         if self.focal_gamma < 1.0:
-            raise OutOfRange(f"focal gamma {self.focal_gamma} must be >= 1")
+            raise OutOfRange(f"focal_gamma {self.focal_gamma} must be >= 1")
 
 
 # role codes of an ``Assignment`` row

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,46 +36,77 @@ from .dataio import (
     write_pgm,
     write_tensor,
 )
-from .decoder import ModelConfig, ModelState, forward_train, init_state
+from .decoder import ModelConfig, ModelState, _check_types, forward_train, init_state
 from .errors import CropError, Degenerate, DimMismatch, DomainError, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
 from .tensor import Adam, no_grad
 
 MCAB_MODES = ("average", "max", "off")
+OPTIMIZERS = ("sgd", "adam")
+DTYPES = {"f32": np.float32, "f64": np.float64}
 # images per no-grad forward in evaluate_model
 EVAL_CHUNK = 32
 
 
 # -- configuration ----------------------------------------------------------------
 
-DESK_CONFIG = {
-    "model": asdict(ModelConfig()),
-    "loss": asdict(LossWeights()),
-    "train": {
-        "epochs": 20,
-        "batch_size": 16,
-        "lr": 1e-3,
-        "decay_epoch": 15,
-        "decay_factor": 0.1,
-        "seed": 0,
-        "optimizer": "adam",
-    },
-    "data": {
-        "seed": 7,
-        "n_train": 200,
-        "n_val": 60,
-        "n_candidates": 24,
-        "cam_h": 32,
-        "cam_w": 32,
-    },
-    "eval": {
-        "epsilon": 0.90,
-        "ks": [1, 2, 3, 4],
-        "ns": [5, 10],
-    },
-    "mcab": "average",
-    "dtype": "f64",
-}
+@dataclass(frozen=True)
+class TrainConfig:
+    """The optimizer and its epoch schedule: the learning rate falls by ``decay_factor`` at ``decay_epoch``."""
+
+    epochs: int = 20
+    batch_size: int = 16
+    lr: float = 1e-3
+    decay_epoch: int = 15
+    decay_factor: float = 0.1
+    seed: int = 0
+    optimizer: str = "adam"
+
+    def __post_init__(self):
+        _check_types(self, "train")
+        _check_floors(self, "train", epochs=1, batch_size=1, seed=0)
+        if self.optimizer not in OPTIMIZERS:
+            raise ParseError(f"train.optimizer {self.optimizer!r} not one of {OPTIMIZERS}", field="train.optimizer")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The synthetic dataset ``gen`` writes; ``make_scene`` checks ``n_candidates``' floor."""
+
+    seed: int = 7
+    n_train: int = 200
+    n_val: int = 60
+    n_candidates: int = 24
+    cam_h: int = 32
+    cam_w: int = 32
+
+    def __post_init__(self):
+        _check_types(self, "data")
+        _check_floors(self, "data", seed=0, n_train=0, n_val=0, cam_h=1, cam_w=1)
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """``build_report``'s arguments: the ranking depths K, the ground-truth pools N and the IoU threshold."""
+
+    epsilon: float = 0.90
+    ks: tuple[int, ...] = (1, 2, 3, 4)
+    ns: tuple[int, ...] = (5, 10)
+
+    def __post_init__(self):
+        _check_types(self, "eval")
+
+
+def _check_floors(config, section: str, **least: int) -> None:
+    """Each named field of a typed config section is at least its floor."""
+    for name, floor in least.items():
+        value = getattr(config, name)
+        if value < floor:
+            raise ParseError(f"{section}.{name} must be at least {floor}, got {value!r}", field=f"{section}.{name}")
+
+
+SECTIONS = {"model": ModelConfig, "loss": LossWeights, "train": TrainConfig, "data": DataConfig, "eval": EvalConfig}
+DESK_CONFIG = {**{name: asdict(section()) for name, section in SECTIONS.items()}, "mcab": "average", "dtype": "f64"}
 
 PRESETS = {"desk": DESK_CONFIG}
 
@@ -116,31 +147,27 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view over the merged config document."""
+    """The merged config document, typed once: every section is built when the RunConfig is made."""
 
     raw: dict
+    model: ModelConfig = field(init=False)
+    loss: LossWeights = field(init=False)
+    train: TrainConfig = field(init=False)
+    data: DataConfig = field(init=False)
+    eval: EvalConfig = field(init=False)
+    mcab: str = field(init=False)
+    dtype: type = field(init=False)
 
-    @property
-    def model(self) -> ModelConfig:
-        return ModelConfig(**self.raw["model"])
-
-    @property
-    def loss(self) -> LossWeights:
-        return LossWeights(**self.raw["loss"])
-
-    @property
-    def mcab(self) -> str:
-        mode = self.raw["mcab"]
+    def __post_init__(self):
+        for name, section in SECTIONS.items():
+            object.__setattr__(self, name, section(**self.raw[name]))
+        mode, dtype = self.raw["mcab"], self.raw["dtype"]
         if mode not in MCAB_MODES:
             raise ParseError(f"mcab mode {mode!r} not one of {MCAB_MODES}", field="mcab")
-        return mode
-
-    @property
-    def dtype(self):
-        name = self.raw["dtype"]
-        if name not in ("f32", "f64"):
-            raise ParseError(f"dtype {name!r} not one of f32/f64", field="dtype")
-        return np.float32 if name == "f32" else np.float64
+        if not (isinstance(dtype, str) and dtype in DTYPES):
+            raise ParseError(f"dtype {dtype!r} not one of {sorted(DTYPES)}", field="dtype")
+        object.__setattr__(self, "mcab", mode)
+        object.__setattr__(self, "dtype", DTYPES[dtype])
 
     def __getitem__(self, section: str) -> dict:
         return self.raw[section]
@@ -184,68 +211,27 @@ def prepare_examples(records, model: ModelConfig, mode: str, dtype) -> list[Trai
             for r in records]
 
 
-def _whole(section: dict, name: str, where: str = "train", least: int | None = None) -> int:
-    """``section[name]`` of config section ``where`` as an int of at least ``least``.
-
-    An int or an integral float, never a bool, string or fraction.
-    """
-    value, field = section[name], f"{where}.{name}"
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ParseError(f"{field} must be an integer, got {value!r}", field=field)
-    if least is not None and value < least:
-        raise ParseError(f"{field} must be at least {least}, got {value!r}", field=field)
-    return int(value)
-
-
-def _real(section: dict, name: str, where: str = "train") -> float:
-    """``section[name]`` of config section ``where`` as a float: an int or a float, never a bool or string."""
-    value, field = section[name], f"{where}.{name}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{field} must be a real number, got {value!r}", field=field)
-    return float(value)
-
-
-def _report_args(cfg: RunConfig) -> dict:
-    """``build_report``'s ks, ns and epsilon from the eval section: non-empty lists of ints >= 1, a real number."""
-    ev = cfg["eval"]
-    depths = {}
-    for name in ("ks", "ns"):
-        value = ev[name]
-        if not (isinstance(value, list) and value and all(type(v) is int and v >= 1 for v in value)):
-            raise ParseError(f"eval.{name} must be a non-empty list of integers >= 1, got {value!r}",
-                             field=f"eval.{name}")
-        depths[name] = tuple(value)
-    return {**depths, "epsilon": _real(ev, "epsilon", "eval")}
-
-
 def run_training(cfg: RunConfig, records, progress=None) -> tuple[ModelState, dict]:
     """Train from scratch on the given records; returns (state, history)."""
     if not records:
         raise DimMismatch("run_training needs at least one record; the training split is empty")
-    model = cfg.model
-    weights = cfg.loss
-    train = cfg["train"]
-    seed, epochs, decay_epoch = (_whole(train, k) for k in ("seed", "epochs", "decay_epoch"))
-    batch_size = _whole(train, "batch_size", least=1)
-    lr, decay_factor = (_real(train, k) for k in ("lr", "decay_factor"))
-    state = init_state(model, seed=seed, dtype=cfg.dtype)
-    examples = prepare_examples(records, model, cfg.mcab, cfg.dtype)
-    rng = np.random.default_rng([seed, 1])
-    optimizer = Adam() if train["optimizer"] == "adam" else None
-    if train["optimizer"] not in ("sgd", "adam"):
-        raise ParseError(f"optimizer {train['optimizer']!r} not one of sgd/adam", field="train.optimizer")
+    train, batch_size, lr = cfg.train, cfg.train.batch_size, cfg.train.lr
+    state = init_state(cfg.model, seed=train.seed, dtype=cfg.dtype)
+    examples = prepare_examples(records, cfg.model, cfg.mcab, cfg.dtype)
+    rng = np.random.default_rng([train.seed, 1])
+    optimizer = Adam() if train.optimizer == "adam" else None
     step_losses: list[float] = []
     epoch_losses: list[float] = []
     started = time.perf_counter()
-    for epoch in range(epochs):
-        if epoch == decay_epoch:
-            lr *= decay_factor
+    for epoch in range(train.epochs):
+        if epoch == train.decay_epoch:
+            lr *= train.decay_factor
         order = rng.permutation(len(examples))
         epoch_sum = 0.0
         for at in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[at : at + batch_size]]
             try:
-                loss = train_step(state, batch, weights, lr, optimizer=optimizer)
+                loss = train_step(state, batch, cfg.loss, lr, optimizer=optimizer)
             except (Degenerate, NonFinite) as e:
                 raise type(e)(f"epoch {epoch}, step {at // batch_size} (run step {len(step_losses)}): {e}") from e
             step_losses.append(loss)
@@ -288,17 +274,13 @@ def evaluate_model(state: ModelState, records, mode: str, dtype) -> list[EvalExa
 
 
 def cmd_gen(cfg: RunConfig, out_dir: str) -> dict:
-    data = cfg["data"]
-    model = cfg.model
-    # every field is read before a file is written; make_scene checks n_candidates' floor
-    least = {"seed": 0, "n_train": 0, "n_val": 0, "cam_h": 1, "cam_w": 1, "n_candidates": None}
-    seed, n_train, n_val, cam_h, cam_w, n_candidates = (_whole(data, k, "data", low) for k, low in least.items())
+    data, model = cfg.data, cfg.model
     paths, counts = {}, {}
-    for offset, (split, n) in enumerate((("train", n_train), ("val", n_val))):
+    for offset, (split, n) in enumerate((("train", data.n_train), ("val", data.n_val))):
         split_dir = Path(out_dir) / split
         records = generate_synthetic(
-            seed + offset, n, split_dir, image_h=model.image_h, image_w=model.image_w, channels=model.in_channels,
-            cam_h=cam_h, cam_w=cam_w, n_candidates=n_candidates,
+            data.seed + offset, n, split_dir, image_h=model.image_h, image_w=model.image_w,
+            channels=model.in_channels, cam_h=data.cam_h, cam_w=data.cam_w, n_candidates=data.n_candidates,
         )
         paths[split] = str(split_dir / "data.jsonl")
         counts[f"n_{split}"] = len(records)
@@ -320,12 +302,11 @@ def cmd_train(cfg: RunConfig, data_path: str, out_dir: str, quiet: bool = False)
 
 
 def cmd_eval(cfg: RunConfig, checkpoint_dir: str, data_path: str, out_dir: str | None) -> MetricsReport:
-    report_args = _report_args(cfg)
     state, extra = load_checkpoint(checkpoint_dir)
     mode = extra.get("mcab", cfg.mcab)
     records = load_dataset(data_path)
     examples = evaluate_model(state, records, mode, state.dtype)
-    report = build_report(examples, **report_args)
+    report = build_report(examples, **asdict(cfg.eval))
     table = render_table([(f"mcab={mode}", report)])
     if out_dir is not None:
         out = Path(out_dir)
@@ -377,33 +358,27 @@ def cmd_gradcheck(seeds: int, tol: float, scenarios=None) -> bool:
 def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
                modes=MCAB_MODES, depths=(1, 2), quiet: bool = False) -> dict:
     """Train the {mode} x {depth} grid and tabulate ranking accuracy."""
-    report_args = _report_args(cfg)
+    k, ns = cfg.eval.ks[0], cfg.eval.ns
     train_records = load_dataset(train_path)
     val_records = load_dataset(val_path)
     rows = []
     results = {}
     for depth in depths:
         for mode in modes:
-            variant = RunConfig(raw=json.loads(json.dumps(cfg.raw)))
-            variant.raw["model"]["n_layers"] = int(depth)
-            variant.raw["mcab"] = mode
+            variant = RunConfig(raw={**cfg.raw, "model": {**cfg.raw["model"], "n_layers": depth}, "mcab": mode})
             label = f"M={depth} mcab={mode}"
             if not quiet:
                 print(f"training {label} ...")
             state, _ = run_training(variant, train_records)
             examples = evaluate_model(state, val_records, mode, state.dtype)
-            report = build_report(examples, **report_args)
+            report = build_report(examples, **asdict(cfg.eval))
             rows.append((label, report))
-            results[label] = {
-                "acc_1_5": report.acc[5][1],
-                "acc_1_10": report.acc[10][1],
-                "acc_bar_5": report.acc_bar[5],
-                "acc_bar_10": report.acc_bar[10],
-            }
+            results[label] = {**{f"acc_{k}_{n}": report.acc[n][k] for n in ns},
+                              **{f"acc_bar_{n}": report.acc_bar[n] for n in ns}}
     table = render_table(rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "ablate.json").write_text(json.dumps({"epsilon": report_args["epsilon"], "runs": results},
+    (out / "ablate.json").write_text(json.dumps({"epsilon": cfg.eval.epsilon, "runs": results},
                                                 indent=2, sort_keys=True))
     (out / "ablate.txt").write_text(table + "\n")
     print(table)
@@ -432,7 +407,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             kind = int
         elif isinstance(default, float):
             kind = float
-        elif isinstance(default, list):
+        elif isinstance(default, tuple):
             kind = json.loads
         else:
             kind = str

@@ -268,10 +268,10 @@ class SyntheticScene:
     crops: tuple[ScoredCrop, ...]
 
 
-def _oracle_mos(candidates: np.ndarray, planted: CropBox, power: float = 2.0) -> list[float]:
-    """1 + 4 IoU^power of each (m, 4) candidate row with the planted box, the power taken on Python floats."""
+def _oracle_mos(candidates: np.ndarray, planted: CropBox) -> list[float]:
+    """1 + 4 IoU^2 of each (m, 4) candidate row with the planted box, the power taken on Python floats."""
     overlap = iou_matrix(candidates, planted.as_array()[None, :])[:, 0]
-    return [1.0 + 4.0 * v ** power for v in overlap.tolist()]
+    return [1.0 + 4.0 * v ** 2.0 for v in overlap.tolist()]
 
 
 def _clip_center(c: float, extent: float) -> float:

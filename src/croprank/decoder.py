@@ -32,18 +32,33 @@ from .geometry import MIN_EXTENT, CropBox
 from .tensor import Tensor
 
 
-def _check_types(config, section: str) -> None:
-    """Every field of a config dataclass holds its declared kind: an int, or for a float field an int or a float.
+_KINDS = {"int": "an integer", "float": "a finite real number", "str": "a string",
+          "tuple": "a non-empty list of integers >= 1"}
 
-    A bool is neither. The first field that does not is a ``ParseError``
-    naming the config ``section``.
+
+def _check_types(config, section: str) -> None:
+    """Hold every field of a frozen config dataclass as its declared kind.
+
+    An ``int`` field takes an int or an integral float and holds the int.
+    A ``float`` field takes an int or a finite float and holds the float.
+    A ``str`` field takes a string. A ``tuple`` field takes a non-empty
+    list of ints of at least 1 and holds it as a tuple. A bool is none of
+    these. The first field that does not fit is a ``ParseError`` whose
+    ``field`` is the dotted name, such as ``train.lr``.
     """
     for f in fields(config):
-        value = getattr(config, f.name)
-        kind = (int, float) if f.type == "float" else int
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "a real number" if f.type == "float" else "an integer"
-            raise ParseError(f"{f.name} must be {noun}, got {value!r}", field=section)
+        value, name, kind = getattr(config, f.name), f"{section}.{f.name}", f.type.partition("[")[0]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+            value = int(value)
+        elif kind == "float" and number and math.isfinite(value):
+            value = float(value)
+        elif kind == "tuple" and isinstance(value, (list, tuple)) and value and all(
+                type(v) is int and v >= 1 for v in value):
+            value = tuple(value)
+        elif kind != "str" or not isinstance(value, str):
+            raise ParseError(f"{name} must be {_KINDS[kind]}, got {value!r}", field=name)
+        object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -77,11 +92,10 @@ class ModelConfig:
         if self.model_dim % 4 != 0:
             raise DimMismatch(f"model_dim {self.model_dim} must be divisible by 4 for the 2-D position encoding")
         if self.grid_h < 1 or self.grid_w < 1:
-            raise DimMismatch(f"grid ({self.grid_h}, {self.grid_w}) must be positive")
+            raise DimMismatch(f"grid_h and grid_w must be positive, got ({self.grid_h}, {self.grid_w})")
         if self.image_h % self.grid_h != 0 or self.image_w % self.grid_w != 0:
-            raise BadShape(
-                f"image ({self.image_h}, {self.image_w}) not divisible into a ({self.grid_h}, {self.grid_w}) grid"
-            )
+            raise BadShape(f"image_h, image_w ({self.image_h}, {self.image_w}) not divisible by "
+                           f"grid_h, grid_w ({self.grid_h}, {self.grid_w})")
         if self.ffn_dim < 1 or self.in_channels < 1:
             raise DimMismatch("ffn_dim and in_channels must be positive")
 
@@ -351,12 +365,7 @@ def forward_train(
     return predict_heads(decoded, state)
 
 
-def forward(
-    image: np.ndarray,
-    prior: CompositionPrior | None,
-    state: ModelState,
-    attention_out: list | None = None,
-) -> list[Prediction]:
+def forward(image: np.ndarray, prior: CompositionPrior | None, state: ModelState) -> list[Prediction]:
     """Inference-only pass; deterministic given weights and input."""
     with T.no_grad():
-        return forward_train(image, prior, state, attention_out=attention_out).to_predictions()
+        return forward_train(image, prior, state).to_predictions()

@@ -374,8 +374,8 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(np.where(take_a, a.data, b.data), (a, b), vjp, "maximum")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization followed by elementwise affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization, with 1e-5 added to the variance, followed by elementwise affine.
 
     gain and bias are (1, n) tensors applied to every row; the op is
     fused so the backward pass is a single closed-form expression.
@@ -389,7 +389,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     centered = x.data - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     out = xhat * gain.data + bias.data
 
@@ -736,7 +736,7 @@ class Adam:
         grad.fill(0.0)
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Array:
-    """Glorot/Xavier uniform init for a (fan_in, fan_out) weight matrix."""
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
+    """Glorot/Xavier uniform init for a (fan_in, fan_out) float64 weight matrix."""
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))

@@ -9,7 +9,6 @@ from croprank.cli import (
     DESK_CONFIG,
     MCAB_MODES,
     PRESETS,
-    RunConfig,
     _config_from,
     build_prior,
     build_parser,
@@ -20,7 +19,7 @@ from croprank.cli import (
 from croprank.dataio import load_checkpoint, load_dataset, read_tensor, save_checkpoint, write_tensor
 from croprank.dataio import generate_synthetic
 from croprank.decoder import ModelConfig, forward, init_state
-from croprank.errors import Degenerate, DimMismatch, ParseError
+from croprank.errors import CropError, Degenerate, DimMismatch, ParseError
 from croprank.gradcheck import CheckResult, toy_config
 from croprank.metrics import EvalExample, build_report
 
@@ -106,14 +105,6 @@ class TestResolveConfig:
         path.write_text(json.dumps({"train": 7}))
         with pytest.raises(ParseError):
             resolve_config("desk", str(path), {})
-
-    def test_run_config_validation(self):
-        cfg = RunConfig(raw={**resolve_config("desk", None, {}).raw, "mcab": "median"})
-        with pytest.raises(ParseError):
-            cfg.mcab
-        cfg = RunConfig(raw={**resolve_config("desk", None, {}).raw, "dtype": "f16"})
-        with pytest.raises(ParseError):
-            cfg.dtype
 
     def test_shorthand_flags_map_to_overrides(self):
         args = build_parser().parse_args(
@@ -458,51 +449,6 @@ class TestPipeline:
                 cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[2]))
             assert raised.value.field == "train.batch_size"
 
-    @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed", "decay_epoch"])
-    @pytest.mark.parametrize("value", ["x", 2.7, True], ids=["string", "fraction", "bool"])
-    def test_a_non_integer_train_count_exits_2(self, tmp_path, capsys, name, value):
-        data = _gen(tmp_path, "data")
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"train": {name: value}}))
-        capsys.readouterr()
-        argv = ["train", "--config", str(config), "--data", str(data / "train" / "data.jsonl"),
-                "--out", str(tmp_path / "run"), "--quiet", *TINY_FLAGS]
-        assert main(argv) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == "parse_error" and f"train.{name} must be an integer" in err["message"]
-        assert not (tmp_path / "run").exists()
-        with pytest.raises(ParseError) as raised:
-            cli.run_training(_config_from(build_parser().parse_args(argv)), load_dataset(argv[4]))
-        assert raised.value.field == f"train.{name}"
-
-    def test_an_integral_float_train_count_is_an_int(self):
-        assert cli._whole({"epochs": 3.0}, "epochs") == 3 and type(cli._whole({"epochs": 3.0}, "epochs")) is int
-        assert cli._whole({"epochs": 3}, "epochs") == 3
-        assert cli._whole({"cam_h": 1.0}, "cam_h", "data", 1) == 1
-
-    @pytest.mark.parametrize("name, value, message", [
-        ("n_train", "x", "must be an integer"),
-        ("n_train", 2.7, "must be an integer"),
-        ("n_val", True, "must be an integer"),
-        ("n_candidates", "13", "must be an integer"),
-        ("n_train", -3, "must be at least 0"),
-        ("n_val", -1, "must be at least 0"),
-        ("seed", -1, "must be at least 0"),
-        ("cam_h", 0, "must be at least 1"),
-        ("cam_w", -2, "must be at least 1"),
-    ], ids=["string", "fraction", "bool", "string_candidates", "negative_train", "negative_val", "negative_seed",
-            "cam_h_0", "cam_w_-2"])
-    def test_a_bad_data_field_exits_2_before_writing(self, tmp_path, capsys, name, value, message):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"data": {name: value}}))
-        pairs = dict(zip(TINY_FLAGS[::2], TINY_FLAGS[1::2]))
-        pairs.pop(f"--data.{name}", None)  # a flag would override the config file's value
-        flags = [item for pair in pairs.items() for item in pair]
-        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "data"), *flags]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == "parse_error" and f"data.{name} {message}" in err["message"]
-        assert not (tmp_path / "data").exists()
-
     def test_bad_override_value_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--data.n_candidates", "5"])
         assert code == 2
@@ -543,16 +489,6 @@ class TestPipeline:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["code"] == "parse_error"
 
-    def test_mistyped_model_field_exits_2(self, tmp_path, capsys):
-        config = tmp_path / "f.json"
-        config.write_text(json.dumps({"model": {"n_queries": "4"}}))
-        code = main(["gen", "--config", str(config), "--out", str(tmp_path / "x")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["code"] == "parse_error"
-        assert "n_queries" in err["message"]
-
-
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A tiny generated dataset and a one-epoch checkpoint trained on its train split."""
@@ -571,39 +507,6 @@ def _main_error(capsys, argv) -> dict:
 
 
 class TestUntypedValues:
-    @pytest.mark.parametrize("doc, field", [
-        ({"train": {"lr": "x"}}, "train.lr"),
-        ({"train": {"lr": True}}, "train.lr"),
-        ({"train": {"decay_factor": "x", "decay_epoch": 0}}, "train.decay_factor"),
-        ({"loss": {"giou_weight": "0.4"}}, "giou_weight"),
-        ({"loss": {"focal_gamma": None}}, "focal_gamma"),
-    ], ids=["lr_string", "lr_bool", "decay_factor_string", "giou_weight_string", "focal_gamma_null"])
-    def test_a_mistyped_train_or_loss_value_exits_2_before_training(self, tiny_run, tmp_path, capsys, doc, field):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(doc))
-        err = _main_error(capsys, ["train", "--config", str(config), "--data",
-                                   str(tiny_run / "data" / "train" / "data.jsonl"), "--out", str(tmp_path / "run"),
-                                   "--quiet", "--epochs", "1", *TINY_FLAGS])
-        assert err["code"] == "parse_error" and field in err["message"]
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"eval": {"epsilon": "x"}}, "eval.epsilon"),
-        ({"eval": {"ks": [1.5]}}, "eval.ks"),
-        ({"eval": {"ks": "12"}}, "eval.ks"),
-        ({"eval": {"ks": [0, 1]}}, "eval.ks"),
-        ({"eval": {"ns": [True]}}, "eval.ns"),
-        ({"eval": {"ns": []}}, "eval.ns"),
-    ], ids=["epsilon_string", "ks_fraction", "ks_string", "ks_zero", "ns_bool", "ns_empty"])
-    def test_a_mistyped_eval_value_exits_2(self, tiny_run, tmp_path, capsys, doc, field):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(doc))
-        err = _main_error(capsys, ["eval", "--config", str(config), "--checkpoint", str(tiny_run / "run" / "checkpoint"),
-                                   "--data", str(tiny_run / "data" / "val" / "data.jsonl"), "--out",
-                                   str(tmp_path / "report"), *TINY_FLAGS])
-        assert err["code"] == "parse_error" and field in err["message"]
-        assert not (tmp_path / "report").exists()
-
     def test_training_on_an_empty_split_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["gen", "--out", str(data), *TINY_FLAGS, "--data.n_train", "0"]) == 0
@@ -624,3 +527,152 @@ class TestUntypedValues:
                                    "--grid-h", "4", "--grid-w", "4", "--out", str(tmp_path / "prior.aesc")])
         assert err["code"] == "parse_error" and "probs" in err["message"]
         assert not (tmp_path / "prior.aesc").exists()
+
+
+# an out-of-range value for each leaf field whose bound the config checks, with the error code it gives;
+# model.epsilon_b, train.lr, train.decay_epoch, train.decay_factor and eval.epsilon have no bound in the config,
+# and data.n_candidates' floor is make_scene's (test_bad_override_value_exits_2)
+OUT_OF_RANGE = {
+    "model.n_queries": (0, "dim_mismatch"),
+    "model.n_layers": (-1, "dim_mismatch"),
+    "model.model_dim": (30, "dim_mismatch"),
+    "model.n_heads": (0, "dim_mismatch"),
+    "model.ffn_dim": (0, "dim_mismatch"),
+    "model.grid_h": (0, "dim_mismatch"),
+    "model.grid_w": (0, "dim_mismatch"),
+    "model.in_channels": (0, "dim_mismatch"),
+    "model.image_h": (65, "bad_shape"),
+    "model.image_w": (65, "bad_shape"),
+    "loss.giou_weight": (-0.1, "out_of_range"),
+    "loss.focal_weight": (-0.1, "out_of_range"),
+    "loss.focal_gamma": (0.5, "out_of_range"),
+    "loss.soft_iou_threshold": (1.5, "out_of_range"),
+    "train.epochs": (0, "parse_error"),
+    "train.batch_size": (0, "parse_error"),
+    "train.seed": (-1, "parse_error"),
+    "train.optimizer": ("rmsprop", "parse_error"),
+    "data.seed": (-1, "parse_error"),
+    "data.n_train": (-1, "parse_error"),
+    "data.n_val": (-1, "parse_error"),
+    "data.cam_h": (0, "parse_error"),
+    "data.cam_w": (0, "parse_error"),
+    "eval.ks": ([0, 1], "parse_error"),
+    "eval.ns": ([0], "parse_error"),
+    "mcab": ("median", "parse_error"),
+    "dtype": ("f16", "parse_error"),
+}
+LEAVES = cli._flatten(DESK_CONFIG)
+
+
+def _doc(dotted: str, value) -> dict:
+    """A config document that sets the one field ``dotted``."""
+    *sections, leaf = dotted.split(".")
+    doc = {leaf: value}
+    for section in reversed(sections):
+        doc = {section: doc}
+    return doc
+
+
+def _bad_cases():
+    """(dotted field, bad value, error code) for every leaf field of the preset."""
+    for dotted, default in LEAVES.items():
+        kinds = {"string": "x", "bool": True, "null": None, "fraction": 0.5, "nan": float("nan"), "list": [1]}
+        if isinstance(default, float):
+            del kinds["fraction"]  # a valid value; test_a_fraction_or_an_int_is_a_real
+        if isinstance(default, tuple):
+            kinds.update(list=[1.5], bool_entry=[True], string_entry=["12"], empty=[])
+        for kind, value in kinds.items():
+            yield pytest.param(dotted, value, "parse_error", id=f"{dotted}-{kind}")
+        if dotted in OUT_OF_RANGE:
+            yield pytest.param(dotted, *OUT_OF_RANGE[dotted], id=f"{dotted}-out_of_range")
+
+
+class TestEveryConfigField:
+    def test_every_out_of_range_entry_is_a_leaf(self):
+        assert set(OUT_OF_RANGE) <= set(LEAVES)
+
+    @pytest.mark.parametrize("dotted, value, code", list(_bad_cases()))
+    def test_a_bad_value_exits_2_before_gen_writes(self, tmp_path, capsys, dotted, value, code):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(_doc(dotted, value)))
+        err = _main_error(capsys, ["gen", "--config", str(config), "--out", str(tmp_path / "data")])
+        assert err["code"] == code
+        # a ParseError names the dotted field; the model and loss range errors name the field's own name
+        assert (f"(field '{dotted}')" if code == "parse_error" else dotted.split(".")[-1]) in err["message"]
+        assert not (tmp_path / "data").exists()
+        with pytest.raises(CropError):
+            resolve_config("desk", str(config), {})
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_every_command_types_the_config_before_it_writes(self, tiny_run, tmp_path, capsys, command):
+        (tmp_path / "cfg.json").write_text(json.dumps({"eval": {"ks": [1.5]}}))
+        train, val = (str(tiny_run / "data" / split / "data.jsonl") for split in ("train", "val"))
+        inputs = {"train": ["--data", train], "eval": ["--checkpoint", str(tiny_run / "run" / "checkpoint"),
+                                                       "--data", val],
+                  "ablate": ["--train-data", train, "--val-data", val]}[command]
+        err = _main_error(capsys, [command, "--config", str(tmp_path / "cfg.json"), *inputs,
+                                   "--out", str(tmp_path / "out"), *TINY_FLAGS])
+        assert err["code"] == "parse_error" and "(field 'eval.ks')" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dotted", [d for d, v in LEAVES.items() if isinstance(v, float)])
+    def test_a_fraction_or_an_int_is_a_real(self, dotted):
+        section, leaf = dotted.split(".")
+        fraction = resolve_config("desk", None, {dotted: LEAVES[dotted] * 0.75})
+        assert getattr(getattr(fraction, section), leaf) == LEAVES[dotted] * 0.75
+        whole = getattr(getattr(resolve_config("desk", None, {dotted: 1}), section), leaf)
+        assert whole == 1.0 and type(whole) is float
+
+    @pytest.mark.parametrize("dotted", [d for d, v in LEAVES.items() if isinstance(v, int)])
+    def test_an_integral_float_is_an_int(self, dotted):
+        section, leaf = dotted.split(".")
+        value = getattr(getattr(resolve_config("desk", None, {dotted: float(LEAVES[dotted])}), section), leaf)
+        assert value == LEAVES[dotted] and type(value) is int
+
+    def test_every_leaf_has_a_flag_that_sets_it(self):
+        preset = resolve_config("desk", None, {})
+        for dotted, default in LEAVES.items():
+            text = json.dumps(list(default)) if isinstance(default, tuple) else str(default)
+            cfg = _config_from(build_parser().parse_args(["gen", "--out", "x", f"--{dotted}", text]))
+            assert all(getattr(cfg, name) == getattr(preset, name) for name in (*cli.SECTIONS, "mcab", "dtype"))
+
+
+class TestRunOnlyOnValidValues:
+    @pytest.mark.parametrize("flags, doc, field", [
+        (["--seed", "-1"], None, "train.seed"),
+        (["--epochs", "0"], None, "train.epochs"),
+        (["--epochs", "-1"], None, "train.epochs"),
+        (["--lr", "nan"], None, "train.lr"),
+        (["--lr", "inf"], None, "train.lr"),
+        ([], {"train": {"lr": float("nan")}}, "train.lr"),
+    ], ids=["seed_-1", "epochs_0", "epochs_-1", "lr_nan", "lr_inf", "config_lr_nan"])
+    def test_a_value_that_crashed_or_corrupted_training_exits_2(self, tiny_run, tmp_path, capsys, flags, doc, field):
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))  # json writes NaN, and Python's json reads it
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        # one step over the six images, unless a case's own --epochs, which comes later, overrides it
+        err = _main_error(capsys, ["train", "--data", str(tiny_run / "data" / "train" / "data.jsonl"),
+                                   "--out", str(tmp_path / "run"), "--quiet", "--epochs", "1",
+                                   "--train.batch_size", "6", *TINY_FLAGS, *flags])
+        assert err["code"] == "parse_error" and f"(field '{field}')" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_gen_types_mcab_and_dtype_before_writing(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"mcab": "bogus", "dtype": "f16"}))
+        err = _main_error(capsys, ["gen", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "data"),
+                                   *TINY_FLAGS])
+        assert err["code"] == "parse_error" and "(field 'mcab')" in err["message"]
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("flags, keys", [
+        (["--eval.ns", "[3]"], {"acc_1_3", "acc_bar_3"}),
+        (["--eval.ks", "[2]"], {"acc_2_5", "acc_2_10", "acc_bar_5", "acc_bar_10"}),
+    ], ids=["ns_3", "ks_2"])
+    def test_ablate_summarizes_the_configured_k_and_n(self, tiny_run, tmp_path, capsys, flags, keys):
+        data = tiny_run / "data"
+        assert main(["ablate", "--train-data", str(data / "train" / "data.jsonl"),
+                     "--val-data", str(data / "val" / "data.jsonl"), "--out", str(tmp_path / "ablate"),
+                     "--modes", "off", "--depths", "1", "--quiet", "--epochs", "1", *TINY_FLAGS, *flags]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "ablate" / "ablate.json").read_text())
+        assert set(payload["runs"]["M=1 mcab=off"]) == keys

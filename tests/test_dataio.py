@@ -455,13 +455,13 @@ class TestCheckpoints:
         saved = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         unknown = {**saved["model"], "n_experts": 2}
         missing = {k: v for k, v in saved["model"].items() if k != "n_heads"}
-        mistyped = [{**saved["model"], "n_queries": bad} for bad in ("4", 4.5, None, True)]
-        mistyped.append({**saved["model"], "epsilon_b": "1e-6"})
-        for model in (unknown, missing, [1, 2], *mistyped):
+        mistyped = [({**saved["model"], "n_queries": bad}, "model.n_queries") for bad in ("4", 4.5, None, True)]
+        mistyped.append(({**saved["model"], "epsilon_b": "1e-6"}, "model.epsilon_b"))
+        for model, field in ((unknown, "model"), (missing, "model"), ([1, 2], "model"), *mistyped):
             (tmp_path / "ck" / "manifest.json").write_text(json.dumps({**saved, "model": model}))
             with pytest.raises(ParseError) as err:
                 load_checkpoint(tmp_path / "ck")
-            assert err.value.field == "model"
+            assert err.value.field == field
 
     def test_parameter_list_mismatch(self, tmp_path):
         state = self._trained_state()
