@@ -20,7 +20,6 @@ from .composition import (
     ActivationMap,
     ClassProbabilities,
     CompositionPrior,
-    biased_cross_attention,
     fuse_cams,
     make_prior,
     resample_to_grid,

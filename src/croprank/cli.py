@@ -19,6 +19,7 @@ import numpy as np
 from . import gradcheck
 from .assignment import LossWeights, TrainExample, train_step
 from .composition import (
+    FUSE_MODES,
     ActivationMap,
     ClassProbabilities,
     fuse_cams,
@@ -28,6 +29,7 @@ from .composition import (
 from .dataio import (
     DatasetRecord,
     _number,
+    dtype_named,
     generate_synthetic,
     load_checkpoint,
     load_dataset,
@@ -37,13 +39,12 @@ from .dataio import (
     write_tensor,
 )
 from .decoder import ModelConfig, ModelState, _check_types, forward_train, init_state
-from .errors import CropError, Degenerate, DimMismatch, DomainError, NonFinite, ParseError
+from .errors import CropError, Degenerate, DimMismatch, DomainError, KTooLarge, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
 from .tensor import Adam, no_grad
 
 MCAB_MODES = ("average", "max", "off")
 OPTIMIZERS = ("sgd", "adam")
-DTYPES = {"f32": np.float32, "f64": np.float64}
 # images per no-grad forward in evaluate_model
 EVAL_CHUNK = 32
 
@@ -95,6 +96,8 @@ class EvalConfig:
 
     def __post_init__(self):
         _check_types(self, "eval")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ParseError(f"eval.epsilon must lie in [0, 1], got {self.epsilon!r}", field="eval.epsilon")
 
 
 def _check_floors(config, section: str, **least: int) -> None:
@@ -156,18 +159,16 @@ class RunConfig:
     data: DataConfig = field(init=False)
     eval: EvalConfig = field(init=False)
     mcab: str = field(init=False)
-    dtype: type = field(init=False)
+    dtype: np.dtype = field(init=False)
 
     def __post_init__(self):
         for name, section in SECTIONS.items():
             object.__setattr__(self, name, section(**self.raw[name]))
-        mode, dtype = self.raw["mcab"], self.raw["dtype"]
+        mode = self.raw["mcab"]
         if mode not in MCAB_MODES:
             raise ParseError(f"mcab mode {mode!r} not one of {MCAB_MODES}", field="mcab")
-        if not (isinstance(dtype, str) and dtype in DTYPES):
-            raise ParseError(f"dtype {dtype!r} not one of {sorted(DTYPES)}", field="dtype")
         object.__setattr__(self, "mcab", mode)
-        object.__setattr__(self, "dtype", DTYPES[dtype])
+        object.__setattr__(self, "dtype", dtype_named(self.raw["dtype"]))
 
     def __getitem__(self, section: str) -> dict:
         return self.raw[section]
@@ -359,22 +360,25 @@ def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
                modes=MCAB_MODES, depths=(1, 2), quiet: bool = False) -> dict:
     """Train the {mode} x {depth} grid and tabulate ranking accuracy."""
     k, ns = cfg.eval.ks[0], cfg.eval.ns
+    if max(cfg.eval.ks) > cfg.model.n_queries:
+        raise KTooLarge(f"K={max(cfg.eval.ks)} outside [1, {cfg.model.n_queries}], the model's n_queries")
+    # every cell's config is built before the first cell trains, so a bad depth fails first
+    cells = [RunConfig(raw={**cfg.raw, "model": {**cfg.raw["model"], "n_layers": depth}, "mcab": mode})
+             for depth in depths for mode in modes]
     train_records = load_dataset(train_path)
     val_records = load_dataset(val_path)
     rows = []
     results = {}
-    for depth in depths:
-        for mode in modes:
-            variant = RunConfig(raw={**cfg.raw, "model": {**cfg.raw["model"], "n_layers": depth}, "mcab": mode})
-            label = f"M={depth} mcab={mode}"
-            if not quiet:
-                print(f"training {label} ...")
-            state, _ = run_training(variant, train_records)
-            examples = evaluate_model(state, val_records, mode, state.dtype)
-            report = build_report(examples, **asdict(cfg.eval))
-            rows.append((label, report))
-            results[label] = {**{f"acc_{k}_{n}": report.acc[n][k] for n in ns},
-                              **{f"acc_bar_{n}": report.acc_bar[n] for n in ns}}
+    for variant in cells:
+        label = f"M={variant.model.n_layers} mcab={variant.mcab}"
+        if not quiet:
+            print(f"training {label} ...")
+        state, _ = run_training(variant, train_records)
+        examples = evaluate_model(state, val_records, variant.mcab, state.dtype)
+        report = build_report(examples, **asdict(cfg.eval))
+        rows.append((label, report))
+        results[label] = {**{f"acc_{k}_{n}": report.acc[n][k] for n in ns},
+                          **{f"acc_bar_{n}": report.acc_bar[n] for n in ns}}
     table = render_table(rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse 9 activation maps into a prior")
     p.add_argument("--cams", nargs=9, required=True, metavar="CAM", help="9 AESC map files")
     p.add_argument("--probs", required=True, help="JSON file with 9 class probabilities")
-    p.add_argument("--mode", choices=("average", "max"), default="average")
+    p.add_argument("--mode", choices=FUSE_MODES, default="average")
     p.add_argument("--grid-h", type=int, default=8)
     p.add_argument("--grid-w", type=int, default=8)
     p.add_argument("--epsilon-b", type=float, default=1e-6)

@@ -4,9 +4,10 @@ Per-category activation maps are fused under the classifier's
 probability vector, pooled down to the decoder's key grid, floored,
 and log-transformed. The resulting additive bias steers cross
 attention toward salient cells without touching the learned weights:
-each head computes softmax(Q_h K_h^T / sqrt(d_h) + log B) V_h, and the
-fused ``tensor.attention`` op adds the one log B row to every head's
-logits.
+each head computes softmax(Q_h K_h^T / sqrt(d_h) + log B) V_h. This
+module only builds priors; ``decoder.decode`` turns them into the one
+log B array that the fused ``tensor.attention`` op adds to every
+head's logits.
 """
 from __future__ import annotations
 
@@ -15,9 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .errors import BadGrid, BadProbabilities, DimMismatch, DomainError
-from .tensor import Tensor
 
 # canonical category order for probability vectors
 COMPOSITION_CLASSES = (
@@ -184,32 +183,3 @@ def make_prior(amap: ActivationMap, floor: float = BIAS_FLOOR) -> CompositionPri
     bias = np.maximum(amap.values.astype(np.float64), floor)
     return CompositionPrior(bias=bias)
 
-
-def biased_cross_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    prior: CompositionPrior | None | list = None,
-    weights_out: list | None = None,
-    n_heads: int = 1,
-) -> Tensor:
-    """Per head softmax(q_h k_h^T / sqrt(d_h) + log B) v_h, with B = 1 when prior is None.
-
-    The bias row is shared by all queries and heads (and, at the
-    caller's level, by all layers); ``tensor.attention`` does the work.
-    For a batch, ``prior`` is a list with one prior (or None) per
-    entry, stacked into one (B, 1, n_keys) bias. Pass a list as
-    ``weights_out`` to capture one detached (m, n_keys) array of
-    attention weights per head, in head order.
-    """
-    priors = prior if isinstance(prior, list) else [prior]
-    if all(p is None for p in priors):
-        return T.attention(q, k, v, n_heads, None, weights_out)
-    n_keys = T.matrix_dims(k)[0]
-    for p in priors:
-        if p is not None and p.grid_h * p.grid_w != n_keys:
-            raise DimMismatch(f"prior has {p.grid_h * p.grid_w} cells but the keys are {k.dims}")
-    # a missing prior is a zero log-bias row: log 1 = 0 leaves its logits as they are
-    rows = [np.zeros((1, n_keys), q.data.dtype) if p is None else p.flat_log_bias(q.data.dtype) for p in priors]
-    log_bias = np.stack(rows) if isinstance(prior, list) else rows[0]
-    return T.attention(q, k, v, n_heads, log_bias, weights_out)

@@ -41,6 +41,15 @@ AESC_MAGIC = b"AESC"
 AESC_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+# the run dtypes by the names that the config and the checkpoint manifest give them
+DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
+
+
+def dtype_named(name) -> np.dtype:
+    """The run dtype that ``name`` names; anything else is a ``ParseError`` on field ``dtype``."""
+    if not (isinstance(name, str) and name in DTYPES):
+        raise ParseError(f"dtype {name!r} not one of {sorted(DTYPES)}", field="dtype")
+    return DTYPES[name]
 
 
 def _aesc_bytes(t) -> bytes:
@@ -288,6 +297,8 @@ def _jittered(rng: np.random.Generator, base: CropBox, sigma: float) -> CropBox:
 
 
 _JITTER_LEVELS = (0.005, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.18, 0.21, 0.25)
+# a scene's candidates: the planted box, one jitter per level and at least one random box
+MIN_CANDIDATES = len(_JITTER_LEVELS) + 2
 
 
 def make_scene(
@@ -316,8 +327,8 @@ def make_scene(
     then random boxes) are all drawn before one ``iou_matrix`` pass
     scores them; scoring draws nothing from the rng.
     """
-    if n_candidates < len(_JITTER_LEVELS) + 2:
-        raise OutOfRange(f"n_candidates must be >= {len(_JITTER_LEVELS) + 2}")
+    if n_candidates < MIN_CANDIDATES:
+        raise OutOfRange(f"n_candidates must be >= {MIN_CANDIDATES}")
     w = float(rng.uniform(0.20, 0.40))
     h = float(rng.uniform(0.20, 0.40))
     planted = CropBox(
@@ -439,8 +450,11 @@ def generate_synthetic(
     """Write a complete synthetic dataset and return its records, equal to what ``load_dataset`` reads back.
 
     Layout: out_dir/data.jsonl plus images/ and cams/ with AESC files
-    (float32). The same seed reproduces the same bytes.
+    (float32). The same seed reproduces the same bytes. A candidate
+    count below ``MIN_CANDIDATES`` is refused before anything is written.
     """
+    if n_candidates < MIN_CANDIDATES:
+        raise OutOfRange(f"n_candidates must be >= {MIN_CANDIDATES}")
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -514,7 +528,7 @@ def save_checkpoint(out_dir, state: ModelState, extra: dict | None = None) -> No
     manifest = {
         "format": 1,
         "model": asdict(state.config),
-        "dtype": "f32" if state.dtype == np.float32 else "f64",
+        "dtype": next(name for name, dtype in DTYPES.items() if dtype == state.dtype),
         "params": names,
         "sha256": checksums,
         "extra": extra or {},
@@ -539,9 +553,7 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
             raise ParseError(f"manifest missing field {key!r}", field=key)
     if manifest["format"] != 1:
         raise BadVersion(f"checkpoint format {manifest['format']}, expected 1")
-    if manifest["dtype"] not in ("f32", "f64"):
-        raise ParseError(f"dtype {manifest['dtype']!r} not one of f32/f64", field="dtype")
-    dtype = np.float32 if manifest["dtype"] == "f32" else np.float64
+    dtype = dtype_named(manifest["dtype"])
     model = manifest["model"]
     if not isinstance(model, dict) or set(model) != {f.name for f in fields(ModelConfig)}:
         raise ParseError("manifest model keys do not match the model config", field="model")

@@ -7,11 +7,14 @@ position-free learnable anchors). The decoder runs M pre-norm blocks
 of query self-attention, bias-modulated cross-attention onto the
 patch grid, and a feed-forward layer. Both attentions are multi-head:
 each projects queries, keys and values once at full width and makes
-one ``biased_cross_attention`` call, which splits the heads inside the
-fused ``tensor.attention`` op. Two heads turn the final query
-embeddings into (cx, cy, w, h) boxes and quality scores, both through
-sigmoids. Every affine layer (patch projection, attention projections,
-FFN and heads) is one ``tensor.linear`` op with a (1, n) bias row.
+one fused ``tensor.attention`` call, which splits the heads. ``decode``
+is where the composition priors become a bias: it checks their grids
+and builds one log-bias array per forward, which every
+cross-attention adds to each head's logits. Two heads turn the final
+query embeddings into (cx, cy, w, h) boxes and quality scores, both
+through sigmoids. Every affine layer (patch projection, attention
+projections, FFN and heads) is one ``tensor.linear`` op with a (1, n)
+bias row.
 
 ``forward_train`` also takes a batch: a list of images and a list of
 priors give (B, N, ·) heads in one recorded graph. Each image's values
@@ -26,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .composition import CompositionPrior, biased_cross_attention
+from .composition import CompositionPrior
 from .errors import BadShape, Degenerate, DimMismatch, NonFinite, ParseError
 from .geometry import MIN_EXTENT, CropBox
 from .tensor import Tensor
@@ -291,16 +294,13 @@ def _multi_head_attention(
     prefix: str,
     queries: Tensor,
     memory: Tensor,
-    prior: CompositionPrior | None | list,
+    log_bias: np.ndarray | None,
     weights_out: list | None,
 ) -> Tensor:
     q = T.linear(queries, state[f"{prefix}.wq"], state[f"{prefix}.bq"])
     k = T.linear(memory, state[f"{prefix}.wk"], state[f"{prefix}.bk"])
     v = T.linear(memory, state[f"{prefix}.wv"], state[f"{prefix}.bv"])
-    per_head: list | None = [] if weights_out is not None else None
-    merged = biased_cross_attention(q, k, v, prior, weights_out=per_head, n_heads=state.config.n_heads)
-    if weights_out is not None:
-        weights_out.append(np.stack(per_head))
+    merged = T.attention(q, k, v, state.config.n_heads, log_bias, weights_out)
     return T.linear(merged, state[f"{prefix}.wo"], state[f"{prefix}.bo"])
 
 
@@ -314,24 +314,32 @@ def decode(
 
     Pre-norm blocks: x += SelfAttn(LN(x)); x += CrossAttn(LN(x), E)
     with the composition bias added to every head's scaled logits;
-    x += FFN(LN(x)). The same prior is shared by all layers and heads.
-    A (B, n_cells, d) memory takes a list of B priors (or Nones), one
-    per image. ``attention_out`` collects one (n_heads, N, n_cells)
-    array per layer of cross-attention weights ((n_heads, B, N,
-    n_cells) for a batch).
+    x += FFN(LN(x)). The prior becomes one log-bias array, in memory's
+    dtype, that every layer and head shares: a (1, n_cells) row, or
+    for a (B, n_cells, d) memory and a list of B priors a (B, 1,
+    n_cells) stack, where a None entry is a zero row (log 1 = 0).
+    ``attention_out`` collects one (n_heads, N, n_cells) array per
+    layer of cross-attention weights ((n_heads, B, N, n_cells) for a
+    batch).
     """
     cfg = state.config
     if T.matrix_dims(memory) != (cfg.n_cells, cfg.model_dim):
         raise DimMismatch(f"memory {memory.dims} != ({cfg.n_cells}, {cfg.model_dim})")
-    for p in prior if isinstance(prior, list) else [prior]:
+    priors = prior if isinstance(prior, list) else [prior]
+    for p in priors:
         if p is not None and (p.grid_h, p.grid_w) != (cfg.grid_h, cfg.grid_w):
             raise DimMismatch(f"prior grid ({p.grid_h}, {p.grid_w}) != configured ({cfg.grid_h}, {cfg.grid_w})")
+    log_bias = None
+    if any(p is not None for p in priors):
+        dtype = memory.data.dtype
+        rows = [np.zeros((1, cfg.n_cells), dtype) if p is None else p.flat_log_bias(dtype) for p in priors]
+        log_bias = np.stack(rows) if isinstance(prior, list) else rows[0]
     x = state["query.embed"]
     for i in range(cfg.n_layers):
         normed = T.layer_norm(x, state[f"layer{i}.ln1.g"], state[f"layer{i}.ln1.b"])
         x = T.add(x, _multi_head_attention(state, f"layer{i}.self", normed, normed, None, None))
         normed = T.layer_norm(x, state[f"layer{i}.ln2.g"], state[f"layer{i}.ln2.b"])
-        x = T.add(x, _multi_head_attention(state, f"layer{i}.cross", normed, memory, prior, attention_out))
+        x = T.add(x, _multi_head_attention(state, f"layer{i}.cross", normed, memory, log_bias, attention_out))
         normed = T.layer_norm(x, state[f"layer{i}.ln3.g"], state[f"layer{i}.ln3.b"])
         ffn = T.linear(T.relu(T.linear(normed, state[f"layer{i}.ffn.w1"], state[f"layer{i}.ffn.b1"])),
                        state[f"layer{i}.ffn.w2"], state[f"layer{i}.ffn.b2"])

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .assignment import LossWeights, assign, focal_terms, training_loss
-from .composition import CompositionPrior, biased_cross_attention
+from .composition import CompositionPrior
 from .decoder import ModelConfig, forward_train, init_state, sinusoidal_grid_encoding
 from .errors import NotScalar
 from .geometry import ScoredCrop, CropBox, giou_pairs, l1_pairs
@@ -229,7 +229,7 @@ def _scn_self_attention(rng):
     def fn():
         # x reaches the loss four times: through q, k and v and through the residual
         q, k, v = (T.linear(x, w, b) for w, b in proj)
-        return _weigh(T.add(x, biased_cross_attention(q, k, v, n_heads=4)), 89)
+        return _weigh(T.add(x, T.attention(q, k, v, 4)), 89)
 
     return [x, *(w for w, _ in proj)], fn
 
@@ -239,11 +239,11 @@ def _scn_attention_bias(rng):
     k = _leaf(rng, (4, 4))
     v = _leaf(rng, (4, 4))
     bias = np.maximum(rng.uniform(size=(2, 2)), 1e-6)
-    prior = CompositionPrior(bias=bias)
+    log_bias = CompositionPrior(bias=bias).flat_log_bias(np.float64)
 
     def fn():
-        two_heads = _weigh(biased_cross_attention(q, k, v, prior, n_heads=2), 43)
-        return T.add(two_heads, _weigh(biased_cross_attention(q, k, v), 37))
+        two_heads = _weigh(T.attention(q, k, v, 2, log_bias), 43)
+        return T.add(two_heads, _weigh(T.attention(q, k, v, 1), 37))
 
     return [q, k, v], fn
 

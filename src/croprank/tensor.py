@@ -441,8 +441,8 @@ def attention(
     ``n_heads`` equal column blocks, one per head. ``log_bias`` is a
     constant (1, n) row added to every head's scaled logits, or a
     (B, 1, n) stack of one row per batch entry. Pass a list as
-    ``weights_out`` to capture one detached (m, n) weight array per
-    head, in head order ((B, m, n) for a batch).
+    ``weights_out`` to have one detached (H, m, n) array of every
+    head's weights appended, in head order ((H, B, m, n) for a batch).
 
     The heads are one array axis. q, k and v are split into
     C-contiguous stacks Q (…, H, m, d_h), K^T (…, H, d_h, n) and
@@ -495,7 +495,7 @@ def attention(
     np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     if weights_out is not None:
-        weights_out.extend(np.moveaxis(a, -3, 0).copy())
+        weights_out.append(np.moveaxis(a, -3, 0).copy())
     out = _merged_matmul(a, vs)
 
     def vjp(g: Array):

@@ -454,6 +454,7 @@ class TestPipeline:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == "out_of_range"
+        assert not (tmp_path / "x").exists()
 
     def test_non_object_checkpoint_extra_exits_2(self, tmp_path, capsys):
         ckpt = tmp_path / "ck"
@@ -530,8 +531,8 @@ class TestUntypedValues:
 
 
 # an out-of-range value for each leaf field whose bound the config checks, with the error code it gives;
-# model.epsilon_b, train.lr, train.decay_epoch, train.decay_factor and eval.epsilon have no bound in the config,
-# and data.n_candidates' floor is make_scene's (test_bad_override_value_exits_2)
+# model.epsilon_b, train.lr, train.decay_epoch and train.decay_factor have no bound in the config,
+# and data.n_candidates' floor is generate_synthetic's (test_bad_override_value_exits_2)
 OUT_OF_RANGE = {
     "model.n_queries": (0, "dim_mismatch"),
     "model.n_layers": (-1, "dim_mismatch"),
@@ -558,6 +559,7 @@ OUT_OF_RANGE = {
     "data.cam_w": (0, "parse_error"),
     "eval.ks": ([0, 1], "parse_error"),
     "eval.ns": ([0], "parse_error"),
+    "eval.epsilon": (1.5, "parse_error"),
     "mcab": ("median", "parse_error"),
     "dtype": ("f16", "parse_error"),
 }
@@ -663,6 +665,22 @@ class TestRunOnlyOnValidValues:
                                    *TINY_FLAGS])
         assert err["code"] == "parse_error" and "(field 'mcab')" in err["message"]
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("flags, code, field", [
+        (["--eval.epsilon", "1.5"], "parse_error", "(field 'eval.epsilon')"),
+        (["--eval.ks", "[1, 13]"], "k_too_large", "K=13"),
+        (["--depths", "1,-1"], "dim_mismatch", "n_layers"),
+    ], ids=["epsilon_1.5", "ks_13", "depth_-1"])
+    def test_ablate_refuses_a_config_value_before_it_trains(self, tiny_run, tmp_path, capsys, flags, code, field):
+        data = tiny_run / "data"
+        capsys.readouterr()
+        assert main(["ablate", "--train-data", str(data / "train" / "data.jsonl"),
+                     "--val-data", str(data / "val" / "data.jsonl"), "--out", str(tmp_path / "ablate"),
+                     "--modes", "off", "--depths", "1", "--epochs", "1", *TINY_FLAGS, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert "training" not in out
+        assert json.loads(err)["code"] == code and field in json.loads(err)["message"]
+        assert not (tmp_path / "ablate").exists()
 
     @pytest.mark.parametrize("flags, keys", [
         (["--eval.ns", "[3]"], {"acc_1_3", "acc_bar_3"}),

@@ -1,4 +1,4 @@
-"""Saliency-map fusion, grid pooling, and the log-bias attention term."""
+"""Saliency-map fusion, grid pooling, and the log-bias term that ``tensor.attention`` adds."""
 import math
 
 import numpy as np
@@ -12,12 +12,12 @@ from croprank.composition import (
     ActivationMap,
     ClassProbabilities,
     CompositionPrior,
-    biased_cross_attention,
     fuse_cams,
     make_prior,
     normalize01,
     resample_to_grid,
 )
+from croprank.decoder import ModelConfig, decode, encode, init_state
 from croprank.errors import BadGrid, BadProbabilities, DimMismatch, DomainError
 from croprank.tensor import Tensor
 from test_tensor import reference_attention
@@ -243,6 +243,14 @@ def _qkv(rng, n_q=3, n_k=4, d=5):
     return q, k, v
 
 
+def _biased(q, k, v, prior=None, n_heads=1):
+    """``tensor.attention`` under the prior's log-bias row, as ``decode`` builds it: (output, (H, m, n) weights)."""
+    weights: list = []
+    log_bias = None if prior is None else prior.flat_log_bias(q.data.dtype)
+    out = T.attention(q, k, v, n_heads, log_bias, weights)
+    return out, weights[0]
+
+
 class TestBiasedAttention:
     def test_matches_the_unfused_per_head_chain_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -253,10 +261,10 @@ class TestBiasedAttention:
                     q, k, v = (Tensor(rng.normal(size=shape), dtype=dtype, requires_grad=True)
                                for shape in ((5, 8), (6, 8), (6, 8)))
                     upstream = rng.normal(size=(5, 8)).astype(dtype)
-                    weights: list = []
-                    out = biased_cross_attention(q, k, v, p, weights_out=weights, n_heads=n_heads)
+                    out, weights = _biased(q, k, v, p, n_heads)
                     log_bias = None if p is None else p.flat_log_bias(dtype)
                     ref, ref_weights, ref_vjp = reference_attention(q.data, k.data, v.data, n_heads, log_bias)
+                    assert weights.shape == (n_heads, 5, 6)
                     got = [out.data, *weights, *out._vjp(upstream)]
                     want = [ref, *ref_weights, *ref_vjp(upstream)]
                     assert len(got) == len(want) == n_heads + 4
@@ -264,13 +272,13 @@ class TestBiasedAttention:
                         assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
         q, k, v = _qkv(rng, d=6)
         with pytest.raises(DimMismatch):
-            biased_cross_attention(q, k, v, None, n_heads=4)
+            T.attention(q, k, v, 4)
 
     def test_uniform_prior_matches_no_prior(self):
         rng = np.random.default_rng(11)
         q, k, v = _qkv(rng)
-        base = biased_cross_attention(q, k, v, None).data
-        uniform = biased_cross_attention(q, k, v, CompositionPrior(bias=np.ones((2, 2)))).data
+        base = _biased(q, k, v)[0].data
+        uniform = _biased(q, k, v, CompositionPrior(bias=np.ones((2, 2))))[0].data
         assert np.max(np.abs(uniform - base)) <= 1e-12
 
     def test_rows_sum_to_one_under_any_prior(self):
@@ -278,8 +286,7 @@ class TestBiasedAttention:
         for _ in range(10):
             q, k, v = _qkv(rng, n_k=6)
             prior = make_prior(ActivationMap(values=rng.uniform(size=(2, 3))))
-            weights: list = []
-            biased_cross_attention(q, k, v, prior, weights_out=weights)
+            weights = _biased(q, k, v, prior)[1]
             np.testing.assert_allclose(weights[0].sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_concentrated_prior_lifts_mass_on_two_key_fixture(self):
@@ -288,17 +295,15 @@ class TestBiasedAttention:
         k = T.constant(rng.normal(size=(2, 3)))
         v = T.constant(rng.normal(size=(2, 3)))
         prior = CompositionPrior(bias=np.array([[1.0, BIAS_FLOOR]]))
-        plain: list = []
-        boosted: list = []
-        biased_cross_attention(q, k, v, None, weights_out=plain)
-        biased_cross_attention(q, k, v, prior, weights_out=boosted)
+        plain = _biased(q, k, v)[1][0]
+        boosted = _biased(q, k, v, prior)[1][0]
         # every query row puts at least as much mass on the favored key 0
-        assert np.all(boosted[0][:, 0] >= plain[0][:, 0])
+        assert np.all(boosted[:, 0] >= plain[:, 0])
         # direct computation: adding log B to the logits and renormalizing
         logits = (q.data @ k.data.T) / math.sqrt(3)
         shifted = logits + np.log(np.array([1.0, BIAS_FLOOR]))[None, :]
         e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
-        np.testing.assert_allclose(boosted[0], e / e.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(boosted, e / e.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
 
     def test_bias_monotonicity_random_fixtures(self):
         rng = np.random.default_rng(14)
@@ -308,23 +313,27 @@ class TestBiasedAttention:
             j = int(rng.integers(4))
             raised = bias.copy()
             raised[0, j] = min(bias[0, j] + 0.1, 1.0)
-            w_lo: list = []
-            w_hi: list = []
-            biased_cross_attention(q, k, v, CompositionPrior(bias=bias), weights_out=w_lo)
-            biased_cross_attention(q, k, v, CompositionPrior(bias=raised), weights_out=w_hi)
-            assert np.all(w_hi[0][:, j] >= w_lo[0][:, j])
+            w_lo = _biased(q, k, v, CompositionPrior(bias=bias))[1][0]
+            w_hi = _biased(q, k, v, CompositionPrior(bias=raised))[1][0]
+            assert np.all(w_hi[:, j] >= w_lo[:, j])
             if raised[0, j] > bias[0, j]:
-                assert np.all(w_hi[0][:, j] > w_lo[0][:, j])
+                assert np.all(w_hi[:, j] > w_lo[:, j])
 
     def test_dimension_errors(self):
         rng = np.random.default_rng(15)
         q, k, v = _qkv(rng)
         with pytest.raises(DimMismatch):
-            biased_cross_attention(q, T.constant(rng.normal(size=(4, 6))), v, None)
+            T.attention(q, T.constant(rng.normal(size=(4, 6))), v, 1)
         with pytest.raises(DimMismatch):
-            biased_cross_attention(q, k, T.constant(rng.normal(size=(3, 5))), None)
-        with pytest.raises(DimMismatch):
-            biased_cross_attention(q, k, v, CompositionPrior(bias=np.ones((3, 3))))
+            T.attention(q, k, T.constant(rng.normal(size=(3, 5))), 1)
+        # a 3x3 prior's nine cells against four keys: attention's row check, and decode's grid check before it
+        with pytest.raises(DimMismatch, match="log_bias"):
+            _biased(q, k, v, CompositionPrior(bias=np.ones((3, 3))))
+        cfg = ModelConfig(n_queries=3, n_layers=1, model_dim=8, n_heads=2, ffn_dim=8, grid_h=2, grid_w=2,
+                          in_channels=1, image_h=4, image_w=4)
+        state = init_state(cfg, seed=15)
+        with pytest.raises(DimMismatch, match="prior grid"):
+            decode(encode(np.zeros((1, 4, 4)), state), CompositionPrior(bias=np.ones((3, 3))), state)
 
     def test_gradients_flow_through_bias_path(self):
         rng = np.random.default_rng(16)
@@ -332,5 +341,5 @@ class TestBiasedAttention:
         k = T.constant(rng.normal(size=(4, 3)))
         v = T.constant(rng.normal(size=(4, 3)))
         prior = make_prior(ActivationMap(values=rng.uniform(size=(2, 2))))
-        T.backward(T.sum_all(biased_cross_attention(q, k, v, prior)))
+        T.backward(T.sum_all(_biased(q, k, v, prior)[0]))
         assert np.all(np.isfinite(q.grad)) and np.any(q.grad != 0.0)

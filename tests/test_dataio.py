@@ -377,10 +377,15 @@ class TestSyntheticScenes:
                 assert crop.mos == pytest.approx(expected, abs=1e-9)
             assert sum(1 for c in rec.crops if c.mos >= 4.0) >= 1
 
-    def test_candidate_floor(self):
+    def test_candidate_floor(self, tmp_path):
         rng = np.random.default_rng(0)
         with pytest.raises(OutOfRange):
-            make_scene(rng, n_candidates=12)
+            make_scene(rng, n_candidates=dataio.MIN_CANDIDATES - 1)
+        make_scene(rng, n_candidates=dataio.MIN_CANDIDATES)
+        # the floor is checked before the first directory is made, not at the first scene
+        with pytest.raises(OutOfRange):
+            generate_synthetic(0, 2, tmp_path / "ds", n_candidates=dataio.MIN_CANDIDATES - 1)
+        assert not (tmp_path / "ds").exists()
 
     def test_scene_pieces_are_consistent(self):
         rng = np.random.default_rng(1)
@@ -439,11 +444,12 @@ class TestCheckpoints:
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path / "ck")
 
-    def test_unknown_dtype(self, tmp_path):
+    @pytest.mark.parametrize("name", ["f16", ["f64"], None])
+    def test_unknown_dtype(self, tmp_path, name):
         state = self._trained_state()
         save_checkpoint(tmp_path / "ck", state)
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["dtype"] = "f16"
+        manifest["dtype"] = name
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ParseError) as err:
             load_checkpoint(tmp_path / "ck")

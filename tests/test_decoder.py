@@ -216,6 +216,41 @@ class TestDecode:
         with pytest.raises(DimMismatch):
             decode(memory, CompositionPrior(bias=np.ones((3, 3))), state)
 
+    def test_each_prior_becomes_a_log_bias_once_per_forward(self, monkeypatch):
+        calls = []
+        flat_log_bias = CompositionPrior.flat_log_bias
+        monkeypatch.setattr(CompositionPrior, "flat_log_bias",
+                            lambda prior, dtype: calls.append(prior) or flat_log_bias(prior, dtype))
+        state = init_state(SMALL, seed=15)
+        rng = np.random.default_rng(16)
+        p, q = (make_prior(ActivationMap(values=rng.uniform(size=(2, 2)))) for _ in range(2))
+        images = [rng.uniform(size=(1, 8, 8)) for _ in range(3)]
+        forward_train(images[0], p, state)
+        assert calls == [p]
+        calls.clear()
+        forward_train(images, [p, None, q], state)
+        assert calls == [p, q]
+        calls.clear()
+        forward_train(images[:2], [None, None], state)
+        assert calls == []
+
+    def test_a_batch_mixing_priors_and_none_gives_each_image_its_own_bytes(self):
+        state = init_state(SMALL, seed=17)
+        rng = np.random.default_rng(18)
+        priors = [make_prior(ActivationMap(values=rng.uniform(size=(2, 2)))), None,
+                  make_prior(ActivationMap(values=rng.uniform(size=(2, 2))))]
+        images = [rng.uniform(size=(1, 8, 8)) for _ in priors]
+        batch_weights: list = []
+        batched = forward_train(images, priors, state, attention_out=batch_weights)
+        for b, (image, prior) in enumerate(zip(images, priors)):
+            weights: list = []
+            own = forward_train(image, prior, state, attention_out=weights)
+            assert batched.boxes.data[b].tobytes() == own.boxes.data.tobytes()
+            assert batched.scores.data[b].tobytes() == own.scores.data.tobytes()
+            for layer_batch, layer_own in zip(batch_weights, weights, strict=True):
+                assert layer_batch.shape == (SMALL.n_heads, len(images), SMALL.n_queries, SMALL.n_cells)
+                assert layer_batch[:, b].tobytes() == layer_own.tobytes()
+
 
 class TestHeads:
     def test_zero_weights_give_centered_sigmoid(self):

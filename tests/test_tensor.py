@@ -231,8 +231,9 @@ class TestAttention:
             weights: list = []
             out = T.attention(*(Tensor(x, dtype=dtype, requires_grad=True) for x in (q, k, v)),
                               n_heads, log_bias, weights)
-            assert len(weights) == n_heads
-            for got, ref in zip([out.data, *weights], [want, *want_weights]):
+            # one (H, [B,] m, n) array per call, head i's weights at index i
+            assert len(weights) == 1
+            for got, ref in zip([out.data, weights[0]], [want, np.stack(want_weights)]):
                 _same_array(got, ref)
             # an unbatched output used once per batch entry gets a batched adjoint
             g_shapes = [want.shape] + ([(self.BATCH, *want.shape)] if want.ndim == 2 else [])
