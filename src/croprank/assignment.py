@@ -68,7 +68,6 @@ class Assignment:
     roles: np.ndarray  # (N,) MATCHED, SOFT or NEGATIVE
     score: np.ndarray  # (N,) float64 score target: normalized MOS if matched, soft score if soft, 0.0 if negative
     box: np.ndarray  # (N, 4) float64 box of a matched row's crop; 0.0 on the other rows
-    perm: np.ndarray  # row i -> padded target column
     good_indices: tuple[int, ...]  # columns [0, len) map to these ground-truth indices
 
     @property
@@ -367,7 +366,7 @@ def assign_batch(
     roles = np.where(matched, MATCHED, np.where(is_soft, SOFT, NEGATIVE))
     score = np.where(matched, good_v[rows, col], soft)
     box = np.where(matched[:, :, None], good_boxes[rows, col], 0.0)
-    return [Assignment(*fields) for fields in zip(roles, score, box, perms, good_indices)]
+    return [Assignment(*fields) for fields in zip(roles, score, box, good_indices)]
 
 
 def assign(preds: list[Prediction], ground_truths: list[ScoredCrop], w: LossWeights) -> Assignment:

@@ -1,7 +1,12 @@
 """Operator entry point: gen / train / eval / fuse / gradcheck / ablate.
 
 Configuration is one JSON document; every leaf is overridable with a
-flag of the same dotted name (e.g. --model.n_queries 32). Errors
+flag of the same dotted name (e.g. --model.n_queries 32), and
+--seed, --epochs and --lr are aliases of --train.seed, --train.epochs
+and --train.lr. A flag's text becomes an int, a float, a JSON value or
+else the text itself; ``RunConfig`` then types and bounds it by the
+rule it applies to the file, so a flag and a file fail alike. A flag
+given twice, through its alias or not, keeps its last value. Errors
 derived from CropError leave as machine-readable JSON on stderr with
 a nonzero exit code.
 """
@@ -9,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +46,7 @@ from .dataio import (
     write_tensor,
 )
 from .decoder import ModelConfig, ModelState, _check_types, forward_train, init_state
-from .errors import CropError, Degenerate, DimMismatch, DomainError, KTooLarge, NonFinite, ParseError
+from .errors import CropError, Degenerate, DimMismatch, KTooLarge, NonFinite, ParseError
 from .metrics import EvalExample, MetricsReport, build_report, render_table
 from .tensor import Adam, no_grad
 
@@ -125,26 +132,17 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
-def _set_dotted(d: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
-    node = d
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = value
-
-
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+def _deep_merge(base: dict, override, path: str = "") -> dict:
+    """A fresh copy of ``base`` with ``override``'s leaves in place; every key must be one of ``base``'s."""
+    if not isinstance(override, dict):
+        raise ParseError(f"config {'section' if path else 'document'} must be a JSON object, "
+                         f"got {type(override).__name__}", field=path[:-1] or None)
     out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
     for k, v in override.items():
         dotted = f"{path}{k}"
         if k not in out:
             raise ParseError(f"unknown config field {dotted!r}", field=dotted)
-        if isinstance(out[k], dict):
-            if not isinstance(v, dict):
-                raise ParseError(f"config field {dotted!r} must be an object", field=dotted)
-            out[k] = _deep_merge(out[k], v, dotted + ".")
-        else:
-            out[k] = v
+        out[k] = _deep_merge(out[k], v, dotted + ".") if isinstance(out[k], dict) else v
     return out
 
 
@@ -174,24 +172,25 @@ class RunConfig:
         return self.raw[section]
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the file at ``path``; a file that cannot be read as JSON text is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError as e:
+        raise ParseError(f"{what} file not found: {path}") from e
+    except OSError as e:  # a directory, or a file without read permission
+        raise ParseError(f"{what} file unreadable: {path}: {e.strerror}") from e
+    except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError from a binary file
+        raise ParseError(f"{what} file is not valid JSON: {e}") from e
+
+
 def resolve_config(preset: str, config_path: str | None, overrides: dict) -> RunConfig:
     if preset not in PRESETS:
         raise ParseError(f"preset {preset!r} not one of {sorted(PRESETS)}", field="preset")
-    base = PRESETS[preset]
-    merged = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text())
-        except FileNotFoundError as e:
-            raise ParseError(f"config file not found: {config_path}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config is not valid JSON: {e.msg}") from e
-        merged = _deep_merge(merged, doc)
-    flat = _flatten(merged)
+    merged = _deep_merge(PRESETS[preset], _read_json(config_path, "config") if config_path else {})
+    # each dotted override is a one-leaf document, merged by the file's rule
     for dotted, value in overrides.items():
-        if dotted not in flat:
-            raise ParseError(f"unknown config field {dotted!r}", field=dotted)
-        _set_dotted(merged, dotted, value)
+        merged = _deep_merge(merged, reduce(lambda leaf, key: {key: leaf}, reversed(dotted.split(".")), value))
     return RunConfig(raw=merged)
 
 
@@ -321,12 +320,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_dir: str, data_path: str, out_dir: str |
 def cmd_fuse(cam_paths, probs_path: str, mode: str, grid_h: int, grid_w: int,
              epsilon_b: float, out_path: str, pgm_path: str | None) -> dict:
     cams = [ActivationMap(values=read_tensor(p).data.astype(np.float64)) for p in cam_paths]
-    try:
-        probs_raw = json.loads(Path(probs_path).read_text())
-    except FileNotFoundError as e:
-        raise ParseError(f"probabilities file not found: {probs_path}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"probabilities file is not valid JSON: {e.msg}") from e
+    probs_raw = _read_json(probs_path, "probabilities")
     if not isinstance(probs_raw, list):
         raise ParseError(f"probabilities must be a JSON list, got {type(probs_raw).__name__}", field="probs")
     probs = ClassProbabilities(values=tuple(_number(v, "probs") for v in probs_raw))
@@ -342,6 +336,8 @@ def cmd_fuse(cam_paths, probs_path: str, mode: str, grid_h: int, grid_w: int,
 def cmd_gradcheck(seeds: int, tol: float, scenarios=None) -> bool:
     if seeds < 1:
         raise ParseError(f"seeds must be at least 1, got {seeds}", field="seeds")
+    if not 0 < tol < math.inf:  # a NaN, zero or negative tolerance would fail every check
+        raise ParseError(f"tol must be a finite number above 0, got {tol}", field="tol")
     names = scenarios or list(gradcheck.SCENARIOS)
     unknown = [name for name in names if name not in gradcheck.SCENARIOS]
     if unknown:
@@ -392,41 +388,33 @@ def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _flag_value(text: str):
+    """A flag's text as an int, else a float, else a JSON value, else the text; ``RunConfig`` types it."""
+    for parse in (int, float, json.loads):
+        try:
+            return parse(text)
+        except ValueError:  # json.JSONDecodeError is a ValueError
+            pass
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), default="desk",
                         help="base configuration (desk: minutes-scale defaults)")
     parser.add_argument("--config", default=None, help="JSON config overriding the preset")
-    parser.add_argument("--seed", type=int, default=None, help="shorthand for --train.seed")
-    parser.add_argument("--mcab", choices=MCAB_MODES, default=None, help="composition bias mode")
-    parser.add_argument("--epochs", type=int, default=None, help="shorthand for --train.epochs")
-    parser.add_argument("--lr", type=float, default=None, help="shorthand for --train.lr")
-    flat = _flatten(DESK_CONFIG)
-    reserved = {"preset", "config", "seed", "mcab", "epochs", "lr"}
-    for dotted, default in sorted(flat.items()):
-        if dotted in reserved:  # the explicit shorthand already covers it
-            continue
-        if isinstance(default, bool):
-            kind = bool
-        elif isinstance(default, int):
-            kind = int
-        elif isinstance(default, float):
-            kind = float
-        elif isinstance(default, tuple):
-            kind = json.loads
-        else:
-            kind = str
-        parser.add_argument(f"--{dotted}", dest=f"dotted:{dotted}", type=kind, default=None,
-                            help=argparse.SUPPRESS)
+    shown = {"train.seed": ("--seed", "shorthand for --train.seed"),
+             "mcab": (None, f"composition bias mode: one of {', '.join(MCAB_MODES)}"),
+             "train.epochs": ("--epochs", "shorthand for --train.epochs"),
+             "train.lr": ("--lr", "shorthand for --train.lr")}
+    for dotted in sorted(_flatten(DESK_CONFIG)):
+        alias, text = shown.get(dotted, (None, argparse.SUPPRESS))
+        flags = [f"--{dotted}"] if alias is None else [alias, f"--{dotted}"]
+        parser.add_argument(*flags, dest=f"dotted:{dotted}", type=_flag_value, default=argparse.SUPPRESS,
+                            metavar=dotted.rpartition(".")[2].upper(), help=text)
 
 
 def _config_from(args) -> RunConfig:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key.startswith("dotted:") and value is not None:
-            overrides[key.split(":", 1)[1]] = value
-    for flag, dotted in (("seed", "train.seed"), ("mcab", "mcab"), ("epochs", "train.epochs"), ("lr", "train.lr")):
-        if getattr(args, flag) is not None:
-            overrides[dotted] = getattr(args, flag)
+    overrides = {key[len("dotted:"):]: value for key, value in vars(args).items() if key.startswith("dotted:")}
     return resolve_config(args.preset, args.config, overrides)
 
 
@@ -495,9 +483,6 @@ def main(argv=None) -> int:
                 return 1
         elif args.command == "ablate":
             modes = tuple(args.modes.split(","))
-            for m in modes:
-                if m not in MCAB_MODES:
-                    raise DomainError(f"unknown mcab mode {m!r}")
             try:
                 depths = tuple(int(d) for d in args.depths.split(","))
             except ValueError as e:

@@ -207,12 +207,18 @@ def reference_assign(preds: list, ground_truths: list, w: LossWeights) -> tuple[
             overlap = float(ious[i, neighbor])
             if overlap >= w.soft_iou_threshold:
                 roles[i], score[i] = SOFT, normalize_mos(ground_truths[neighbor].mos) * overlap
-    return Assignment(roles=roles, score=score, box=box, perm=perm, good_indices=good_indices), costs
+    return Assignment(roles=roles, score=score, box=box, good_indices=good_indices), costs
+
+
+def _matched_index(a: Assignment, crops: list, i: int) -> int:
+    """The index in ``crops`` of the good crop that row ``i`` of ``a`` is matched to: the one whose box it holds."""
+    [k] = [k for k in a.good_indices if a.box[i].tolist() == boxes_array([crops[k].box])[0].tolist()]
+    return k
 
 
 def assert_same_assignment(got: Assignment, want: Assignment) -> None:
     """Every array of ``got`` has ``want``'s dtype and bytes, and both name the same good crops."""
-    for name in ("roles", "score", "box", "perm"):
+    for name in ("roles", "score", "box"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert got.good_indices == want.good_indices
@@ -541,7 +547,7 @@ class TestAssign:
         crops = [_crop(0.3, 0.7, 0.2, 0.2, 2.0), target]
         a = assign(preds, crops, W)
         assert a.roles.tolist() == [MATCHED, NEGATIVE, NEGATIVE]
-        assert a.good_indices == (1,) and a.perm[0] == 0
+        assert a.good_indices == (1,)
         assert a.score.tolist() == [normalize_mos(5.0), 0.0, 0.0]
         assert a.box[0].tolist() == [0.5, 0.5, 0.4, 0.4] and not a.box[1:].any()
 
@@ -589,17 +595,16 @@ class TestAssign:
             ]
             a = assign(preds, crops, W)
             assert len(a.roles) == 10
-            # perm is a bijection on the padded columns
-            assert sorted(a.perm.tolist()) == list(range(10))
             good_set = {i for i, c in enumerate(crops) if c.mos >= 4.0}
             assert set(a.good_indices) == good_set
-            matched_targets = [a.good_indices[a.perm[i]] for i in np.nonzero(a.roles == MATCHED)[0]]
+            matched = np.nonzero(a.roles == MATCHED)[0]
+            matched_targets = [_matched_index(a, crops, i) for i in matched]
             # every matchable target is consumed exactly once
             assert sorted(matched_targets) == sorted(good_set)
             # re-derive soft/negative split from scratch
             for i, role in enumerate(a.roles):
                 if role == MATCHED:
-                    target = crops[a.good_indices[a.perm[i]]]
+                    target = crops[_matched_index(a, crops, i)]
                     assert a.score[i] == normalize_mos(target.mos)
                     assert a.box[i].tolist() == [target.box.cx, target.box.cy, target.box.w, target.box.h]
                     continue
@@ -617,7 +622,10 @@ class TestAssign:
             good = [crops[i] for i in sorted(good_set)]
             cost = reference_cost_matrix(preds, good, W)
             rows, cols = linear_sum_assignment(cost)
-            ours = cost[np.arange(10), a.perm].sum()
+            # a row's padding columns all cost the same, so an unmatched row costs its column len(good)
+            cols = np.full(10, len(good))
+            cols[matched] = [a.good_indices.index(k) for k in matched_targets]
+            ours = cost[np.arange(10), cols].sum()
             assert ours == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
     def test_cardinality_errors(self):
@@ -656,7 +664,7 @@ class TestTrainingLoss:
                 v_hat = float(scores[i, 0])
                 if role == MATCHED:
                     pb = CropBox(*boxes[i])
-                    crop = crops[a.good_indices[a.perm[i]]]
+                    crop = crops[_matched_index(a, crops, i)]
                     expected += l1_box(pb, crop.box) + W.giou_weight * (1.0 - box_giou(pb, crop.box))
                     target = normalize_mos(crop.mos)
                 else:
@@ -688,7 +696,7 @@ class TestTrainingLoss:
         dtype = head.scores.data.dtype
         rows = {k: np.nonzero(a.roles == k)[0].tolist() for k in (MATCHED, SOFT, NEGATIVE)}
         matched = rows[MATCHED]
-        matched_crops = [crops[a.good_indices[a.perm[i]]] for i in matched]
+        matched_crops = [crops[_matched_index(a, crops, i)] for i in matched]
         tgt = T.constant(boxes_array([c.box for c in matched_crops]).astype(dtype))
         pb = T.gather_rows(head.boxes, matched)
         deficit = T.add_const(T.scale(giou_pairs(pb, tgt), -1.0), 1.0)
@@ -744,15 +752,13 @@ class TestTrainingLoss:
 
     def test_role_count_mismatch(self):
         head = HeadOutputs(boxes=T.constant(np.full((2, 4), 0.5)), scores=T.constant(np.full((2, 1), 0.5)))
-        a = Assignment(roles=np.array([NEGATIVE]), score=np.zeros(1), box=np.zeros((1, 4)), perm=np.array([0]),
-                       good_indices=())
+        a = Assignment(roles=np.array([NEGATIVE]), score=np.zeros(1), box=np.zeros((1, 4)), good_indices=())
         with pytest.raises(CardinalityMismatch):
             training_loss(head, a, W)
 
     def test_empty_assignment_rejected(self):
         head = HeadOutputs(boxes=T.constant(np.zeros((0, 4))), scores=T.constant(np.zeros((0, 1))))
-        a = Assignment(roles=np.zeros(0, dtype=int), score=np.zeros(0), box=np.zeros((0, 4)),
-                       perm=np.zeros(0, dtype=int), good_indices=())
+        a = Assignment(roles=np.zeros(0, dtype=int), score=np.zeros(0), box=np.zeros((0, 4)), good_indices=())
         with pytest.raises(DomainError):
             training_loss(head, a, W)
 
@@ -971,7 +977,6 @@ class TestAssignBatch:
         boxes, scores = _desk_heads(desk_records[:3], "off", np.float64)
         for a in assign_batch(boxes, scores, [[], [], []], W):
             assert a.good_indices == () and np.all(a.roles == NEGATIVE) and not a.score.any()
-            assert a.perm.tolist() == list(range(16))
 
     def test_single_image_assign_is_the_batch_of_one(self, desk_records):
         boxes, scores = _desk_heads(desk_records[:4], "average", np.float32)

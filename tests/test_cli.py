@@ -1,4 +1,5 @@
 """Config resolution and the end-to-end command-line workflow."""
+import functools
 import json
 
 import numpy as np
@@ -90,15 +91,23 @@ class TestResolveConfig:
             resolve_config("desk", str(path), {})
         assert err.value.field == "train.epohcs"
 
-    def test_config_file_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("text", [b"{oops", b"null", b"[1]", b"5", b"\xd0\xff"],
+                             ids=["broken", "null", "list", "number", "binary"])
+    def test_config_file_invalid_json(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
-        path.write_text("{oops")
+        path.write_bytes(text)
         with pytest.raises(ParseError):
             resolve_config("desk", str(path), {})
+        err = _main_error(capsys, ["gen", "--config", str(path), "--out", str(tmp_path / "data")])
+        assert err["code"] == "parse_error"
+        assert not (tmp_path / "data").exists()
 
-    def test_config_file_missing(self, tmp_path):
+    @pytest.mark.parametrize("name", ["none.json", "."], ids=["missing", "directory"])
+    def test_config_file_missing(self, tmp_path, capsys, name):
         with pytest.raises(ParseError):
-            resolve_config("desk", str(tmp_path / "none.json"), {})
+            resolve_config("desk", str(tmp_path / name), {})
+        err = _main_error(capsys, ["gen", "--config", str(tmp_path / name), "--out", str(tmp_path / "data")])
+        assert err["code"] == "parse_error"
 
     def test_section_type_guard(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -120,6 +129,53 @@ class TestResolveConfig:
 
     def test_modes_constant(self):
         assert MCAB_MODES == ("average", "max", "off")
+
+
+def _flags(*flags) -> cli.RunConfig:
+    return _config_from(build_parser().parse_args(["gen", "--out", "x", *flags]))
+
+
+class TestFlagValues:
+    """A flag's text reaches ``RunConfig`` as a number, a JSON value or the text, and is typed there."""
+
+    @pytest.mark.parametrize("flag, text, dotted, want", [
+        ("--train.lr", ".001", "train.lr", 0.001),
+        ("--train.lr", "+0.1", "train.lr", 0.1),
+        ("--train.lr", "1e-3", "train.lr", 0.001),
+        ("--lr", "1.", "train.lr", 1.0),
+        ("--model.n_queries", "010", "model.n_queries", 10),
+        ("--model.n_queries", "16.0", "model.n_queries", 16),
+        ("--eval.ks", "[1, 2]", "eval.ks", (1, 2)),
+        ("--mcab", "off", "mcab", "off"),
+        ("--train.optimizer", "sgd", "train.optimizer", "sgd"),
+    ])
+    def test_a_spelling_keeps_its_value(self, flag, text, dotted, want):
+        got = functools.reduce(getattr, dotted.split("."), _flags(flag, text))
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("alias, dotted, values", [
+        ("--seed", "--train.seed", ("5", "6")),
+        ("--epochs", "--train.epochs", ("2", "3")),
+        ("--lr", "--train.lr", ("0.5", "0.25")),
+    ])
+    def test_an_alias_and_its_dotted_flag_take_the_last_value(self, alias, dotted, values):
+        leaf = dotted.rpartition(".")[2]
+        first, last = values
+        assert getattr(_flags(alias, first, dotted, last).train, leaf) == float(last)
+        assert getattr(_flags(dotted, first, alias, last).train, leaf) == float(last)
+
+    def test_a_null_flag_is_a_null_value(self, tmp_path, capsys):
+        err = _main_error(capsys, ["gen", "--out", str(tmp_path / "data"), "--train.lr", "null"])
+        assert err["code"] == "parse_error" and "(field 'train.lr')" in err["message"]
+        assert not (tmp_path / "data").exists()
+
+    def test_help_lists_the_aliases_and_the_modes(self):
+        text = build_parser()._subparsers._group_actions[0].choices["train"].format_help()
+        for flags in ("--seed SEED, --train.seed SEED", "--epochs EPOCHS, --train.epochs EPOCHS",
+                      "--lr LR, --train.lr LR", "--mcab MCAB"):
+            assert flags in text
+        assert "average, max, off" in text
+        assert "--model." not in text and "--data." not in text
 
 
 class TestRandomBaseline:
@@ -355,6 +411,7 @@ class TestPipeline:
     @pytest.mark.parametrize("flags, field", [
         (["--seeds", "0"], "seeds"),
         (["--seeds", "1", "--scenarios", "encoder,nope"], "scenarios"),
+        *[(["--seeds", "1", "--tol", tol], "tol") for tol in ("nan", "-1", "0", "inf")],
     ])
     def test_gradcheck_without_checks_exits_2(self, flags, field, capsys):
         # zero seeds would pass on zero checks; a misspelled scenario is not a failed check
@@ -517,17 +574,29 @@ class TestUntypedValues:
         assert err["code"] == "dim_mismatch" and "empty" in err["message"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("probs", [["x", *[1.0 / 8] * 8], {"a": 1}, [None] * 9], ids=["string", "object", "null"])
-    def test_non_numeric_fuse_probabilities_exit_2(self, tmp_path, capsys, probs):
+    @staticmethod
+    def _fuse_error(tmp_path, capsys, probs_path) -> dict:
         cam_paths = []
         for k in range(9):
             write_tensor(tmp_path / f"cam{k}.aesc", np.full((8, 8), 0.5))
             cam_paths.append(str(tmp_path / f"cam{k}.aesc"))
-        (tmp_path / "probs.json").write_text(json.dumps(probs))
-        err = _main_error(capsys, ["fuse", "--cams", *cam_paths, "--probs", str(tmp_path / "probs.json"),
+        err = _main_error(capsys, ["fuse", "--cams", *cam_paths, "--probs", str(probs_path),
                                    "--grid-h", "4", "--grid-w", "4", "--out", str(tmp_path / "prior.aesc")])
-        assert err["code"] == "parse_error" and "probs" in err["message"]
         assert not (tmp_path / "prior.aesc").exists()
+        return err
+
+    @pytest.mark.parametrize("probs", [["x", *[1.0 / 8] * 8], {"a": 1}, [None] * 9], ids=["string", "object", "null"])
+    def test_non_numeric_fuse_probabilities_exit_2(self, tmp_path, capsys, probs):
+        (tmp_path / "probs.json").write_text(json.dumps(probs))
+        err = self._fuse_error(tmp_path, capsys, tmp_path / "probs.json")
+        assert err["code"] == "parse_error" and "probs" in err["message"]
+
+    @pytest.mark.parametrize("name", ["dir", "probs.bin"], ids=["directory", "binary"])
+    def test_unreadable_fuse_probabilities_exit_2(self, tmp_path, capsys, name):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "probs.bin").write_bytes(b"\xd0\xff")
+        err = self._fuse_error(tmp_path, capsys, tmp_path / name)
+        assert err["code"] == "parse_error" and "probabilities file" in err["message"]
 
 
 # an out-of-range value for each leaf field whose bound the config checks, with the error code it gives;
@@ -605,6 +674,16 @@ class TestEveryConfigField:
         with pytest.raises(CropError):
             resolve_config("desk", str(config), {})
 
+    @pytest.mark.parametrize("dotted, value, code", list(_bad_cases()))
+    def test_a_bad_flag_fails_as_the_file_does(self, tmp_path, capsys, dotted, value, code):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(_doc(dotted, value)))
+        from_file = _main_error(capsys, ["gen", "--config", str(config), "--out", str(tmp_path / "data")])
+        # the flag's text is the value's JSON text
+        err = _main_error(capsys, ["gen", f"--{dotted}", json.dumps(value), "--out", str(tmp_path / "data")])
+        assert err == from_file and err["code"] == code
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_every_command_types_the_config_before_it_writes(self, tiny_run, tmp_path, capsys, command):
         (tmp_path / "cfg.json").write_text(json.dumps({"eval": {"ks": [1.5]}}))
@@ -670,7 +749,8 @@ class TestRunOnlyOnValidValues:
         (["--eval.epsilon", "1.5"], "parse_error", "(field 'eval.epsilon')"),
         (["--eval.ks", "[1, 13]"], "k_too_large", "K=13"),
         (["--depths", "1,-1"], "dim_mismatch", "n_layers"),
-    ], ids=["epsilon_1.5", "ks_13", "depth_-1"])
+        (["--modes", "bogus"], "parse_error", "(field 'mcab')"),
+    ], ids=["epsilon_1.5", "ks_13", "depth_-1", "modes_bogus"])
     def test_ablate_refuses_a_config_value_before_it_trains(self, tiny_run, tmp_path, capsys, flags, code, field):
         data = tiny_run / "data"
         capsys.readouterr()
