@@ -5,10 +5,10 @@ flag of the same dotted name (e.g. --model.n_queries 32), and
 --seed, --epochs and --lr are aliases of --train.seed, --train.epochs
 and --train.lr. A flag's text becomes an int, a float, a JSON value or
 else the text itself; ``RunConfig`` then types and bounds it by the
-rule it applies to the file, so a flag and a file fail alike. A flag
-given twice, through its alias or not, keeps its last value. Errors
-derived from CropError leave as machine-readable JSON on stderr with
-a nonzero exit code.
+rule it applies to the file, so a flag and a file fail on the same
+field with the same code. A flag given twice, through its alias or
+not, keeps its last value. Errors derived from CropError leave as
+machine-readable JSON on stderr with a nonzero exit code.
 """
 from __future__ import annotations
 

@@ -623,9 +623,9 @@ class TestAssign:
             cost = reference_cost_matrix(preds, good, W)
             rows, cols = linear_sum_assignment(cost)
             # a row's padding columns all cost the same, so an unmatched row costs its column len(good)
-            cols = np.full(10, len(good))
-            cols[matched] = [a.good_indices.index(k) for k in matched_targets]
-            ours = cost[np.arange(10), cols].sum()
+            ours_cols = np.full(10, len(good))
+            ours_cols[matched] = [a.good_indices.index(k) for k in matched_targets]
+            ours = cost[np.arange(10), ours_cols].sum()
             assert ours == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
     def test_cardinality_errors(self):

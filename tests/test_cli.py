@@ -169,6 +169,20 @@ class TestFlagValues:
         assert err["code"] == "parse_error" and "(field 'train.lr')" in err["message"]
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("dotted, text", [("train.optimizer", "1e5"), ("mcab", "010"), ("dtype", "64")])
+    def test_a_number_for_a_string_field_fails_on_that_field(self, tmp_path, capsys, dotted, text):
+        # the converter reads the text as a number, so only the file's code and field carry over;
+        # the value's JSON text ('"1e5"') gives the file's exact error
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(_doc(dotted, text)))
+        from_file = _main_error(capsys, ["gen", "--config", str(config), "--out", str(tmp_path / "data")])
+        err = _main_error(capsys, ["gen", f"--{dotted}", text, "--out", str(tmp_path / "data")])
+        assert err["code"] == from_file["code"] == "parse_error"
+        assert f"(field '{dotted}')" in err["message"] and f"(field '{dotted}')" in from_file["message"]
+        quoted = _main_error(capsys, ["gen", f"--{dotted}", json.dumps(text), "--out", str(tmp_path / "data")])
+        assert quoted == from_file
+        assert not (tmp_path / "data").exists()
+
     def test_help_lists_the_aliases_and_the_modes(self):
         text = build_parser()._subparsers._group_actions[0].choices["train"].format_help()
         for flags in ("--seed SEED, --train.seed SEED", "--epochs EPOCHS, --train.epochs EPOCHS",
