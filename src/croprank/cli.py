@@ -182,6 +182,8 @@ def _read_json(path: str, what: str):
         raise ParseError(f"{what} file unreadable: {path}: {e.strerror}") from e
     except ValueError as e:  # a JSONDecodeError, or a UnicodeDecodeError from a binary file
         raise ParseError(f"{what} file is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError(f"{what} file nests too deeply to read as JSON: {path}") from e
 
 
 def resolve_config(preset: str, config_path: str | None, overrides: dict) -> RunConfig:
@@ -388,13 +390,18 @@ def cmd_ablate(cfg: RunConfig, train_path: str, val_path: str, out_dir: str,
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _flag_value(text: str):
-    """A flag's text as an int, else a float, else a JSON value, else the text; ``RunConfig`` types it."""
+def _flag_value(text: str, dotted: str):
+    """A flag's text as an int, else a float, else a JSON value, else the text; ``RunConfig`` types it.
+
+    JSON that nests too deeply to read is a ParseError on the flag's field.
+    """
     for parse in (int, float, json.loads):
         try:
             return parse(text)
         except ValueError:  # json.JSONDecodeError is a ValueError
             pass
+        except RecursionError as e:
+            raise ParseError(f"--{dotted} nests too deeply to read as JSON", field=dotted) from e
     return text
 
 
@@ -409,12 +416,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     for dotted in sorted(_flatten(DESK_CONFIG)):
         alias, text = shown.get(dotted, (None, argparse.SUPPRESS))
         flags = [f"--{dotted}"] if alias is None else [alias, f"--{dotted}"]
-        parser.add_argument(*flags, dest=f"dotted:{dotted}", type=_flag_value, default=argparse.SUPPRESS,
+        parser.add_argument(*flags, dest=f"dotted:{dotted}", default=argparse.SUPPRESS,
                             metavar=dotted.rpartition(".")[2].upper(), help=text)
 
 
 def _config_from(args) -> RunConfig:
-    overrides = {key[len("dotted:"):]: value for key, value in vars(args).items() if key.startswith("dotted:")}
+    texts = {key[len("dotted:"):]: text for key, text in vars(args).items() if key.startswith("dotted:")}
+    overrides = {dotted: _flag_value(text, dotted) for dotted, text in texts.items()}
     return resolve_config(args.preset, args.config, overrides)
 
 

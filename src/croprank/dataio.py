@@ -210,12 +210,17 @@ def load_dataset(path) -> list[DatasetRecord]:
         image_path = obj.get("image")
         cam_paths = obj.get("cams")
         cams_inline = obj.get("cams_inline")
+        if image_path is not None and not isinstance(image_path, str):
+            raise ParseError(f"image must be a path string, got {type(image_path).__name__}",
+                             line=line_no, field="image")
         if cam_paths is not None and cams_inline is not None:
             raise ParseError("record has both cams and cams_inline", line=line_no, field="cams")
         if cam_paths is not None:
             if not isinstance(cam_paths, list) or len(cam_paths) != N_CLASSES:
                 raise ParseError(f"cams must list {N_CLASSES} paths", line=line_no, field="cams")
-            cam_paths = tuple(str(c) for c in cam_paths)
+            if not all(isinstance(c, str) for c in cam_paths):
+                raise ParseError("cams must list path strings", line=line_no, field="cams")
+            cam_paths = tuple(cam_paths)
         if cams_inline is not None:
             if not isinstance(cams_inline, list) or len(cams_inline) != N_CLASSES:
                 raise ParseError(f"cams_inline must list {N_CLASSES} maps", line=line_no, field="cams_inline")

@@ -72,6 +72,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def recording() -> bool:
+    """Whether ops record a graph for backward: everywhere outside ``no_grad``."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def branches(out: list):
     """Collect which branch each piecewise op takes, element by element.
@@ -160,9 +165,15 @@ def parameter(data: Array, grad: Array) -> Tensor:
 
 
 def constant(data) -> Tensor:
-    """Wrap values as a non-trainable tensor of their own dtype (f32 or f64; anything else becomes f64)."""
+    """Wrap values as a non-trainable tensor of their own dtype (f32 or f64; anything else becomes f64).
+
+    An f32 or f64 array is wrapped as it is, strides included, not
+    copied: no op writes into its inputs.
+    """
     arr = np.asarray(data)
-    return Tensor(arr, dtype=arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64)
+    if arr.dtype in (np.float32, np.float64):
+        return Tensor._from_op(arr, (), None, "leaf")
+    return Tensor(arr)
 
 
 # -- shape/dtype guards --------------------------------------------------------

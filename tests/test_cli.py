@@ -91,8 +91,8 @@ class TestResolveConfig:
             resolve_config("desk", str(path), {})
         assert err.value.field == "train.epohcs"
 
-    @pytest.mark.parametrize("text", [b"{oops", b"null", b"[1]", b"5", b"\xd0\xff"],
-                             ids=["broken", "null", "list", "number", "binary"])
+    @pytest.mark.parametrize("text", [b"{oops", b"null", b"[1]", b"5", b"\xd0\xff", b"[" * 100000],
+                             ids=["broken", "null", "list", "number", "binary", "deep"])
     def test_config_file_invalid_json(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
         path.write_bytes(text)
@@ -166,6 +166,12 @@ class TestFlagValues:
 
     def test_a_null_flag_is_a_null_value(self, tmp_path, capsys):
         err = _main_error(capsys, ["gen", "--out", str(tmp_path / "data"), "--train.lr", "null"])
+        assert err["code"] == "parse_error" and "(field 'train.lr')" in err["message"]
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("flag", ["--train.lr", "--lr"])
+    def test_json_nested_too_deep_to_read_fails_on_the_flags_field(self, tmp_path, capsys, flag):
+        err = _main_error(capsys, ["gen", "--out", str(tmp_path / "data"), flag, "[" * 100000])
         assert err["code"] == "parse_error" and "(field 'train.lr')" in err["message"]
         assert not (tmp_path / "data").exists()
 
@@ -605,10 +611,11 @@ class TestUntypedValues:
         err = self._fuse_error(tmp_path, capsys, tmp_path / "probs.json")
         assert err["code"] == "parse_error" and "probs" in err["message"]
 
-    @pytest.mark.parametrize("name", ["dir", "probs.bin"], ids=["directory", "binary"])
+    @pytest.mark.parametrize("name", ["dir", "probs.bin", "deep.json"], ids=["directory", "binary", "deep"])
     def test_unreadable_fuse_probabilities_exit_2(self, tmp_path, capsys, name):
         (tmp_path / "dir").mkdir()
         (tmp_path / "probs.bin").write_bytes(b"\xd0\xff")
+        (tmp_path / "deep.json").write_text("[" * 100000)
         err = self._fuse_error(tmp_path, capsys, tmp_path / name)
         assert err["code"] == "parse_error" and "probabilities file" in err["message"]
 

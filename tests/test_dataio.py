@@ -299,6 +299,22 @@ class TestLoadDataset:
         assert len(cams) == 9
         assert np.array_equal(cams[0].values, [[0.0, 1.0], [0.5, 0.25]])
 
+    @pytest.mark.parametrize("value", [5, ["img.aesc"], True], ids=["number", "list", "bool"])
+    def test_image_path_must_be_a_string(self, tmp_path, value):
+        path = _write_lines(tmp_path, _valid_record(tmp_path), _valid_record(tmp_path, image=value))
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert (err.value.field, err.value.line) == ("image", 2)
+
+    @pytest.mark.parametrize("value", [5, None, ["c.aesc"]], ids=["number", "null", "list"])
+    def test_cam_paths_must_be_strings(self, tmp_path, value):
+        write_tensor(tmp_path / "c.aesc", np.zeros((4, 4)))
+        rec = _valid_record(tmp_path, cams=[value, *["c.aesc"] * 8])
+        path = _write_lines(tmp_path, _valid_record(tmp_path, cams=["c.aesc"] * 9), rec)
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert (err.value.field, err.value.line) == ("cams", 2)
+
     def test_referenced_file_must_exist(self, tmp_path):
         rec = _valid_record(tmp_path, image="gone.aesc")
         with pytest.raises(MissingFile):

@@ -252,6 +252,130 @@ class TestDecode:
                 assert layer_batch[:, b].tobytes() == layer_own.tobytes()
 
 
+def _uncached_heads(image, prior, state) -> HeadOutputs:
+    """A no-grad forward on a fresh copy of ``state``'s values, which has no kept prefix."""
+    fresh = init_state(state.config, dtype=state.dtype)
+    fresh.data[...] = state.data
+    with T.no_grad():
+        return forward_train(image, prior, fresh)
+
+
+@pytest.fixture
+def prefix_calls(monkeypatch):
+    """The gains of every ``layer_norm`` call and the number of ``attention`` calls, as lists that grow."""
+    gains, attentions = [], []
+    layer_norm, attention = T.layer_norm, T.attention
+    monkeypatch.setattr(T, "layer_norm", lambda x, gain, bias: gains.append(gain) or layer_norm(x, gain, bias))
+    monkeypatch.setattr(T, "attention", lambda *args: attentions.append(1) or attention(*args))
+
+    def made(state) -> bool:
+        """Whether a call since the last one ran layer 0's LN1, self-attention or LN2; clears the lists."""
+        ran = state["layer0.ln1.g"] in gains or state["layer0.ln2.g"] in gains
+        assert len(attentions) == 2 * state.config.n_layers - (not ran)
+        gains.clear()
+        attentions.clear()
+        return ran
+
+    return made
+
+
+# one in-place write to a layer-0 parameter before self-attention's output leaves it
+def _one_ulp(state):
+    w = state["layer0.self.wq"].data
+    w[1, 2] = np.nextafter(w[1, 2], np.inf)
+
+
+def _negative_zero(state):
+    b = state["layer0.self.bv"].data
+    assert b[0, 0] == 0.0 and not np.signbit(b[0, 0])
+    b[0, 0] = -0.0
+
+
+def _permute_queries(state):
+    q = state["query.embed"].data
+    q[...] = q[np.random.default_rng(31).permutation(len(q))]
+
+
+class TestLayerZeroPrefix:
+    """Outside recording, decode keeps layer 0's image-independent prefix while its parameters hold the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_prior", [True, False], ids=["prior", "no_prior"])
+    @pytest.mark.parametrize("edit", [None, _one_ulp, _negative_zero, _permute_queries],
+                             ids=["unchanged", "one_ulp", "negative_zero", "permuted_queries"])
+    def test_a_kept_prefix_gives_the_uncached_bytes(self, dtype, with_prior, edit, prefix_calls):
+        state = init_state(SMALL, seed=27, dtype=dtype)
+        rng = np.random.default_rng(28)
+        images = [rng.uniform(size=(1, 8, 8)) for _ in range(2)]
+        prior = make_prior(ActivationMap(values=rng.uniform(size=(2, 2)))) if with_prior else None
+        with T.no_grad():
+            forward_train(images[0], prior, state)
+            assert prefix_calls(state)
+            if edit is not None:
+                edit(state)
+            got = forward_train(images[1], prior, state)
+            assert prefix_calls(state) == (edit is not None)
+        want = _uncached_heads(images[1], prior, state)
+        assert got.boxes.data.tobytes() == want.boxes.data.tobytes()
+        assert got.scores.data.tobytes() == want.scores.data.tobytes()
+
+    def test_a_second_no_grad_forward_skips_layer_zeros_self_block(self, prefix_calls):
+        state = init_state(DESK, seed=29)
+        rng = np.random.default_rng(30)
+        prior = make_prior(ActivationMap(values=rng.uniform(size=(8, 8))))
+        for expect_made in (True, False, False):
+            forward(rng.uniform(size=(3, 64, 64)), prior, state)
+            assert prefix_calls(state) == expect_made
+
+    @pytest.mark.parametrize("name", ["query.embed", "layer0.ln2.g", "layer0.self.wk"])
+    def test_a_swapped_in_stack_neither_reads_nor_keeps_the_prefix(self, name, prefix_calls):
+        state = init_state(SMALL, seed=32)
+        rng = np.random.default_rng(33)
+        image = rng.uniform(size=(1, 8, 8))
+        param = state[name]
+        orig = param.data
+        variants = np.stack([orig + rng.normal(0.0, 0.05, size=orig.shape) for _ in range(2)])
+        with T.no_grad():
+            forward_train(image, None, state)
+            kept = state._prefix
+            prefix_calls(state)
+            try:
+                param.data = variants
+                together = forward_train(image, None, state)
+                assert prefix_calls(state) and state._prefix is kept
+                param.data = variants[1]
+                alone = forward_train(image, None, state)
+                assert prefix_calls(state) and state._prefix is kept
+            finally:
+                param.data = orig
+            again = forward_train(image, None, state)
+            assert not prefix_calls(state)
+        assert together.boxes.data[1].tobytes() == alone.boxes.data.tobytes()
+        assert again.boxes.data.tobytes() == _uncached_heads(image, None, state).boxes.data.tobytes()
+        orig[...] = variants[1]
+        assert alone.boxes.data.tobytes() == _uncached_heads(image, None, state).boxes.data.tobytes()
+
+    def test_a_recording_forward_neither_reads_nor_keeps_the_prefix(self, prefix_calls):
+        state = init_state(SMALL, seed=34)
+        image = np.random.default_rng(35).uniform(size=(1, 8, 8))
+        forward_train(image, None, state)
+        assert prefix_calls(state) and state._prefix is None
+        with T.no_grad():
+            forward_train(image, None, state)
+        kept = state._prefix
+        prefix_calls(state)
+        recorded = forward_train(image, None, state)
+        assert prefix_calls(state) and state._prefix is kept
+        assert recorded.boxes.requires_grad
+
+    def test_zero_layers_keep_no_prefix(self):
+        cfg = ModelConfig(n_queries=5, n_layers=0, model_dim=8, n_heads=2, ffn_dim=16,
+                          grid_h=2, grid_w=2, in_channels=1, image_h=8, image_w=8)
+        state = init_state(cfg, seed=36)
+        forward(np.random.default_rng(37).uniform(size=(1, 8, 8)), None, state)
+        assert state._prefix is None
+
+
 class TestHeads:
     def test_zero_weights_give_centered_sigmoid(self):
         state = init_state(SMALL, seed=15)

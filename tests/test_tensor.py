@@ -47,6 +47,20 @@ class TestConstruction:
         T.backward(T.sum_all(y))
         assert y.grad is None and a.grad.tolist() == [[1.0]]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_wraps_a_float_array_as_it_is(self, dtype):
+        base = np.arange(24, dtype=dtype).reshape(4, 6)
+        strided = base[::2, 1::2]
+        t = T.constant(strided)
+        assert t.data is strided and t.data.strides == strided.strides and np.shares_memory(t.data, base)
+        assert not t.requires_grad and t.grad is None
+
+    def test_constant_turns_other_dtypes_into_float64(self):
+        ints = np.arange(6).reshape(2, 3)
+        t = T.constant(ints)
+        assert t.data.dtype == np.float64 and not np.shares_memory(t.data, ints)
+        assert t.data.tolist() == ints.tolist()
+
     def test_item_requires_single_element(self):
         assert Tensor([[3.5]]).item() == 3.5
         with pytest.raises(NotScalar):
