@@ -189,6 +189,8 @@ def load_dataset(path) -> list[DatasetRecord]:
             obj = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from e
+        except RecursionError as e:
+            raise ParseError("JSON nests too deeply to read", line=line_no) from e
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=line_no)
         rec_id = _require(obj, "id", str, line_no)
@@ -551,6 +553,8 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelState, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("manifest nests too deeply to read as JSON") from e
     if not isinstance(manifest, dict):
         raise ParseError("manifest is not a JSON object")
     for key in ("format", "model", "dtype", "params", "sha256"):

@@ -191,6 +191,12 @@ class TestLoadDataset:
             load_dataset(path)
         assert err.value.line == 2
 
+    def test_json_nested_too_deep_names_line(self, tmp_path):
+        path = _write_lines(tmp_path, _valid_record(tmp_path), "[" * 100000)
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
     def test_non_object_line(self, tmp_path):
         path = _write_lines(tmp_path, "[1, 2]")
         with pytest.raises(ParseError):
@@ -439,6 +445,12 @@ class TestCheckpoints:
         state = self._trained_state()
         save_checkpoint(tmp_path / "ck", state)
         (tmp_path / "ck" / "manifest.json").write_text("{broken")
+        with pytest.raises(ParseError):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_manifest_nested_too_deep(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", self._trained_state())
+        (tmp_path / "ck" / "manifest.json").write_text("[" * 100000)
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path / "ck")
 
