@@ -327,33 +327,36 @@ class TestLayerZeroPrefix:
             forward(rng.uniform(size=(3, 64, 64)), prior, state)
             assert prefix_calls(state) == expect_made
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_prior", [True, False], ids=["prior", "no_prior"])
     @pytest.mark.parametrize("name", ["query.embed", "layer0.ln2.g", "layer0.self.wk"])
-    def test_a_swapped_in_stack_neither_reads_nor_keeps_the_prefix(self, name, prefix_calls):
-        state = init_state(SMALL, seed=32)
+    def test_a_swapped_in_stack_neither_reads_nor_keeps_the_prefix(self, name, with_prior, dtype, prefix_calls):
+        state = init_state(SMALL, seed=32, dtype=dtype)
         rng = np.random.default_rng(33)
         image = rng.uniform(size=(1, 8, 8))
+        prior = make_prior(ActivationMap(values=rng.uniform(size=(2, 2)))) if with_prior else None
         param = state[name]
         orig = param.data
-        variants = np.stack([orig + rng.normal(0.0, 0.05, size=orig.shape) for _ in range(2)])
+        variants = np.stack([orig + rng.normal(0.0, 0.05, size=orig.shape).astype(dtype) for _ in range(2)])
         with T.no_grad():
-            forward_train(image, None, state)
+            forward_train(image, prior, state)
             kept = state._prefix
             prefix_calls(state)
             try:
                 param.data = variants
-                together = forward_train(image, None, state)
+                together = forward_train(image, prior, state)
                 assert prefix_calls(state) and state._prefix is kept
                 param.data = variants[1]
-                alone = forward_train(image, None, state)
+                alone = forward_train(image, prior, state)
                 assert prefix_calls(state) and state._prefix is kept
             finally:
                 param.data = orig
-            again = forward_train(image, None, state)
+            again = forward_train(image, prior, state)
             assert not prefix_calls(state)
         assert together.boxes.data[1].tobytes() == alone.boxes.data.tobytes()
-        assert again.boxes.data.tobytes() == _uncached_heads(image, None, state).boxes.data.tobytes()
+        assert again.boxes.data.tobytes() == _uncached_heads(image, prior, state).boxes.data.tobytes()
         orig[...] = variants[1]
-        assert alone.boxes.data.tobytes() == _uncached_heads(image, None, state).boxes.data.tobytes()
+        assert alone.boxes.data.tobytes() == _uncached_heads(image, prior, state).boxes.data.tobytes()
 
     def test_a_recording_forward_neither_reads_nor_keeps_the_prefix(self, prefix_calls):
         state = init_state(SMALL, seed=34)
